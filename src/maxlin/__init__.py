@@ -29,6 +29,7 @@ from .errors import (
 )
 from .excess import (
     DEFAULT_ORACLE_CAP,
+    MAX_ORACLE_N,
     AaInstance,
     ExcessWitness,
     brute_force_max_excess,

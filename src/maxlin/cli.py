@@ -1,8 +1,8 @@
 """Command-line front end with stable, scriptable output.
 
-Exit codes: 0 for yes/accept/success, 1 for no/reject, 2 for usage or
-parse errors.  Witness assignments print as one 0/1 string over the
-original variables; rationals print in lowest terms.  With
+Exit codes: 0 for yes/accept/success, 1 for no/reject, 2 for usage,
+parse or input-file errors.  Witness assignments print as one 0/1 string
+over the original variables; rationals print in lowest terms.  With
 ``--output machine`` results come as one key=value line each.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .algoh import Certificate, verify_certificate
-from .errors import MaxlinError, ParseError
+from .errors import MaxlinError
 from .excess import (
     DEFAULT_ORACLE_CAP,
     AaInstance,
@@ -176,10 +176,7 @@ def run(config: CommandConfig, out: IO[str] | None = None) -> int:
     stream = sys.stdout if out is None else out
     try:
         return _HANDLERS[config.subcommand](config, stream)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MaxlinError as exc:
+    except (MaxlinError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,15 +2,16 @@
 and the above-average decision pipeline.
 
 The lower bound marks a sum-independent set of equations first, which
-guarantees k markings at full weight; the oracle enumerates assignments
-exactly (scaled to integers, evaluated in blocks so work can be spread over
-threads without changing the canonical result); the decision procedure
-routes each instance to whichever of the two applies.
+guarantees k markings at full weight; the oracle finds the exact maximum
+over all assignments with a fast Walsh-Hadamard transform on integer-scaled
+weights, one 2^16-point block at a time, in O(n 2^n) whatever m is.  It
+runs on the calling thread: the ``workers`` keyword is validated and kept
+for API stability but starts no threads.  The decision procedure routes
+each instance to whichever of the two applies.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import (
     OracleCapError,
     PreconditionError,
 )
-from .f2core import Assignment, F2Vector, LinearSystem, evaluate, parity, reverse_bits
+from .f2core import Assignment, F2Vector, LinearSystem, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h, sequence_chooser
 from .reduce import is_irreducible, lift_assignment, make_irreducible
@@ -34,9 +35,12 @@ __all__ = [
     "brute_force_max_excess",
     "decide_aa",
     "DEFAULT_ORACLE_CAP",
+    "MAX_ORACLE_N",
 ]
 
 DEFAULT_ORACLE_CAP = 24
+# hard ceiling on any cap: 2^14 blocks of 2^16 points
+MAX_ORACLE_N = 30
 _BLOCK_BITS = 16
 # scaled weights must leave headroom in int64 accumulation
 _INT64_SAFE = 1 << 62
@@ -108,29 +112,23 @@ def _scaled_equations(sys: LinearSystem) -> tuple[list[tuple[int, int, int]], in
     return data, scale
 
 
-def _block_best_numpy(eq_data, start: int, stop: int) -> tuple[int, int]:
-    idx = np.arange(start, stop, dtype=np.uint64)
-    acc = np.zeros(stop - start, dtype=np.int64)
-    for mask, rhs, weight in eq_data:
-        x = idx & np.uint64(mask)
-        for shift in (32, 16, 8, 4, 2, 1):
-            x = x ^ (x >> np.uint64(shift))
-        falsified = (x & np.uint64(1)).astype(np.int64) ^ rhs
-        acc += weight * (1 - 2 * falsified)
-    pos = int(np.argmax(acc))
-    return int(acc[pos]), start + pos
+def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a 2^L block.
 
-
-def _block_best_python(eq_data, start: int, stop: int) -> tuple[int, int]:
-    best_val = None
-    best_at = start
-    for v in range(start, stop):
-        total = 0
-        for mask, rhs, weight in eq_data:
-            total += weight if parity(mask & v) == rhs else -weight
-        if best_val is None or total > best_val:
-            best_val, best_at = total, v
-    return best_val, best_at
+    Constant-geometry form: every stage writes x[i] + x[i + 2^(L-1)] and
+    x[i] - x[i + 2^(L-1)] to entries 2i and 2i + 1 of the other buffer, so
+    each stage transforms the top index bit and rotates it to the bottom,
+    and after L stages the order is natural again.  Reading two contiguous
+    halves is what makes this faster than the in-place butterfly.  Returns
+    whichever of the two buffers holds the result.
+    """
+    for _ in range(block.size.bit_length() - 1):
+        halves = block.reshape(2, -1)
+        pairs = scratch.reshape(-1, 2)
+        np.add(halves[0], halves[1], out=pairs[:, 0])
+        np.subtract(halves[0], halves[1], out=pairs[:, 1])
+        block, scratch = scratch, block
+    return block
 
 
 def brute_force_max_excess(
@@ -138,33 +136,39 @@ def brute_force_max_excess(
 ) -> ExcessWitness:
     """Exact maximum excess with the lexicographically smallest maximizer.
 
-    Assignments are enumerated in lexicographic order (z_1 most
-    significant) in fixed-size blocks; blocks may be evaluated on several
-    threads, and the merge keeps the best value with the smallest index, so
-    the witness is identical for every worker count.
+    Indexing assignments with z_1 most significant, the excess at z is
+    sum_e s_e (-1)^<a_e, z> with s_e = +-w_e, i.e. the Walsh-Hadamard
+    transform of the signed weights placed at their (reversed-bit) masks.
+    The index is split into low and high bits: for each high pattern, in
+    ascending order, the equations' signs on the high bits are folded into
+    their weights, scattered into one block over the low bits and
+    transformed there.  Memory stays at two block-sized buffers whatever n
+    is, and the cost is O(n 2^n + m 2^(n-16)).  A block's first maximum replaces the best so
+    far only if strictly greater, which keeps the lexicographically
+    smallest maximizer.  ``workers`` is validated and otherwise unused.
     """
-    if sys.n > cap:
-        raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {cap}")
+    limit = min(cap, MAX_ORACLE_N)
+    if sys.n > limit:
+        raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
     if workers < 1:
         raise MaxlinError("workers must be >= 1")
     eq_data, scale = _scaled_equations(sys)
-    total_scaled = sum(w for _, _, w in eq_data)
-    block = _block_best_numpy if total_scaled < _INT64_SAFE else _block_best_python
-    span = 1 << sys.n
-    starts = range(0, span, 1 << _BLOCK_BITS)
-    if workers == 1:
-        results = [block(eq_data, s, min(s + (1 << _BLOCK_BITS), span)) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda s: block(eq_data, s, min(s + (1 << _BLOCK_BITS), span)), starts
-                )
-            )
-    best_val, best_at = results[0]
-    for val, at in results[1:]:
-        if val > best_val or (val == best_val and at < best_at):
-            best_val, best_at = val, at
+    # Python ints past the int64 headroom, so the sums stay exact
+    dtype = np.int64 if sum(w for _, _, w in eq_data) < _INT64_SAFE else object
+    low_bits = min(sys.n, _BLOCK_BITS)
+    lows = np.array([mask & ((1 << low_bits) - 1) for mask, _, _ in eq_data], dtype=np.intp)
+    highs = np.array([mask >> low_bits for mask, _, _ in eq_data], dtype=np.uint64)
+    signed = np.array([-w if rhs else w for _, rhs, w in eq_data], dtype=dtype)
+    scratch = np.empty(1 << low_bits, dtype=dtype)
+    best_val, best_at = None, 0
+    for zh in range(1 << (sys.n - low_bits)):
+        odd = (np.bitwise_count(highs & np.uint64(zh)) & 1).astype(bool)
+        block = np.zeros(1 << low_bits, dtype=dtype)
+        np.add.at(block, lows, np.where(odd, -signed, signed))
+        values = _walsh_hadamard(block, scratch)
+        pos = int(np.argmax(values))
+        if best_val is None or values[pos] > best_val:
+            best_val, best_at = int(values[pos]), zh << low_bits | pos
     assignment = Assignment(sys.n, reverse_bits(best_at, sys.n))
     return ExcessWitness(assignment, Fraction(best_val, scale), "brute_force")
 

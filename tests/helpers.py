@@ -154,6 +154,26 @@ def all_points(n: int):
         yield tuple(-1 if key >> (n - 1 - j) & 1 else 1 for j in range(n))
 
 
+def enumerate_max_excess(sys: LinearSystem) -> tuple[Fraction, str]:
+    """Maximum excess and its first maximizer as a 0/1 string.
+
+    Walks every assignment in lexicographic order (z_1 most significant),
+    summing each equation's signed weight straight from its support, and
+    keeps the first point that reaches the maximum.
+    """
+    rows = [(eq.lhs.support(), eq.rhs, eq.weight) for eq in sys.equations]
+    best = None
+    for key in range(2**sys.n):
+        text = format(key, f"0{sys.n}b") if sys.n else ""
+        value = Fraction(0)
+        for support, rhs, weight in rows:
+            ones = sum(text[i] == "1" for i in support)
+            value += weight if ones % 2 == rhs else -weight
+        if best is None or value > best[0]:
+            best = (value, text)
+    return best
+
+
 def fourier_values_vector(f: FourierExpansion) -> tuple[np.ndarray, int]:
     """Exact scaled values of f at all points, in the all_points order.
 

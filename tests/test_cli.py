@@ -115,6 +115,32 @@ class TestSubcommands:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        code = main(["reduce", str(tmp_path / "missing")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_oracle_ceiling_exits_2_at_once(self, tmp_path):
+        wide = tmp_path / "wide"
+        wide.write_text("p maxlin 40 1\n1 0 1 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxlin", "excess", "--oracle", "--oracle-cap", "60", str(wide)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    def test_larger_oracle_cap_on_small_input(self, files, capsys):
+        assert main(["excess", "--oracle", files["triple"]]) == 0
+        default = capsys.readouterr().out
+        assert main(["excess", "--oracle", "--oracle-cap", "60", files["triple"]]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_workers(self, tmp_path):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxlin import (
     AaInstance,
     Assignment,
+    F2Vector,
     LinearSystem,
     MaxlinError,
+    MAX_ORACLE_N,
     NonIntegralWeightError,
     OracleCapError,
     PreconditionError,
@@ -18,7 +21,29 @@ from maxlin import (
     make_irreducible,
 )
 
-from helpers import random_regime_system, random_system
+from helpers import enumerate_max_excess, random_regime_system, random_system
+from reference_oracle import reference_max_excess
+
+
+@st.composite
+def oracle_systems(draw):
+    """Systems with n <= 12 (n = 0 and m = 0 included) and unit, integer or
+    rational weights; some rows repeat a left-hand side with the opposite
+    right-hand side."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return LinearSystem(0)
+    weights = draw(st.sampled_from([
+        st.just(Fraction(1)),
+        st.integers(1, 6).map(Fraction),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    ]))
+    rows = draw(st.lists(
+        st.tuples(st.integers(1, 2**n - 1), st.integers(0, 1), weights), max_size=20
+    ))
+    flipped = draw(st.integers(0, len(rows)))
+    rows += [(mask, 1 - rhs, draw(weights)) for mask, rhs, _ in rows[:flipped]]
+    return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
 
 
 class TestBruteForce:
@@ -57,11 +82,56 @@ class TestBruteForce:
             for workers in (2, 8):
                 again = brute_force_max_excess(sys, workers=workers)
                 assert again == base
+        with pytest.raises(MaxlinError):
+            brute_force_max_excess(sys, workers=0)
 
     def test_cap_enforced(self):
         sys = LinearSystem.build(5, [([0], 0, 1)])
         with pytest.raises(OracleCapError):
             brute_force_max_excess(sys, cap=4)
+
+    def test_hard_ceiling_overrides_larger_cap(self):
+        sys = LinearSystem.build(MAX_ORACLE_N + 1, [([0], 0, 1)])
+        with pytest.raises(OracleCapError, match=f"cap of {MAX_ORACLE_N}"):
+            brute_force_max_excess(sys, cap=60)
+        small = LinearSystem.build(3, [([0, 2], 1, 1)])
+        assert brute_force_max_excess(small, cap=60) == brute_force_max_excess(small)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(oracle_systems())
+    def test_matches_frozen_block_oracle(self, sys):
+        witness = brute_force_max_excess(sys)
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    def test_ties_across_blocks_keep_the_first(self):
+        # n > 16 spans several 2^16-point blocks over z_1 (and z_2); rows
+        # that skip those tie every block with the first one, and a heavy
+        # z_1 = 1 row moves the maximum out of it
+        rng = random.Random(48)
+        for n in (17, 18, 18):
+            rows = [(rng.sample(range(2, n), rng.randint(1, 4)), rng.randint(0, 1), 1)
+                    for _ in range(5)]
+            for sys in (LinearSystem.build(n, rows),
+                        LinearSystem.build(n, rows + [([0], 1, 9), ([0, n - 1], 0, 1)])):
+                witness = brute_force_max_excess(sys)
+                assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    def test_witness_is_first_maximizer_in_lex_order(self):
+        rng = random.Random(46)
+        for _ in range(40):
+            sys = random_system(rng, n_max=7, m_max=8, w_max=1)
+            witness = brute_force_max_excess(sys)
+            assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+
+    def test_weights_past_int64_headroom_are_exact(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            small = random_system(rng, m_min=1, n_max=8, m_max=12, rational_weights=True)
+            sys = LinearSystem.build(small.n, [
+                (eq.lhs, eq.rhs, eq.weight * 2**62 + Fraction(1, 3)) for eq in small.equations
+            ])
+            witness = brute_force_max_excess(sys)
+            assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(42)

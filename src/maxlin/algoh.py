@@ -77,7 +77,8 @@ def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSys
     Callers are expected to hand in a system without repeated left-hand
     sides (run_h re-merges after every step), in which case no substitution
     can cancel a row outright.  A cancelled row with rhs 0 is dropped
-    silently; rhs 1 is impossible under that discipline and asserted.
+    silently; rhs 1 is impossible under that discipline and raises
+    MaxlinError.
     """
     if not sys.has_equation(eq_id):
         raise EquationNotFoundError(f"no equation with id {eq_id}")
@@ -90,7 +91,11 @@ def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSys
         if eq.lhs.bits >> var & 1:
             summed = add_lhs(marked, eq)
             if summed.lhs.is_zero():
-                assert summed.rhs == 0, "cancelled row with rhs 1; input had duplicate lhs"
+                if summed.rhs:
+                    raise MaxlinError(
+                        f"equations {eq_id} and {eq.eq_id} share a left-hand side with "
+                        "opposite right-hand sides; apply rule 2 first"
+                    )
                 continue
             out.append(summed)
         else:

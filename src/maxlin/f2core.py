@@ -47,11 +47,9 @@ def reverse_bits(x: int, n: int) -> int:
     (v_1, ..., v_n) coordinate tuple, which is the canonical order used
     for every tie-break in the package.
     """
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
+    if n <= 0:
+        return 0
+    return int(format(x & ((1 << n) - 1), f"0{n}b")[::-1], 2)
 
 
 def _check_packed(n: int, bits: int) -> None:
@@ -100,7 +98,13 @@ class F2Vector:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.bits >> j & 1)
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -276,12 +280,7 @@ class LinearSystem:
         return tuple(eq.eq_id for eq in self.equations)
 
     def has_duplicate_lhs(self) -> bool:
-        seen = set()
-        for eq in self.equations:
-            if eq.lhs.bits in seen:
-                return True
-            seen.add(eq.lhs.bits)
-        return False
+        return len({eq.lhs.bits for eq in self.equations}) != len(self.equations)
 
     def has_integral_weights(self) -> bool:
         return all(eq.weight.denominator == 1 for eq in self.equations)
@@ -314,38 +313,60 @@ def evaluate(sys: LinearSystem, assignment: Assignment) -> Evaluation:
     return Evaluation(sat, fals, sat - fals)
 
 
+def _pivot_basis(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the row space, keyed by each row's lowest set bit.
+
+    Each row is XORed with the basis row owning its lowest set bit until it
+    is zero or owns a new one, so the cost is O(m * rank) big-int XORs,
+    whatever the dimension.  The keys (as 1 << column) are exactly the
+    lowest bits of the nonzero vectors of the row space, which is the pivot
+    set of the leftmost-pivot reduced row echelon form.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            prow = basis.get(low)
+            if prow is None:
+                basis[low] = row
+                break
+            row ^= prow
+    return basis
+
+
 def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over F2 with leftmost pivots.
 
     Returns (pivot columns ascending, reduced pivot rows aligned with them);
     non-pivot columns of the reduced rows express each dependent column of
-    the input as a sum of pivot columns.
+    the input as a sum of pivot columns.  Rows must fit in n bits.
+
+    Cost: O(m * rank) XORs for the echelon basis (see _pivot_basis) plus one
+    back-substitution pass of at most rank^2 / 2 XORs, skipped at full rank,
+    where the reduced rows are the unit rows.  Nothing walks the n columns.
     """
-    work = list(rows)
-    pivots: list[int] = []
-    reduced: list[int] = []
-    for col in range(n):
-        pivot_at = None
-        for i, row in enumerate(work):
-            if row >> col & 1:
-                pivot_at = i
-                break
-        if pivot_at is None:
-            continue
-        prow = work.pop(pivot_at)
-        for i in range(len(work)):
-            if work[i] >> col & 1:
-                work[i] ^= prow
-        for i in range(len(reduced)):
-            if reduced[i] >> col & 1:
-                reduced[i] ^= prow
-        pivots.append(col)
-        reduced.append(prow)
-    return pivots, reduced
+    basis = _pivot_basis(rows)
+    if len(basis) == n:
+        return list(range(n)), [1 << j for j in range(n)]
+    lows = sorted(basis)
+    pivot_mask = 0
+    for low in lows:
+        pivot_mask |= low
+    reduced: dict[int, int] = {}
+    for low in reversed(lows):
+        row = basis[low]
+        # other pivot bits all lie above low, and their rows are reduced
+        hits = row & pivot_mask ^ low
+        while hits:
+            q = hits & -hits
+            row ^= reduced[q]
+            hits ^= q
+        reduced[low] = row
+    return [low.bit_length() - 1 for low in lows], [reduced[low] for low in lows]
 
 
 def rank_and_basis(sys: LinearSystem) -> tuple[int, tuple[int, ...]]:
     """F2 rank of the lhs matrix and the lexicographically smallest
-    independent column set (leftmost-pivot elimination)."""
-    pivots, _ = rref([eq.lhs.bits for eq in sys.equations], sys.n)
-    return len(pivots), tuple(pivots)
+    independent column set (the leftmost pivots)."""
+    lows = sorted(_pivot_basis(eq.lhs.bits for eq in sys.equations))
+    return len(lows), tuple(low.bit_length() - 1 for low in lows)

@@ -131,8 +131,11 @@ def emit_transcript_comments(tr: ReductionTranscript) -> str:
     """Transcript as 'c transcript ...' lines appended to an emitted system."""
     lines = [("c transcript kept " + " ".join(str(i + 1) for i in tr.kept_variables)).rstrip()]
     for j, deps in tr.deleted_variables:
-        dep_list = " ".join(str(i + 1) for i in sorted(deps))
-        lines.append(f"c transcript deleted {j + 1} {len(deps)} {dep_list}".rstrip())
+        if deps:
+            dep_list = " ".join(str(i + 1) for i in sorted(deps))
+            lines.append(f"c transcript deleted {j + 1} {len(deps)} {dep_list}")
+        else:
+            lines.append(f"c transcript deleted {j + 1} 0")
     for event in tr.merge_log:
         survivor = "-" if event.surviving_id is None else str(event.surviving_id)
         lines.append(

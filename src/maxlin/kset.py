@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import F2Vector, parity, reverse_bits, rref
+from .f2core import F2Vector, _pivot_basis, parity, reverse_bits
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
@@ -47,8 +47,7 @@ class VectorSet:
         return frozenset(v.bits for v in self.vectors)
 
     def spans(self) -> bool:
-        pivots, _ = rref(sorted(v.bits for v in self.vectors), self.n)
-        return len(pivots) == self.n
+        return len(_pivot_basis(v.bits for v in self.vectors)) == self.n
 
 
 class _Tracked:

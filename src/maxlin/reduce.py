@@ -4,14 +4,23 @@ Rule 2 merges equations sharing a left-hand side (summing or cancelling
 weights); rule 1 projects the system onto an independent column basis.
 Neither changes the maximum excess, and the transcript lets any assignment
 of the reduced system be lifted back to the original at equal excess.
+
+Both rules run on plain ``(lhs bits, rhs, weight, eq_id)`` rows, and the
+frozen ``Equation``/``LinearSystem`` values are built once per public call.
+Rule 1 eliminates each row on its lowest set bit (``f2core.rref``), so a
+reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
+Nothing walks every declared column per row: for one sparse equation over a
+million declared variables, listing the deleted columns is nearly all the
+work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, Equation, F2Vector, LinearSystem, rref
+from .f2core import Assignment, Equation, F2Vector, LinearSystem, _pivot_basis, rref
 
 __all__ = [
     "MergeEvent",
@@ -71,50 +80,162 @@ def _identity_transcript(n: int) -> ReductionTranscript:
     return ReductionTranscript(n, n, tuple(range(n)))
 
 
-def _merge_pair(a: Equation, b: Equation, new_id: int) -> Equation | None:
-    """Rule 2 on two equations with equal lhs; None means both cancel."""
-    if a.rhs == b.rhs:
-        return Equation(a.lhs, a.rhs, a.weight + b.weight, new_id)
-    if a.weight == b.weight:
+# A working row: (lhs bits, rhs, weight, eq_id).
+_Row = tuple[int, int, Fraction, int]
+# Merge recorder: (first id, second id, surviving weight or None when the
+# pair cancelled) -> id of the surviving row.
+_Record = Callable[[int, int, "Fraction | None"], "int | None"]
+_NO_DEPS: frozenset[int] = frozenset()
+
+
+def _rows(sys: LinearSystem) -> list[_Row]:
+    return [(eq.lhs.bits, eq.rhs, eq.weight, eq.eq_id) for eq in sys.equations]
+
+
+def _equation(n: int, row: _Row) -> Equation:
+    bits, rhs, weight, eq_id = row
+    return Equation(F2Vector(n, bits), rhs, weight, eq_id)
+
+
+def _system(n: int, rows: Iterable[_Row], next_id: int = -1) -> LinearSystem:
+    return LinearSystem(n, tuple(_equation(n, row) for row in rows), next_id)
+
+
+class _FreshIds:
+    """Merge recorder of a reduction: logs every event and gives each
+    surviving row the next fresh id."""
+
+    def __init__(self, next_id: int):
+        self.next_id = next_id
+        self.events: list[MergeEvent] = []
+
+    def __call__(self, a_id: int, b_id: int, weight: Fraction | None) -> int | None:
+        if weight is None:
+            self.events.append(MergeEvent((a_id, b_id), None, Fraction(0)))
+            return None
+        new_id = self.next_id
+        self.next_id += 1
+        self.events.append(MergeEvent((a_id, b_id), new_id, weight))
+        return new_id
+
+
+class _LogReplay:
+    """Merge recorder of a replay: checks every merge against the recorded
+    log and hands back the recorded surviving id."""
+
+    def __init__(self, log: Sequence[MergeEvent]):
+        self.log = log
+        self.consumed = 0
+
+    def __call__(self, a_id: int, b_id: int, weight: Fraction | None) -> int | None:
+        if self.consumed == len(self.log):
+            raise MaxlinError("transcript merge log ended early")
+        event = self.log[self.consumed]
+        self.consumed += 1
+        if event.merged_ids != (a_id, b_id):
+            raise MaxlinError(
+                f"transcript expects merge {event.merged_ids}, replay reached ({a_id}, {b_id})"
+            )
+        if (weight is None) != (event.surviving_id is None):
+            raise MaxlinError(f"transcript merge outcome mismatch for {event.merged_ids}")
+        if weight is not None and weight != event.weight:
+            raise MaxlinError(f"transcript merge weight mismatch for {event.merged_ids}")
+        return event.surviving_id
+
+
+def _merge_pair(a: _Row, b: _Row, record: _Record) -> _Row | None:
+    """Rule 2 on two rows with equal lhs; None means both cancel."""
+    bits, rhs_a, w_a, id_a = a
+    _, rhs_b, w_b, id_b = b
+    if rhs_a == rhs_b:
+        rhs, weight = rhs_a, w_a + w_b
+    elif w_a == w_b:
+        record(id_a, id_b, None)
         return None
-    keep = a if a.weight > b.weight else b
-    return Equation(a.lhs, keep.rhs, abs(a.weight - b.weight), new_id)
+    elif w_a > w_b:
+        rhs, weight = rhs_a, w_a - w_b
+    else:
+        rhs, weight = rhs_b, w_b - w_a
+    return bits, rhs, weight, record(id_a, id_b, weight)
 
 
-def _apply_rule2_logged(sys: LinearSystem) -> tuple[LinearSystem, tuple[MergeEvent, ...]]:
-    groups: dict[int, list[Equation]] = {}
-    for eq in sys.equations:
-        groups.setdefault(eq.lhs.bits, []).append(eq)
-    if all(len(g) == 1 for g in groups.values()):
-        return sys, ()
-    next_id = sys.next_id
-    out: list[Equation] = []
-    events: list[MergeEvent] = []
-    for eqs in groups.values():
-        if len(eqs) == 1:
-            out.append(eqs[0])
-            continue
-        cur: Equation | None = eqs[0]
-        for nxt in eqs[1:]:
+def _merge_rows(rows: list[_Row], record: _Record) -> list[_Row]:
+    """Rule 2: fold each equal-lhs group pairwise in order of appearance.
+
+    Rows that share their lhs with no other row come back as they are.
+    """
+    groups: dict[int, list[_Row]] = {}
+    for row in rows:
+        groups.setdefault(row[0], []).append(row)
+    if len(groups) == len(rows):
+        return rows
+    out = []
+    for group in groups.values():
+        cur: _Row | None = group[0]
+        if len(group) > 1:
+            for nxt in group[1:]:
+                cur = nxt if cur is None else _merge_pair(cur, nxt, record)
             if cur is None:
-                cur = nxt
                 continue
-            merged = _merge_pair(cur, nxt, next_id)
-            if merged is None:
-                events.append(MergeEvent((cur.eq_id, nxt.eq_id), None, Fraction(0)))
-            else:
-                events.append(MergeEvent((cur.eq_id, nxt.eq_id), merged.eq_id, merged.weight))
-                next_id += 1
-            cur = merged
-        if cur is not None:
-            out.append(cur)
-    return LinearSystem(sys.n, tuple(out), next_id), tuple(events)
+        out.append(cur)
+    return out
+
+
+def _project(bits: int, new_bit: dict[int, int]) -> int:
+    """Map each set bit through new_bit (old 1 << j to new 1 << i); bits
+    without an entry are dropped."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= new_bit.get(low, 0)
+        bits ^= low
+    return out
+
+
+def _project_rows(
+    rows: list[_Row], n: int
+) -> tuple[list[_Row], list[int], list[tuple[int, frozenset[int]]]]:
+    """Rule 1 on rows over n columns.
+
+    Returns the rows projected onto the pivot columns, the pivots, and each
+    deleted column with the pivot columns summing to it.  At full rank the
+    rows come back as they are.  Every row's lowest set bit is a pivot (see
+    rref), so no projected row is zero.
+    """
+    pivots, reduced = rref([row[0] for row in rows], n)
+    if len(pivots) == n:
+        return rows, pivots, []
+    uses: dict[int, list[int]] = {}
+    for p, prow in zip(pivots, reduced):
+        rest = prow ^ (1 << p)  # the dependent columns that use pivot p
+        while rest:
+            low = rest & -rest
+            uses.setdefault(low.bit_length() - 1, []).append(p)
+            rest ^= low
+    deps = {j: frozenset(ps) for j, ps in uses.items()}
+    pivot_set = set(pivots)
+    deleted = [(j, deps.get(j, _NO_DEPS)) for j in range(n) if j not in pivot_set]
+    new_bit = {1 << p: 1 << i for i, p in enumerate(pivots)}
+    out = [(_project(bits, new_bit), rhs, weight, eq_id) for bits, rhs, weight, eq_id in rows]
+    return out, pivots, deleted
 
 
 def apply_rule2(sys: LinearSystem) -> LinearSystem:
     """Merge all equations sharing a left-hand side; idempotent."""
-    merged, _ = _apply_rule2_logged(sys)
-    return merged
+    if not sys.has_duplicate_lhs():
+        return sys
+    fresh = _FreshIds(sys.next_id)
+    rows = _merge_rows(_rows(sys), fresh)
+    # merged rows take fresh ids from sys.next_id; every other row keeps its
+    # Equation
+    return LinearSystem(
+        sys.n,
+        tuple(
+            sys.equation(row[3]) if row[3] < sys.next_id else _equation(sys.n, row)
+            for row in rows
+        ),
+        fresh.next_id,
+    )
 
 
 def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
@@ -123,58 +244,47 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     The projection is excess-preserving: each deleted column equals a sum
     of kept columns, recorded in the transcript.
     """
-    pivots, reduced_rows = rref([eq.lhs.bits for eq in sys.equations], sys.n)
-    rank = len(pivots)
-    if rank == sys.n:
+    rows, pivots, deleted = _project_rows(_rows(sys), sys.n)
+    if not deleted:
         return sys, _identity_transcript(sys.n)
-    kept = tuple(pivots)
-    pivot_set = set(pivots)
-    deleted = []
-    for j in range(sys.n):
-        if j in pivot_set:
-            continue
-        deps = frozenset(pivots[r] for r in range(rank) if reduced_rows[r] >> j & 1)
-        deleted.append((j, deps))
-    new_eqs = []
-    for eq in sys.equations:
-        bits = 0
-        for new_idx, old in enumerate(kept):
-            if eq.lhs.bits >> old & 1:
-                bits |= 1 << new_idx
-        # a nonzero row restricted to pivot columns stays nonzero
-        assert bits != 0
-        new_eqs.append(Equation(F2Vector(rank, bits), eq.rhs, eq.weight, eq.eq_id))
-    out = LinearSystem(rank, tuple(new_eqs), sys.next_id)
-    return out, ReductionTranscript(sys.n, rank, kept, tuple(deleted))
+    rank = len(pivots)
+    return _system(rank, rows, sys.next_id), ReductionTranscript(
+        sys.n, rank, tuple(pivots), tuple(deleted)
+    )
+
+
+def _reduce_rows(
+    rows: list[_Row], n: int, record: _Record
+) -> tuple[list[_Row], list[int], list[tuple[int, frozenset[int]]]]:
+    """Rule 2, then rule 1: one round is already the fixed point.
+
+    Rule 2 leaves distinct rows, and rule 1 keeps them distinct: two rows
+    equal on every pivot column would differ by a nonzero vector of the
+    row space whose lowest set bit is no pivot, and no such vector exists.
+    The projection has full rank, so a second round would change nothing.
+    Returns the rows, the kept columns and the deleted ones (see
+    _project_rows).
+    """
+    return _project_rows(_merge_rows(rows, record), n)
 
 
 def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
-    """Alternate rule 2 then rule 1 to a fixed point.
+    """Apply rule 2 then rule 1, which reaches the fixed point of both.
 
-    Rule 2 only lowers m and rule 1 only lowers n, so the loop terminates.
+    One round suffices (see _reduce_rows).  Both rules run on plain rows
+    and the result is built once.  Cost: O(m * rank) big-int XORs for the
+    elimination (see rref), one pass over the rows' set bits for the
+    projection and O(n) transcript entries; nothing walks every declared
+    column per row.
     """
-    kept_map = list(range(sys.n))
-    deleted_all: list[tuple[int, frozenset[int]]] = []
-    merges_all: list[MergeEvent] = []
-    cur = sys
-    while True:
-        merged, events = _apply_rule2_logged(cur)
-        projected, tr = apply_rule1(merged)
-        if not events and not tr.deleted_variables:
-            cur = projected
-            break
-        merges_all.extend(events)
-        if tr.deleted_variables:
-            deleted_all.extend(
-                (kept_map[j], frozenset(kept_map[i] for i in deps))
-                for j, deps in tr.deleted_variables
-            )
-            kept_map = [kept_map[p] for p in tr.kept_variables]
-        cur = projected
+    fresh = _FreshIds(sys.next_id)
+    rows, kept, deleted = _reduce_rows(_rows(sys), sys.n, fresh)
+    if not fresh.events and not deleted:
+        return sys, _identity_transcript(sys.n)
     transcript = ReductionTranscript(
-        sys.n, cur.n, tuple(kept_map), tuple(deleted_all), tuple(merges_all)
+        sys.n, len(kept), tuple(kept), tuple(deleted), tuple(fresh.events)
     )
-    return cur, transcript
+    return _system(len(kept), rows, fresh.next_id), transcript
 
 
 def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:
@@ -198,59 +308,28 @@ def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:
 def replay_transcript(tr: ReductionTranscript, original: LinearSystem) -> LinearSystem:
     """Re-derive the reduced system from the original plus the transcript.
 
-    Column deletions commute with merging, so the replay restricts all rows
-    to the kept columns first and then folds equal-lhs groups exactly as
-    rule 2 does, consuming the recorded merge log and validating every
-    event against it; the result must be bit-identical to the reduction's
-    output.
+    The replay runs the reduction's own rule 2 and rule 1, takes every
+    surviving id from the recorded merge log and validates each merge
+    against it, then checks the kept and deleted columns; the result must
+    be bit-identical to the reduction's output.  (Restricting every row to the
+    final kept columns first is not a replay: when a cancellation lowers
+    the rank, that restriction merges rows the reduction kept apart.)
     """
     if original.n != tr.original_n:
         raise DimensionMismatchError(
             f"system has {original.n} variables, transcript expects {tr.original_n}"
         )
-    groups: dict[int, list[Equation]] = {}
-    for eq in original.equations:
-        bits = 0
-        for new_idx, old in enumerate(tr.kept_variables):
-            if eq.lhs.bits >> old & 1:
-                bits |= 1 << new_idx
-        projected = Equation(F2Vector(tr.reduced_n, bits), eq.rhs, eq.weight, eq.eq_id)
-        groups.setdefault(bits, []).append(projected)
-    log = list(tr.merge_log)
-    consumed = 0
-    out: list[Equation] = []
-    for eqs in groups.values():
-        cur: Equation | None = eqs[0]
-        for nxt in eqs[1:]:
-            if cur is None:
-                cur = nxt
-                continue
-            if consumed == len(log):
-                raise MaxlinError("transcript merge log ended early")
-            event = log[consumed]
-            consumed += 1
-            if event.merged_ids != (cur.eq_id, nxt.eq_id):
-                raise MaxlinError(
-                    f"transcript expects merge {event.merged_ids}, "
-                    f"replay reached ({cur.eq_id}, {nxt.eq_id})"
-                )
-            new_id = 0 if event.surviving_id is None else event.surviving_id
-            merged = _merge_pair(cur, nxt, new_id)
-            if (merged is None) != (event.surviving_id is None):
-                raise MaxlinError(f"transcript merge outcome mismatch for {event.merged_ids}")
-            if merged is not None and merged.weight != event.weight:
-                raise MaxlinError(f"transcript merge weight mismatch for {event.merged_ids}")
-            cur = merged
-        if cur is not None:
-            out.append(cur)
-    if consumed != len(log):
+    replay = _LogReplay(tr.merge_log)
+    rows, kept, deleted = _reduce_rows(_rows(original), original.n, replay)
+    if replay.consumed != len(tr.merge_log):
         raise MaxlinError("transcript merge log has unused entries")
-    return LinearSystem(tr.reduced_n, tuple(out))
+    if tuple(kept) != tr.kept_variables or tuple(deleted) != tr.deleted_variables:
+        raise MaxlinError("transcript column deletions differ from the replay")
+    return _system(tr.reduced_n, rows)
 
 
 def is_irreducible(sys: LinearSystem) -> bool:
     """True when rule 2 has nothing to merge and the lhs matrix has full rank."""
     if sys.has_duplicate_lhs():
         return False
-    pivots, _ = rref([eq.lhs.bits for eq in sys.equations], sys.n)
-    return len(pivots) == sys.n
+    return len(_pivot_basis(eq.lhs.bits for eq in sys.equations)) == sys.n

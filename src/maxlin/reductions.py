@@ -170,8 +170,8 @@ def satisfied_clause_count(formula: CnfFormula, point: Sequence[int]) -> int:
 def sat_satisfied_count_identity(formula: CnfFormula, point: Sequence[int]) -> tuple[int, Fraction]:
     """Satisfied-clause count s and the expansion's value g at the point.
 
-    Asserts the bridge identity g = m - (m - s) * 2^r, which ties clause
-    counting to the polynomial exactly.
+    Checks the bridge identity g = m - (m - s) * 2^r, which ties clause
+    counting to the polynomial exactly, and raises MaxlinError if it fails.
     """
     arities = {len(c) for c in formula.clauses}
     if len(arities) > 1:
@@ -179,7 +179,8 @@ def sat_satisfied_count_identity(formula: CnfFormula, point: Sequence[int]) -> t
     r = arities.pop() if arities else 1
     s = satisfied_clause_count(formula, point)
     g = eval_fourier(sat_to_fourier(formula, r), point)
-    assert g == formula.m - (formula.m - s) * 2**r
+    if g != formula.m - (formula.m - s) * 2**r:
+        raise MaxlinError(f"bridge identity fails: g = {g}, m = {formula.m}, s = {s}, r = {r}")
     return s, g
 
 

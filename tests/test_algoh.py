@@ -78,6 +78,12 @@ class TestHStep:
         nxt, _ = h_step(sys, 0)
         assert nxt.m == 0
 
+    def test_duplicate_lhs_with_opposite_rhs_raises(self):
+        # the summed row reads 0 = 1; only unmerged input can produce it
+        sys = LinearSystem.build(2, [([0, 1], 0, 1), ([0, 1], 1, 2)])
+        with pytest.raises(MaxlinError):
+            h_step(sys, 0)
+
 
 class TestRunH:
     def test_empty_system(self):

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import F2Vector, _pivot_basis, parity, reverse_bits
+from .f2core import F2Vector, _pivot_basis, reverse_bits
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
@@ -51,14 +51,13 @@ class VectorSet:
 
 
 class _Tracked:
-    """One set element: current coordinates, level-entry coordinates, and the
-    top-level vector it stands for."""
+    """One set element: its current coordinates and the top-level vector it
+    stands for."""
 
-    __slots__ = ("cur", "entry", "orig")
+    __slots__ = ("cur", "orig")
 
     def __init__(self, bits: int, orig: F2Vector):
         self.cur = bits
-        self.entry = bits
         self.orig = orig
 
 
@@ -70,73 +69,64 @@ def _swap_bits(x: int, p: int, q: int) -> int:
     return x
 
 
-def _apply_transform(rows: list[int], bits: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        if parity(row & bits):
-            out |= 1 << i
-    return out
-
-
-def _extend(items: list[_Tracked], rows: list[int], level: int, pick: _Tracked) -> None:
+def _extend(items: list[_Tracked], level: int, pick: _Tracked) -> None:
     """Change coordinates so the picked element becomes unit vector `level`.
 
-    The transform is updated incrementally with a coordinate swap plus
-    coordinate additions, all fixing the units below `level`.
+    The pick has a set bit at or above `level` (see _search).  The change is
+    a coordinate swap plus coordinate additions, all fixing the units below
+    `level`, applied to every element.
     """
     tail = pick.cur >> level
-    assert tail != 0, "candidate lies in the span of the chosen set"
     pivot = level + (tail & -tail).bit_length() - 1
     if pivot != level:
-        rows[pivot], rows[level] = rows[level], rows[pivot]
         for item in items:
             item.cur = _swap_bits(item.cur, pivot, level)
     clear_mask = pick.cur & ~(1 << level)
     if clear_mask:
-        for q in range(clear_mask.bit_length()):
-            if clear_mask >> q & 1:
-                rows[q] ^= rows[level]
         for item in items:
             if item.cur >> level & 1:
                 item.cur ^= clear_mask
-    assert pick.cur == 1 << level
 
 
 def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vector]:
-    """One recursion level of the greedy-plus-quotient search."""
+    """One recursion level of the greedy-plus-quotient search.
+
+    The zero vector is always an element, so an element whose coordinates
+    from `level` up are all zero shares that residue with it; the elements
+    alone in their residue class with a nonzero one are exactly the
+    unchosen nonzero ones the greedy phase may take.  Coordinates stay
+    distinct, so the smallest reversed key picks one element.
+    """
     items = [_Tracked(bits, orig) for bits, orig in elements]
-    rows = [1 << i for i in range(n)]
     chosen: list[_Tracked] = []
-    remaining = [item for item in items if item.cur != 0]
     while len(chosen) < k + 1:
         level = len(chosen)
         counts = Counter(item.cur >> level for item in items)
-        remaining.sort(key=lambda item: reverse_bits(item.cur, n))
-        pick = next((item for item in remaining if counts[item.cur >> level] == 1), None)
+        pick = min(
+            (item for item in items if item.cur >> level and counts[item.cur >> level] == 1),
+            key=lambda item: reverse_bits(item.cur, n),
+            default=None,
+        )
         if pick is None:
             break
-        _extend(items, rows, level, pick)
+        _extend(items, level, pick)
         chosen.append(pick)
-        remaining.remove(pick)
-        # incremental transform stays consistent: T maps each chosen
-        # element's level-entry coordinates to its unit vector
-        assert all(
-            _apply_transform(rows, item.entry) == 1 << i for i, item in enumerate(chosen)
-        )
     if len(chosen) == k + 1:
         return [item.orig for item in chosen]
 
     level = len(chosen)
-    assert level >= 1, "greedy phase always places at least one element"
     groups: dict[int, list[_Tracked]] = {}
     for item in items:
         groups.setdefault(item.cur >> level, []).append(item)
-    assert all(len(group) >= 2 for group in groups.values()), (
-        "a stalled greedy phase leaves no singleton residue classes"
-    )
-    assert 2 * len(groups) <= len(items), "quotient must at most halve the set"
+    # A stalled phase leaves no singleton class with a nonzero residue, and
+    # the zero class holds the zero element and every chosen one, so each
+    # class has two or more elements and the quotient at most halves the
+    # set; under find_kset's entry bounds its dimension stays above k.
     quotient_n = n - level
-    assert quotient_n > k, "quotient dimension stays above k under the entry bounds"
+    if level == 0 or quotient_n <= k or any(len(group) < 2 for group in groups.values()):
+        raise MaxlinError(
+            f"internal error: greedy phase stalled at level {level} in dimension {n} for k={k}"
+        )
     quotient = [
         (suffix, min(group, key=lambda item: item.orig.lex_key()).orig)
         for suffix, group in sorted(groups.items())

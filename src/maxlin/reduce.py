@@ -162,7 +162,8 @@ def _merge_pair(a: _Row, b: _Row, record: _Record) -> _Row | None:
 def _merge_rows(rows: list[_Row], record: _Record) -> list[_Row]:
     """Rule 2: fold each equal-lhs group pairwise in order of appearance.
 
-    Rows that share their lhs with no other row come back as they are.
+    Rows that share their lhs with no other row come back as they are, and
+    when no two rows share one the input list itself comes back.
     """
     groups: dict[int, list[_Row]] = {}
     for row in rows:
@@ -222,10 +223,11 @@ def _project_rows(
 
 def apply_rule2(sys: LinearSystem) -> LinearSystem:
     """Merge all equations sharing a left-hand side; idempotent."""
-    if not sys.has_duplicate_lhs():
-        return sys
     fresh = _FreshIds(sys.next_id)
-    rows = _merge_rows(_rows(sys), fresh)
+    unmerged = _rows(sys)
+    rows = _merge_rows(unmerged, fresh)
+    if rows is unmerged:
+        return sys
     # merged rows take fresh ids from sys.next_id; every other row keeps its
     # Equation
     return LinearSystem(

@@ -47,9 +47,7 @@ class CommandConfig:
     k: int | None = None
     r: int | None = None
     cert: tuple[int, ...] = ()
-    oracle: bool = False
     oracle_cap: int = DEFAULT_ORACLE_CAP
-    workers: int = 1
     output_mode: str = "plain"
 
 
@@ -71,9 +69,7 @@ def _cmd_reduce(config: CommandConfig, out: IO[str]) -> int:
 def _cmd_solve(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
     instance = AaInstance(system, config.k)
-    answer, witness = decide_aa(
-        instance, oracle_cap=config.oracle_cap, workers=config.workers
-    )
+    answer, witness = decide_aa(instance, oracle_cap=config.oracle_cap)
     if config.output_mode == "machine":
         out.write(f"answer={'yes' if answer else 'no'}\n")
         out.write(f"witness={witness.assignment.to01()}\n")
@@ -87,7 +83,7 @@ def _cmd_solve(config: CommandConfig, out: IO[str]) -> int:
 
 def _cmd_excess(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
-    witness = brute_force_max_excess(system, cap=config.oracle_cap, workers=config.workers)
+    witness = brute_force_max_excess(system, cap=config.oracle_cap)
     if config.output_mode == "machine":
         out.write(f"excess={format_rational(witness.excess)}\n")
         out.write(f"witness={witness.assignment.to01()}\n")
@@ -201,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     oracle_opts = argparse.ArgumentParser(add_help=False)
     oracle_opts.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    oracle_opts.add_argument("--workers", type=int, default=1)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser("reduce", parents=[common], help="emit the irreducible system + transcript")
@@ -220,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from_cnf = sub.add_parser("from-cnf", parents=[common], help="expand a DIMACS CNF formula")
     from_cnf.add_argument("--r", type=int, required=True)
     sub.add_parser("from-fourier", parents=[common], help="emit the associated system")
-    kernel = sub.add_parser("kernel", parents=[common, oracle_opts], help="exact-threshold kernel")
+    kernel = sub.add_parser("kernel", parents=[common], help="exact-threshold kernel")
     kernel.add_argument("--r", type=int, required=True)
     kernel.add_argument("--k", type=int, required=True)
     return parser
@@ -234,9 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         k=getattr(args, "k", None),
         r=getattr(args, "r", None),
         cert=getattr(args, "cert", ()),
-        oracle=getattr(args, "oracle", False),
         oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),
-        workers=getattr(args, "workers", 1),
         output_mode=args.output_mode,
     )
     return run(config)

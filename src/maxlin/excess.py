@@ -4,10 +4,8 @@ and the above-average decision pipeline.
 The lower bound marks a sum-independent set of equations first, which
 guarantees k markings at full weight; the oracle finds the exact maximum
 over all assignments with a fast Walsh-Hadamard transform on integer-scaled
-weights, one 2^16-point block at a time, in O(n 2^n) whatever m is.  It
-runs on the calling thread: the ``workers`` keyword is validated and kept
-for API stability but starts no threads.  The decision procedure routes
-each instance to whichever of the two applies.
+weights, one 2^16-point block at a time, in O(n 2^n) whatever m is.  The
+decision procedure routes each instance to whichever of the two applies.
 """
 from __future__ import annotations
 
@@ -34,6 +32,7 @@ __all__ = [
     "lower_bound_assignment",
     "brute_force_max_excess",
     "decide_aa",
+    "regime_exponent",
     "DEFAULT_ORACLE_CAP",
     "MAX_ORACLE_N",
 ]
@@ -69,6 +68,25 @@ class ExcessWitness:
     method: str  # "marking" or "brute_force"
 
 
+def regime_exponent(m: int, n: int) -> int:
+    """The largest q with (m+2)^q <= 2^n for counts m, n >= 0, in exact integers.
+
+    So (m+2)^(k-1) <= 2^n exactly when k - 1 <= regime_exponent(m, n).  With
+    b the bit length of m+2, 2^(b-1) <= m+2 < 2^b puts q between n // b and
+    n // (b-1); a binary search over that range settles it.
+    """
+    base, limit = m + 2, 1 << n
+    b = base.bit_length()
+    lo, hi = n // b, n // (b - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if base**mid <= limit:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     """Constructively achieve excess >= k * w_min on an irreducible system.
 
@@ -84,7 +102,7 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     m = sys.m
     if k > m:
         raise PreconditionError("m_less_than_k", f"need k <= m, got k={k}, m={m}")
-    if (m + 2) ** (k - 1) > 2**sys.n:
+    if k - 1 > regime_exponent(m, sys.n):
         raise PreconditionError(
             "threshold_exceeded", f"need (m+2)^(k-1) <= 2^n, got ({m}+2)^{k - 1} > 2^{sys.n}"
         )
@@ -131,9 +149,7 @@ def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return block
 
 
-def brute_force_max_excess(
-    sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
-) -> ExcessWitness:
+def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) -> ExcessWitness:
     """Exact maximum excess with the lexicographically smallest maximizer.
 
     Indexing assignments with z_1 most significant, the excess at z is
@@ -145,13 +161,11 @@ def brute_force_max_excess(
     transformed there.  Memory stays at two block-sized buffers whatever n
     is, and the cost is O(n 2^n + m 2^(n-16)).  A block's first maximum replaces the best so
     far only if strictly greater, which keeps the lexicographically
-    smallest maximizer.  ``workers`` is validated and otherwise unused.
+    smallest maximizer.
     """
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
-    if workers < 1:
-        raise MaxlinError("workers must be >= 1")
     eq_data, scale = _scaled_equations(sys)
     # Python ints past the int64 headroom, so the sums stay exact
     dtype = np.int64 if sum(w for _, _, w in eq_data) < _INT64_SAFE else object
@@ -174,7 +188,7 @@ def brute_force_max_excess(
 
 
 def decide_aa(
-    inst: AaInstance, *, oracle_cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
+    inst: AaInstance, *, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[bool, ExcessWitness]:
     """Decide whether the maximum excess reaches k; always returns a witness.
 
@@ -198,7 +212,7 @@ def decide_aa(
         return ExcessWitness(assignment, excess, witness.method)
 
     if reduced.m == 0:
-        witness = brute_force_max_excess(reduced, cap=oracle_cap, workers=workers)
+        witness = brute_force_max_excess(reduced, cap=oracle_cap)
         return False, lifted(witness)
     if k == 1:
         run = run_h(reduced)
@@ -207,10 +221,10 @@ def decide_aa(
         if excess < 1:
             raise MaxlinError("internal error: nonempty irreducible system has excess >= 1")
         return True, lifted(ExcessWitness(assignment, excess, "marking"))
-    if k <= reduced.m and (reduced.m + 2) ** (k - 1) <= 2**reduced.n:
+    if k <= reduced.m and k - 1 <= regime_exponent(reduced.m, reduced.n):
         witness = lower_bound_assignment(reduced, k)
         if witness.excess < k:
             raise MaxlinError("internal error: lower bound below k despite integral weights")
         return True, lifted(witness)
-    witness = brute_force_max_excess(reduced, cap=oracle_cap, workers=workers)
+    witness = brute_force_max_excess(reduced, cap=oracle_cap)
     return witness.excess >= k, lifted(witness)

@@ -3,7 +3,7 @@
 Vectors are packed into Python ints (bit j = variable j, 0-based), so any
 dimension works and XOR/equality are single integer operations.  Weights are
 exact ``fractions.Fraction`` values and must stay positive.  All types are
-immutable after construction and safe to share across workers.
+immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -142,16 +142,6 @@ class Assignment:
         return cls(n, 0)
 
     @classmethod
-    def from_values(cls, values: Sequence[int]) -> Assignment:
-        bits = 0
-        for j, v in enumerate(values):
-            if v not in (0, 1):
-                raise MaxlinError("assignment values must be 0 or 1")
-            if v:
-                bits |= 1 << j
-        return cls(len(values), bits)
-
-    @classmethod
     def from01(cls, text: str) -> Assignment:
         vec = F2Vector.from01(text)
         return cls(vec.n, vec.bits)
@@ -288,9 +278,6 @@ class LinearSystem:
     def content(self) -> tuple:
         """Id-insensitive view: (n, ordered (lhs bits, rhs, weight) triples)."""
         return (self.n, tuple((eq.lhs.bits, eq.rhs, eq.weight) for eq in self.equations))
-
-    def replace_equations(self, equations: Iterable[Equation], next_id: int | None = None) -> LinearSystem:
-        return LinearSystem(self.n, tuple(equations), self.next_id if next_id is None else next_id)
 
 
 class Evaluation(NamedTuple):

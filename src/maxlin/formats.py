@@ -209,19 +209,10 @@ def parse_vectorset(text: str) -> VectorSet:
 def parse_cnf(text: str) -> CnfFormula:
     """Parse DIMACS CNF; clauses are 0-terminated and may span lines."""
     lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing 'p cnf' header")
-    line_no, tokens = lines[0]
-    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
-        raise ParseError(line_no, "header must be 'p cnf <n> <m>'")
-    n = _parse_int(tokens[2], line_no, "variable count")
-    m = _parse_int(tokens[3], line_no, "clause count")
-    if n < 0 or m < 0:
-        raise ParseError(line_no, "header counts must be non-negative")
-    stream = [(no, tok) for no, toks in lines[1:] for tok in toks]
+    n, m, rows = _parse_header(lines, "cnf")
+    stream = [(no, tok) for no, toks in rows for tok in toks]
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    clause_line = line_no
     for no, tok in stream:
         lit = _parse_int(tok, no, "literal")
         if not current:
@@ -244,7 +235,7 @@ def parse_cnf(text: str) -> CnfFormula:
     if current:
         raise ParseError(stream[-1][0], "last clause is not terminated by 0")
     if len(clauses) != m:
-        raise ParseError(stream[-1][0] if stream else line_no,
+        raise ParseError(stream[-1][0] if stream else lines[0][0],
                          f"header declares {m} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
+from .excess import regime_exponent
 from .f2core import LinearSystem, as_weight, parity
 from .reduce import apply_rule1
 
@@ -129,9 +130,5 @@ def maxima_lower_bound(f: FourierExpansion) -> Fraction:
         raise MaxlinError("the expansion has no monomials to bound with")
     system, _constant = fourier_to_system(f)
     projected, _transcript = apply_rule1(system)
-    rank = projected.n
-    m = projected.m
-    q = 0
-    while (m + 2) ** (q + 1) <= 2**rank:
-        q += 1
+    q = regime_exponent(projected.m, projected.n)
     return f.constant + (1 + q) * projected.min_weight

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
-from .excess import DEFAULT_ORACLE_CAP, AaInstance, decide_aa
+from .excess import DEFAULT_ORACLE_CAP, AaInstance, decide_aa, regime_exponent
 from .f2core import LinearSystem
 from .fourier import FourierExpansion, eval_fourier, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
@@ -190,7 +190,6 @@ def decide_sat_aa(
     k: int,
     *,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    workers: int = 1,
 ) -> tuple[bool, tuple[int, ...]]:
     """Is there an assignment satisfying >= (1 - 2^-r) m + k 2^-r clauses?
 
@@ -204,7 +203,7 @@ def decide_sat_aa(
         raise MaxlinError(f"parameter k must be a positive integer, got {k!r}")
     expansion = sat_to_fourier(formula, r)
     system, _constant = fourier_to_system(expansion)
-    answer, witness = decide_aa(AaInstance(system, k), oracle_cap=oracle_cap, workers=workers)
+    answer, witness = decide_aa(AaInstance(system, k), oracle_cap=oracle_cap)
     point = tuple(-1 if bit else 1 for bit in witness.assignment.values())
     s = satisfied_clause_count(formula, point)
     reaches = 2**r * s >= (2**r - 1) * formula.m + k
@@ -265,5 +264,5 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
     if oversized:
         raise MaxlinError(f"equations {oversized} have more than {r} variables")
     reduced, transcript = make_irreducible(sys)
-    is_yes = reduced.m >= k and (reduced.m + 2) ** (k - 1) <= 2**reduced.n
+    is_yes = reduced.m >= k and k - 1 <= regime_exponent(reduced.m, reduced.n)
     return KernelOutcome(is_yes, reduced, transcript, k)

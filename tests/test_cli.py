@@ -56,7 +56,7 @@ class TestSubcommands:
         assert text == "answer=no\nwitness=00\nexcess=0\n"
 
     def test_excess_oracle(self, files):
-        code, text = invoke(CommandConfig("excess", files["triple"], oracle=True))
+        code, text = invoke(CommandConfig("excess", files["triple"]))
         assert code == 0
         assert text == "2\n00\n"
 
@@ -143,24 +143,16 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         rng = random.Random(81)
         for _ in range(5):
             system = random_system(rng, n_max=9, m_max=15)
             path = tmp_path / "sys"
             path.write_text(emit_system(system))
             k = rng.randint(1, 4)
-            outputs = set()
-            for workers in (1, 1, 2, 8):
-                _, text = invoke(
-                    CommandConfig("solve", str(path), k=k, workers=workers)
-                )
-                outputs.add(text)
+            outputs = {invoke(CommandConfig("solve", str(path), k=k))[1] for _ in range(4)}
             assert len(outputs) == 1
-            oracle_outputs = {
-                invoke(CommandConfig("excess", str(path), oracle=True, workers=w))[1]
-                for w in (1, 2, 8)
-            }
+            oracle_outputs = {invoke(CommandConfig("excess", str(path)))[1] for _ in range(3)}
             assert len(oracle_outputs) == 1
 
     def test_emitted_files_reparse_to_equal_values(self, tmp_path):
@@ -182,6 +174,20 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # --k missing
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--k", "1", "--workers", "2"],
+            ["excess", "--oracle", "--workers", "2"],
+            ["kernel", "--r", "2", "--k", "2", "--oracle-cap", "5"],
+        ],
+    )
+    def test_options_that_change_nothing_are_usage_errors(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [files["triple"]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stdin_input(self, files):
         proc = subprocess.run(

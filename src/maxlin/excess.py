@@ -24,7 +24,7 @@ from .errors import (
 from .f2core import Assignment, F2Vector, LinearSystem, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h, sequence_chooser
-from .reduce import is_irreducible, lift_assignment, make_irreducible
+from .reduce import lift_assignment, make_irreducible
 
 __all__ = [
     "AaInstance",
@@ -94,10 +94,20 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     the lhs vectors plus zero, extracts k of them with no sum of two or more
     in the set, marks those equations first — none can be touched before its
     turn — and back-substitutes the transcript into an assignment.
+
+    Irreducibility is tested as distinct left-hand sides plus
+    ``members.spans()`` (0 adds nothing to the span), and find_kset reuses
+    that one rank test, so a call eliminates over the rows once.  Every step
+    is polynomial in n, m and k: each greedy level of the search is one pass
+    over the m + 1 vectors, checking its answer costs O(m k) XORs (see
+    verify_kset), and the marking run costs what run_h costs.
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
-    if not is_irreducible(sys):
+    members = VectorSet.from_vectors(
+        sys.n, [eq.lhs for eq in sys.equations] + [F2Vector.zero(sys.n)]
+    )
+    if sys.has_duplicate_lhs() or not members.spans():
         raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
     m = sys.m
     if k > m:
@@ -106,9 +116,6 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
         raise PreconditionError(
             "threshold_exceeded", f"need (m+2)^(k-1) <= 2^n, got ({m}+2)^{k - 1} > 2^{sys.n}"
         )
-    members = VectorSet.from_vectors(
-        sys.n, [eq.lhs for eq in sys.equations] + [F2Vector.zero(sys.n)]
-    )
     marked_first = find_kset(members, k - 1)
     by_bits = {eq.lhs.bits: eq.eq_id for eq in sys.equations}
     ids = [by_bits[v.bits] for v in marked_first]

@@ -300,14 +300,17 @@ def evaluate(sys: LinearSystem, assignment: Assignment) -> Evaluation:
     return Evaluation(sat, fals, sat - fals)
 
 
-def _pivot_basis(rows: Iterable[int]) -> dict[int, int]:
+def _pivot_basis(rows: Iterable[int], n: int) -> dict[int, int]:
     """Echelon basis of the row space, keyed by each row's lowest set bit.
 
     Each row is XORed with the basis row owning its lowest set bit until it
     is zero or owns a new one, so the cost is O(m * rank) big-int XORs,
     whatever the dimension.  The keys (as 1 << column) are exactly the
     lowest bits of the nonzero vectors of the row space, which is the pivot
-    set of the leftmost-pivot reduced row echelon form.
+    set of the leftmost-pivot reduced row echelon form.  Rows must fit in n
+    bits; once the basis holds n rows every later row would reduce to zero,
+    so the scan stops there and a full-rank input is read only up to the
+    row that completes the basis.
     """
     basis: dict[int, int] = {}
     for row in rows:
@@ -316,6 +319,8 @@ def _pivot_basis(rows: Iterable[int]) -> dict[int, int]:
             prow = basis.get(low)
             if prow is None:
                 basis[low] = row
+                if len(basis) == n:
+                    return basis
                 break
             row ^= prow
     return basis
@@ -328,11 +333,12 @@ def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     non-pivot columns of the reduced rows express each dependent column of
     the input as a sum of pivot columns.  Rows must fit in n bits.
 
-    Cost: O(m * rank) XORs for the echelon basis (see _pivot_basis) plus one
+    Cost: O(m * rank) XORs for the echelon basis (see _pivot_basis, which
+    stops at the row that completes a full-rank basis) plus one
     back-substitution pass of at most rank^2 / 2 XORs, skipped at full rank,
     where the reduced rows are the unit rows.  Nothing walks the n columns.
     """
-    basis = _pivot_basis(rows)
+    basis = _pivot_basis(rows, n)
     if len(basis) == n:
         return list(range(n)), [1 << j for j in range(n)]
     lows = sorted(basis)
@@ -355,5 +361,5 @@ def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
 def rank_and_basis(sys: LinearSystem) -> tuple[int, tuple[int, ...]]:
     """F2 rank of the lhs matrix and the lexicographically smallest
     independent column set (the leftmost pivots)."""
-    lows = sorted(_pivot_basis(eq.lhs.bits for eq in sys.equations))
+    lows = sorted(_pivot_basis((eq.lhs.bits for eq in sys.equations), sys.n))
     return len(lows), tuple(low.bit_length() - 1 for low in lows)

@@ -6,16 +6,21 @@ them lies in M.  For k = 1 a pair scan suffices; for larger k a greedy
 phase extends a partial answer inside a maintained change of coordinates,
 and when it stalls the search recurses on the quotient modulo the span of
 the partial answer, halving the set each time.
+
+Every step costs a polynomial in n, |M| and k: a greedy level is one pass
+over the set, and checking an answer is one elimination over its k+1
+vectors plus one reduction of each member against them, O(|M| (k+1))
+big-int XORs, never a walk over the 2^(k+1) subsets.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import F2Vector, _pivot_basis, reverse_bits
+from .f2core import F2Vector, _pivot_basis
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
@@ -47,7 +52,12 @@ class VectorSet:
         return frozenset(v.bits for v in self.vectors)
 
     def spans(self) -> bool:
-        return len(_pivot_basis(v.bits for v in self.vectors)) == self.n
+        """True when the set contains a basis of F2^n; computed once per set."""
+        return self._spans
+
+    @cached_property
+    def _spans(self) -> bool:
+        return len(_pivot_basis((v.bits for v in self.vectors), self.n)) == self.n
 
 
 class _Tracked:
@@ -94,19 +104,26 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
     The zero vector is always an element, so an element whose coordinates
     from `level` up are all zero shares that residue with it; the elements
     alone in their residue class with a nonzero one are exactly the
-    unchosen nonzero ones the greedy phase may take.  Coordinates stay
-    distinct, so the smallest reversed key picks one element.
+    unchosen nonzero ones the greedy phase may take.  The pick is the one
+    whose coordinates come first lexicographically (coordinate 0 most
+    significant): coordinates stay distinct, so it is unique, and x beats
+    the current pick p exactly when x has a 0 at the lowest bit of x ^ p.
     """
     items = [_Tracked(bits, orig) for bits, orig in elements]
     chosen: list[_Tracked] = []
     while len(chosen) < k + 1:
         level = len(chosen)
         counts = Counter(item.cur >> level for item in items)
-        pick = min(
-            (item for item in items if item.cur >> level and counts[item.cur >> level] == 1),
-            key=lambda item: reverse_bits(item.cur, n),
-            default=None,
-        )
+        pick = None
+        for item in items:
+            residue = item.cur >> level
+            if residue and counts[residue] == 1:
+                if pick is None:
+                    pick = item
+                else:
+                    diff = item.cur ^ pick.cur
+                    if not item.cur & diff & -diff:
+                        pick = item
         if pick is None:
             break
         _extend(items, level, pick)
@@ -149,7 +166,11 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
 
     Preconditions (each with its own error condition code): M contains the
     zero vector and a basis, |M| < 2^n, k+1 <= |M|, and |M|^k <= 2^n — the
-    last checked in exact integer arithmetic.
+    last checked in exact integer arithmetic.  The basis check is
+    ``members.spans()``, computed once per set, so a caller that has asked
+    already pays nothing here.  The search is polynomial in n, |M| and k,
+    and the answer passes through verify_kset, O(|M| (k+1)) XORs, before it
+    is returned.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError("k_not_positive", f"k must be a positive integer, got {k!r}")
@@ -170,10 +191,7 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
     if k == 1:
         result = _pair_scan(members)
     else:
-        elements = sorted(
-            ((v.bits, v) for v in members.vectors), key=lambda e: reverse_bits(e[0], n)
-        )
-        result = _search(elements, n, k)
+        result = _search([(v.bits, v) for v in members.vectors], n, k)
     if not verify_kset(members, result):
         raise MaxlinError("internal error: constructed set failed verification")
     return result
@@ -181,18 +199,50 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
 
 def verify_kset(members: VectorSet, candidate: Iterable[F2Vector]) -> bool:
     """Accept iff the candidate vectors are distinct members of M and none of
-    the sums of two or more of them lies in M."""
+    the sums of two or more of them lies in M.
+
+    Two or more distinct members that are linearly dependent always have a
+    sum of two or more of them in M, whether or not 0 is in M: a zero sum
+    over one of them puts 0, hence 0 + c = c, in M, and a zero sum over
+    three or more makes the sum of all but one of them equal that one (a
+    zero sum over two is a repeat).  So the check
+    eliminates over the candidate, tracking which candidates make up each
+    basis row, rejects a dependent one, and then rejects when a member of M
+    lies in the span with a representation of two or more candidates —
+    unique, as the candidate is independent.  Cost: O(|M| (k+1)) big-int
+    XORs for k+1 candidates, where the direct check would walk 2^(k+1)
+    subsets.
+    """
     vectors = list(candidate)
     if len(set(vectors)) != len(vectors):
         return False
     if any(v.n != members.n or v not in members for v in vectors):
         return False
-    patterns = members.bit_patterns()
-    for size in range(2, len(vectors) + 1):
-        for combo in combinations(vectors, size):
-            total = 0
-            for v in combo:
-                total ^= v.bits
-            if total in patterns:
+    if len(vectors) < 2:
+        return True
+    # lowest set bit -> (row, bit mask of the candidates summing to it)
+    basis: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(vectors):
+        row, used = v.bits, 1 << i
+        while row:
+            low = row & -row
+            entry = basis.get(low)
+            if entry is None:
+                basis[low] = (row, used)
+                break
+            row ^= entry[0]
+            used ^= entry[1]
+        else:
+            return False
+    for x in (v.bits for v in members.vectors):
+        used = 0
+        while x:
+            entry = basis.get(x & -x)
+            if entry is None:
+                break
+            x ^= entry[0]
+            used ^= entry[1]
+        else:
+            if used & (used - 1):
                 return False
     return True

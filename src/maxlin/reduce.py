@@ -334,4 +334,4 @@ def is_irreducible(sys: LinearSystem) -> bool:
     """True when rule 2 has nothing to merge and the lhs matrix has full rank."""
     if sys.has_duplicate_lhs():
         return False
-    return len(_pivot_basis(eq.lhs.bits for eq in sys.equations)) == sys.n
+    return len(_pivot_basis((eq.lhs.bits for eq in sys.equations), sys.n)) == sys.n

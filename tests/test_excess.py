@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,10 @@ from maxlin import (
     decide_aa,
     evaluate,
     lower_bound_assignment,
+    is_irreducible,
     make_irreducible,
 )
+from maxlin import f2core, kset, reduce
 from maxlin.excess import regime_exponent
 
 from helpers import enumerate_max_excess, random_regime_system, random_system
@@ -202,6 +205,76 @@ class TestLowerBound:
         sys = LinearSystem.build(2, [([0], 0, Fraction(3, 2)), ([1], 0, Fraction(5, 2))])
         witness = lower_bound_assignment(sys, 2)
         assert witness.excess >= 2 * Fraction(3, 2)
+
+    @pytest.mark.parametrize("k", [5, 3])  # k > m = 3, and a failed threshold
+    def test_duplicate_lhs_is_not_irreducible_first(self, k):
+        sys = LinearSystem.build(2, [([0], 0, 1), ([0], 1, 1), ([1], 0, 1)])
+        with pytest.raises(PreconditionError) as err:
+            lower_bound_assignment(sys, k)
+        assert err.value.condition == "not_irreducible"
+
+    @pytest.mark.parametrize("k", [4, 3])  # k > m = 3, and (3+2)^2 > 2^3
+    def test_rank_deficit_is_not_irreducible_first(self, k):
+        sys = LinearSystem.build(3, [([0], 0, 1), ([1], 0, 1), ([0, 1], 1, 2)])
+        with pytest.raises(PreconditionError) as err:
+            lower_bound_assignment(sys, k)
+        assert err.value.condition == "not_irreducible"
+
+    def test_k_too_small_comes_before_irreducibility(self):
+        sys = LinearSystem.build(2, [([0], 0, 1), ([0], 1, 1)])
+        with pytest.raises(PreconditionError) as err:
+            lower_bound_assignment(sys, 1)
+        assert err.value.condition == "k_too_small"
+
+
+def dense_irreducible_system(rng: random.Random, n: int, m: int) -> LinearSystem:
+    masks = {1 << j for j in range(n)}
+    while len(masks) < m:
+        masks.add(rng.getrandbits(n) or 1)
+    rows = [(F2Vector(n, b), rng.randint(0, 1), rng.randint(1, 3)) for b in sorted(masks)]
+    rng.shuffle(rows)
+    return LinearSystem.build(n, rows)
+
+
+def count_pivot_basis(monkeypatch) -> list[int]:
+    """Count _pivot_basis calls through every module that holds it."""
+    calls = []
+    original = f2core._pivot_basis
+
+    def counting(rows, n):
+        calls.append(n)
+        return original(rows, n)
+
+    for module in (f2core, kset, reduce):
+        monkeypatch.setattr(module, "_pivot_basis", counting)
+    return calls
+
+
+class TestLowerBoundCost:
+    def test_polynomial_in_k(self):
+        n, m, k = 300, 600, 30
+        assert k - 1 <= regime_exponent(m, n)  # 602^29 <= 2^300
+        sys = dense_irreducible_system(random.Random(45), n, m)
+        assert is_irreducible(sys)
+        start = perf_counter()
+        witness = lower_bound_assignment(sys, k)
+        # a check over all 2^30 subsets of the marked-first set never ends
+        assert perf_counter() - start < 10.0
+        assert witness.excess >= k * sys.min_weight
+
+    def test_one_rank_test_per_lower_bound(self, monkeypatch):
+        sys = dense_irreducible_system(random.Random(46), 40, 120)
+        calls = count_pivot_basis(monkeypatch)
+        lower_bound_assignment(sys, 4)
+        assert len(calls) == 1
+
+    def test_decide_aa_eliminates_at_most_twice(self, monkeypatch):
+        sys = dense_irreducible_system(random.Random(47), 40, 120)
+        calls = count_pivot_basis(monkeypatch)
+        answer, witness = decide_aa(AaInstance(sys, 4))
+        assert answer is True and witness.method == "marking"
+        # make_irreducible's rref, then the lower bound's one rank test
+        assert len(calls) <= 2
 
 
 class TestDecideAa:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxlin import (
     Assignment,
@@ -14,7 +15,7 @@ from maxlin import (
     evaluate,
     rank_and_basis,
 )
-from maxlin.f2core import reverse_bits, rref
+from maxlin.f2core import _pivot_basis, reverse_bits, rref
 
 from helpers import random_system
 
@@ -158,6 +159,57 @@ class TestRankAndBasis:
             rows = [eq.lhs.bits for eq in sys.equations]
             pivots, _ = rref(rows, sys.n)
             assert len(pivots) == sys.n
+
+
+def full_pivot_basis(rows, n):
+    """The echelon basis with every row reduced, none skipped."""
+    basis = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    return basis
+
+
+@st.composite
+def pivot_rows(draw):
+    """Rows over n <= 12; half the draws mix in a shuffled unit basis, so
+    they have full rank, the rest are random and mostly fall below it."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, 2**n - 1), max_size=20))
+    if draw(st.booleans()):
+        rows += [1 << j for j in range(n)]
+        rows = draw(st.permutations(rows))
+    return rows, n
+
+
+class TestPivotBasis:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pivot_rows())
+    def test_early_exit_matches_a_full_pass(self, case):
+        rows, n = case
+        assert _pivot_basis(rows, n) == full_pivot_basis(rows, n)
+
+    def test_stops_at_the_row_that_completes_the_basis(self):
+        rng = random.Random(11)
+        n = 40
+        rows = [rng.getrandbits(n) for _ in range(3 * n)]
+        consumed = []
+
+        def counting():
+            for i, row in enumerate(rows):
+                consumed.append(i)
+                yield row
+
+        basis = _pivot_basis(counting(), n)
+        assert len(basis) == n
+        assert basis == full_pivot_basis(rows, n)
+        # the prefix just before the last consumed row still lacks full rank
+        assert len(full_pivot_basis(rows[: len(consumed) - 1], n)) == n - 1
+        assert len(consumed) < len(rows)
 
 
 class TestSystemInvariants:

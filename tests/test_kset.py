@@ -108,6 +108,14 @@ class TestPreconditions:
             find_kset(members, 1)
         assert err.value.condition == "no_basis"
 
+    def test_no_basis_comes_before_the_size_checks(self):
+        # k = 4 also fails set_too_small and the threshold
+        members = vecset(3, ["000", "100", "010", "110"])
+        assert not members.spans()  # the cached answer is the same
+        with pytest.raises(PreconditionError) as err:
+            find_kset(members, 4)
+        assert err.value.condition == "no_basis"
+
     def test_set_too_large(self):
         members = vecset(2, ["00", "10", "01", "11"])
         with pytest.raises(PreconditionError) as err:

@@ -8,6 +8,7 @@ over the original variables; rationals print in lowest terms.  With
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import IO
@@ -184,7 +185,11 @@ def _parse_cert(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"certificate must be comma-separated ids: {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call
+    in the process; ``parse_args`` leaves it unchanged, so callers must not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="maxlin",
         description="Weighted F2 linear systems: reduction, above-average decisions, "

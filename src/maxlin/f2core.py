@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, EquationNotFoundError, MaxlinError
@@ -30,7 +32,13 @@ __all__ = [
 
 
 def as_weight(value) -> Fraction:
-    """Coerce an int/str/Fraction to an exact Fraction; floats are rejected."""
+    """Coerce an int/str/Fraction to an exact Fraction; floats are rejected.
+
+    A Fraction is returned as it is: it is immutable, so there is nothing
+    to copy.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise MaxlinError("floating-point weights are not supported; use int, str or Fraction")
     return Fraction(value)
@@ -59,6 +67,17 @@ def _check_packed(n: int, bits: int) -> None:
         raise MaxlinError(f"bit pattern {bits:#x} does not fit dimension {n}")
 
 
+def _raise_support_error(n: int, support: list[int]) -> None:
+    """Raise for the first out-of-range or repeated index, in order."""
+    seen = set()
+    for j in support:
+        if not 0 <= j < n:
+            raise MaxlinError(f"variable index {j} outside 0..{n - 1}")
+        if j in seen:
+            raise MaxlinError(f"duplicate variable index {j}")
+        seen.add(j)
+
+
 @dataclass(frozen=True)
 class F2Vector:
     """A length-n vector over F2; addition is XOR, so v + v = 0."""
@@ -75,14 +94,12 @@ class F2Vector:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> F2Vector:
-        bits = 0
-        for j in support:
-            if not 0 <= j < n:
-                raise MaxlinError(f"variable index {j} outside 0..{n - 1}")
-            if bits >> j & 1:
-                raise MaxlinError(f"duplicate variable index {j}")
-            bits |= 1 << j
-        return cls(n, bits)
+        support = list(support)
+        if support and (min(support) < 0 or max(support) >= n
+                        or len(set(support)) != len(support)):
+            _raise_support_error(n, support)
+        # the indices are distinct, so a sum is an OR
+        return cls(n, sum(map(lshift, repeat(1), support)))
 
     @classmethod
     def from01(cls, text: str) -> F2Vector:

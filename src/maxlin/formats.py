@@ -3,11 +3,21 @@
 All variable indices are 1-based on disk and 0-based in memory.  Rationals
 are written in lowest terms as ``p`` or ``p/q``; floating-point notation is
 rejected.  Comment lines start with ``c`` and are ignored everywhere.
+
+Systems and expansions are read a line at a time, not a token at a time:
+a line's index tokens are converted by one ``map(int, ...)`` and checked
+for count, range and strict order in one pass, and a system row's bits are
+packed straight from those indices.  Only a line that fails the check is
+walked token by token, to raise the same ``ParseError`` (text and line
+number) that a token-at-a-time parser would raise first.  Each distinct
+weight token of a system file is parsed once.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift, lt, sub
 
 from .errors import MaxlinError, ParseError
 from .f2core import F2Vector, LinearSystem
@@ -77,9 +87,23 @@ def _parse_header(lines, expected: str):
 
 
 def _parse_index_list(tokens, line_no, n, count):
+    """The line's 1-based indices, checked to be count >= 1 integers strictly
+    increasing within 1..n."""
+    if len(tokens) == count:
+        try:
+            idx = list(map(int, tokens))
+        except ValueError:
+            pass
+        else:
+            if idx[0] >= 1 and idx[-1] <= n and all(map(lt, idx, idx[1:])):
+                return idx
+    _raise_index_error(tokens, line_no, n, count)
+
+
+def _raise_index_error(tokens, line_no, n, count):
+    """Raise the first error of a line that failed _parse_index_list's check."""
     if len(tokens) != count:
         raise ParseError(line_no, f"expected {count} indices, got {len(tokens)}")
-    indices = []
     previous = 0
     for tok in tokens:
         idx = _parse_int(tok, line_no, "variable index")
@@ -88,8 +112,6 @@ def _parse_index_list(tokens, line_no, n, count):
         if idx <= previous:
             raise ParseError(line_no, "indices must be strictly increasing")
         previous = idx
-        indices.append(idx - 1)
-    return indices
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -100,21 +122,27 @@ def parse_system(text: str) -> LinearSystem:
     if len(rows) != m:
         where = rows[m][0] if len(rows) > m else (rows[-1][0] if rows else 1)
         raise ParseError(where, f"header declares {m} equations, found {len(rows)}")
+    weights: dict[str, Fraction] = {}
     built = []
     for line_no, tokens in rows:
         if len(tokens) < 3:
             raise ParseError(line_no, "equation lines need '<weight> <b> <t> <indices>'")
-        weight = parse_rational(tokens[0], line_no)
-        if weight <= 0:
-            raise ParseError(line_no, f"weights must be positive, got {tokens[0]}")
+        weight = weights.get(tokens[0])
+        if weight is None:
+            weight = parse_rational(tokens[0], line_no)
+            if weight <= 0:
+                raise ParseError(line_no, f"weights must be positive, got {tokens[0]}")
+            weights[tokens[0]] = weight
         rhs = _parse_int(tokens[1], line_no, "right-hand bit")
         if rhs not in (0, 1):
             raise ParseError(line_no, f"right-hand bit must be 0 or 1, got {rhs}")
         t = _parse_int(tokens[2], line_no, "support size")
         if t < 1:
             raise ParseError(line_no, "equations must involve at least one variable")
-        indices = _parse_index_list(tokens[3:], line_no, n, t)
-        built.append((indices, rhs, weight))
+        idx = _parse_index_list(tokens[3:], line_no, n, t)
+        # index i is bit i - 1; the indices are distinct, so a sum is an OR
+        bits = sum(map(lshift, repeat(1), idx)) >> 1
+        built.append((F2Vector(n, bits), rhs, weight))
     return LinearSystem.build(n, built)
 
 
@@ -171,7 +199,7 @@ def parse_fourier(text: str) -> FourierExpansion:
         t = _parse_int(tokens[1], line_no, "term size")
         if t < 1:
             raise ParseError(line_no, "terms must involve at least one variable")
-        subset = frozenset(_parse_index_list(tokens[2:], line_no, n, t))
+        subset = frozenset(map(sub, _parse_index_list(tokens[2:], line_no, n, t), repeat(1)))
         if subset in terms:
             raise ParseError(line_no, "duplicate term subset")
         terms[subset] = coeff

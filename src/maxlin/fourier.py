@@ -52,7 +52,7 @@ class FourierExpansion:
             subset = frozenset(subset)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
-            if not all(0 <= i < self.n for i in subset):
+            if min(subset) < 0 or max(subset) >= self.n:
                 raise MaxlinError(f"term {sorted(subset)} outside 0..{self.n - 1}")
             coeff = as_weight(coeff)
             if coeff == 0:

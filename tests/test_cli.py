@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from maxlin.cli import CommandConfig, main, run
+from maxlin.cli import CommandConfig, _build_parser, main, run
 from maxlin.formats import emit_fourier, emit_system, parse_fourier, parse_system
 
 from helpers import random_fourier, random_system
@@ -188,6 +188,36 @@ class TestArgumentParsing:
             main(argv + [files["triple"]])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_shared_parser_prints_what_separate_runs_print(self, files, capsys):
+        calls = [
+            ["solve", "--k", "2", files["triple"]],
+            ["solve"],  # usage error: --k missing
+            ["excess", "--oracle", "--output", "machine", files["triple"]],
+            ["verify", "--cert", "0,x", "--k", "2", files["triple"]],  # usage error
+            ["verify", "--cert", "0", "--k", "2", files["triple"]],
+            ["bound", files["tight2"]],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        separate = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxlin", *argv], capture_output=True, text=True,
+                timeout=60,
+            )
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0, 0]
+        assert in_process == separate
 
     def test_stdin_input(self, files):
         proc = subprocess.run(

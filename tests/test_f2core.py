@@ -63,6 +63,26 @@ class TestF2Vector:
         assert v.popcount() == 2
         assert (v ^ v).is_zero()
 
+    def test_from_support_accepts_any_iterable(self):
+        assert F2Vector.from_support(5, iter([4, 0])).support() == (0, 4)
+        assert F2Vector.from_support(3, ()) == F2Vector.zero(3)
+
+    @pytest.mark.parametrize(
+        "n, support, message",
+        [
+            (3, [3], "variable index 3 outside 0..2"),
+            (3, [-1], "variable index -1 outside 0..2"),
+            (3, [1, 1, 5], "duplicate variable index 1"),
+            (3, [5, 1, 1], "variable index 5 outside 0..2"),
+            (4, [2, 0, 2, -1], "duplicate variable index 2"),
+            (0, [0], "variable index 0 outside 0..-1"),
+        ],
+    )
+    def test_from_support_names_the_first_bad_index(self, n, support, message):
+        with pytest.raises(MaxlinError) as err:
+            F2Vector.from_support(n, support)
+        assert str(err.value) == message
+
 
 class TestAddLhs:
     def test_replace_with_sum(self):
@@ -225,6 +245,11 @@ class TestSystemInvariants:
     def test_rejects_float_weights(self):
         with pytest.raises(MaxlinError):
             Equation(F2Vector.from_support(1, [0]), 0, 1.5, 0)
+
+    def test_fraction_weight_is_kept_not_rebuilt(self):
+        w = Fraction(7, 3)
+        assert Equation(F2Vector.from_support(1, [0]), 0, w, 0).weight is w
+        assert Equation(F2Vector.from_support(1, [0]), 0, 2, 0).weight == Fraction(2)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(MaxlinError):

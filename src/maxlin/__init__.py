@@ -42,7 +42,6 @@ from .f2core import (
     Evaluation,
     F2Vector,
     LinearSystem,
-    add_lhs,
     evaluate,
     rank_and_basis,
 )

@@ -183,13 +183,8 @@ def lowest_id_chooser(view: MarkingView) -> int:
     return min(view.ids())
 
 
-def sequence_chooser(
-    ids: Iterable[int],
-    *,
-    require_present: bool = False,
-    fallback: Chooser = lowest_id_chooser,
-) -> Chooser:
-    """Chooser that marks the given ids in order, then falls back.
+def sequence_chooser(ids: Iterable[int], *, require_present: bool = False) -> Chooser:
+    """Chooser that marks the given ids in order, then the lowest live id.
 
     Ids no longer present are skipped, or rejected when require_present is
     set (used where a marking order is guaranteed to survive).  The chooser
@@ -204,7 +199,7 @@ def sequence_chooser(
                 return candidate
             if require_present:
                 raise MaxlinError(f"equation {candidate} vanished before its marking turn")
-        return fallback(view)
+        return lowest_id_chooser(view)
 
     return choose
 

@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 from .algoh import Certificate, verify_certificate
 from .errors import MaxlinError
@@ -25,7 +25,6 @@ from .formats import (
     emit_fourier,
     emit_system,
     emit_transcript_comments,
-    format_rational,
     parse_cnf,
     parse_fourier,
     parse_system,
@@ -53,10 +52,28 @@ class CommandConfig:
 
 
 def _read_input(config: CommandConfig) -> str:
+    """The input as text.  A byte that is not UTF-8 decodes to a lone
+    surrogate, which no token accepts, so the parser reports its line;
+    stdin is decoded here too, whatever the locale's error handler."""
     if config.input_path == "-":
-        return sys.stdin.read()
-    with open(config.input_path, "r", encoding="utf-8") as handle:
+        return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+    with open(config.input_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
+
+
+def _write_fields(
+    config: CommandConfig, out: IO[str], fields: Iterable[tuple[str, object]]
+) -> None:
+    """Write each (key, value) result field: ``key=value`` lines with
+    ``--output machine``; otherwise an answer as its upper-case word (none
+    for ``kernel``, whose system follows) and any other value bare."""
+    for key, value in fields:
+        if config.output_mode == "machine":
+            out.write(f"{key}={value}\n")
+        elif key != "answer":
+            out.write(f"{value}\n")
+        elif value != "kernel":
+            out.write(f"{value.upper()}\n")
 
 
 def _cmd_reduce(config: CommandConfig, out: IO[str]) -> int:
@@ -71,58 +88,38 @@ def _cmd_solve(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
     instance = AaInstance(system, config.k)
     answer, witness = decide_aa(instance, oracle_cap=config.oracle_cap)
-    if config.output_mode == "machine":
-        out.write(f"answer={'yes' if answer else 'no'}\n")
-        out.write(f"witness={witness.assignment.to01()}\n")
-        out.write(f"excess={format_rational(witness.excess)}\n")
-    else:
-        out.write("YES\n" if answer else "NO\n")
-        out.write(witness.assignment.to01() + "\n")
-        out.write(format_rational(witness.excess) + "\n")
+    _write_fields(config, out, [
+        ("answer", "yes" if answer else "no"),
+        ("witness", witness.assignment.to01()),
+        ("excess", witness.excess),
+    ])
     return 0 if answer else 1
 
 
 def _cmd_excess(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
     witness = brute_force_max_excess(system, cap=config.oracle_cap)
-    if config.output_mode == "machine":
-        out.write(f"excess={format_rational(witness.excess)}\n")
-        out.write(f"witness={witness.assignment.to01()}\n")
-    else:
-        out.write(format_rational(witness.excess) + "\n")
-        out.write(witness.assignment.to01() + "\n")
+    _write_fields(config, out, [("excess", witness.excess), ("witness", witness.assignment.to01())])
     return 0
 
 
 def _cmd_bound(config: CommandConfig, out: IO[str]) -> int:
     expansion = parse_fourier(_read_input(config))
-    bound = maxima_lower_bound(expansion)
-    if config.output_mode == "machine":
-        out.write(f"bound={format_rational(bound)}\n")
-    else:
-        out.write(format_rational(bound) + "\n")
+    _write_fields(config, out, [("bound", maxima_lower_bound(expansion))])
     return 0
 
 
 def _cmd_kset(config: CommandConfig, out: IO[str]) -> int:
     members = parse_vectorset(_read_input(config))
     chosen = find_kset(members, config.k)
-    if config.output_mode == "machine":
-        for i, vec in enumerate(chosen, start=1):
-            out.write(f"vector{i}={vec.to01()}\n")
-    else:
-        for vec in chosen:
-            out.write(vec.to01() + "\n")
+    _write_fields(config, out, [(f"vector{i}", vec.to01()) for i, vec in enumerate(chosen, 1)])
     return 0
 
 
 def _cmd_verify(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
     accepted = verify_certificate(system, Certificate(config.cert), config.k)
-    if config.output_mode == "machine":
-        out.write(f"answer={'accept' if accepted else 'reject'}\n")
-    else:
-        out.write("ACCEPT\n" if accepted else "REJECT\n")
+    _write_fields(config, out, [("answer", "accept" if accepted else "reject")])
     return 0 if accepted else 1
 
 
@@ -135,7 +132,7 @@ def _cmd_from_cnf(config: CommandConfig, out: IO[str]) -> int:
 def _cmd_from_fourier(config: CommandConfig, out: IO[str]) -> int:
     expansion = parse_fourier(_read_input(config))
     system, constant = fourier_to_system(expansion)
-    out.write(f"c constant {format_rational(constant)}\n")
+    out.write(f"c constant {constant}\n")
     out.write(emit_system(system))
     return 0
 
@@ -143,14 +140,8 @@ def _cmd_from_fourier(config: CommandConfig, out: IO[str]) -> int:
 def _cmd_kernel(config: CommandConfig, out: IO[str]) -> int:
     system = parse_system(_read_input(config))
     outcome = kernelize_rlin(system, config.r, config.k)
-    if outcome.is_yes:
-        if config.output_mode == "machine":
-            out.write("answer=yes\n")
-        else:
-            out.write("YES\n")
-    else:
-        if config.output_mode == "machine":
-            out.write("answer=kernel\n")
+    _write_fields(config, out, [("answer", "yes" if outcome.is_yes else "kernel")])
+    if not outcome.is_yes:
         out.write(emit_system(outcome.kernel))
     return 0
 

@@ -104,9 +104,7 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
-    members = VectorSet.from_vectors(
-        sys.n, [eq.lhs for eq in sys.equations] + [F2Vector.zero(sys.n)]
-    )
+    members = VectorSet(sys.n, [eq.lhs for eq in sys.equations] + [F2Vector.zero(sys.n)])
     if sys.has_duplicate_lhs() or not members.spans():
         raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
     m = sys.m

@@ -21,7 +21,6 @@ __all__ = [
     "LinearSystem",
     "Assignment",
     "Evaluation",
-    "add_lhs",
     "evaluate",
     "rank_and_basis",
     "rref",
@@ -169,18 +168,12 @@ class Assignment:
     def to01(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
-    def flip(self, j: int) -> Assignment:
-        if not 0 <= j < self.n:
-            raise MaxlinError(f"variable index {j} outside 0..{self.n - 1}")
-        return Assignment(self.n, self.bits ^ (1 << j))
-
 
 @dataclass(frozen=True)
 class Equation:
     """One weighted row: sum of the lhs support variables = rhs.
 
-    The lhs may be zero only for transient sums (see add_lhs); a
-    LinearSystem never stores such a row.
+    A LinearSystem never stores a row whose lhs is zero.
     """
 
     lhs: F2Vector
@@ -205,17 +198,6 @@ class Equation:
         if assignment.n != self.n:
             raise DimensionMismatchError(f"dimensions differ: {self.n} vs {assignment.n}")
         return parity(self.lhs.bits & assignment.bits) == self.rhs
-
-
-def add_lhs(e1: Equation, e2: Equation) -> Equation:
-    """Replace e2 by the sum of both equations.
-
-    The lhs and rhs are XORed; weight and id stay those of e2, the equation
-    being replaced.  The result may have a zero lhs (when both sides agree).
-    """
-    if e1.n != e2.n:
-        raise DimensionMismatchError(f"dimensions differ: {e1.n} vs {e2.n}")
-    return Equation(e1.lhs ^ e2.lhs, e1.rhs ^ e2.rhs, e2.weight, e2.eq_id)
 
 
 @dataclass(frozen=True)
@@ -263,10 +245,6 @@ class LinearSystem:
     @property
     def m(self) -> int:
         return len(self.equations)
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((eq.weight for eq in self.equations), Fraction(0))
 
     @property
     def min_weight(self) -> Fraction:

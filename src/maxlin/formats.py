@@ -28,7 +28,6 @@ from .reductions import CnfFormula, CspConstraint, CspInstance
 
 __all__ = [
     "parse_rational",
-    "format_rational",
     "parse_system",
     "emit_system",
     "emit_transcript_comments",
@@ -49,10 +48,6 @@ def parse_rational(token: str, line_no: int) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ParseError(line_no, f"{token!r} has a zero denominator") from None
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -84,6 +79,14 @@ def _parse_header(lines, expected: str):
     if n < 0 or count < 0:
         raise ParseError(line_no, "header counts must be non-negative")
     return n, count, lines[1:]
+
+
+def _check_count(rows, count: int, what: str, last_line: int) -> None:
+    """Raise unless there are exactly ``count`` rows, at the first extra row,
+    else at the last row read (``last_line`` when there is none)."""
+    if len(rows) != count:
+        where = rows[count][0] if len(rows) > count else (rows[-1][0] if rows else last_line)
+        raise ParseError(where, f"header declares {count} {what}, found {len(rows)}")
 
 
 def _parse_index_list(tokens, line_no, n, count):
@@ -119,9 +122,7 @@ def parse_system(text: str) -> LinearSystem:
     line as '<weight> <b> <t> <i1> ... <it>'."""
     lines = _content_lines(text)
     n, m, rows = _parse_header(lines, "maxlin")
-    if len(rows) != m:
-        where = rows[m][0] if len(rows) > m else (rows[-1][0] if rows else 1)
-        raise ParseError(where, f"header declares {m} equations, found {len(rows)}")
+    _check_count(rows, m, "equations", 1)
     weights: dict[str, Fraction] = {}
     built = []
     for line_no, tokens in rows:
@@ -151,7 +152,7 @@ def emit_system(sys: LinearSystem) -> str:
     for eq in sys.equations:
         support = eq.lhs.support()
         idx = " ".join(str(j + 1) for j in support)
-        lines.append(f"{format_rational(eq.weight)} {eq.rhs} {len(support)} {idx}".rstrip())
+        lines.append(f"{eq.weight} {eq.rhs} {len(support)} {idx}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -168,8 +169,7 @@ def emit_transcript_comments(tr: ReductionTranscript) -> str:
         survivor = "-" if event.surviving_id is None else str(event.surviving_id)
         lines.append(
             "c transcript merge "
-            f"{event.merged_ids[0]} {event.merged_ids[1]} {survivor} "
-            f"{format_rational(event.weight)}"
+            f"{event.merged_ids[0]} {event.merged_ids[1]} {survivor} {event.weight}"
         )
     return "\n".join(lines) + "\n"
 
@@ -186,9 +186,7 @@ def parse_fourier(text: str) -> FourierExpansion:
         raise ParseError(const_no, "second line must be 'const <rational>'")
     constant = parse_rational(const_tokens[1], const_no)
     rows = rows[1:]
-    if len(rows) != count:
-        where = rows[count][0] if len(rows) > count else (rows[-1][0] if rows else const_no)
-        raise ParseError(where, f"header declares {count} terms, found {len(rows)}")
+    _check_count(rows, count, "terms", const_no)
     terms: dict[frozenset[int], Fraction] = {}
     for line_no, tokens in rows:
         if len(tokens) < 2:
@@ -207,10 +205,10 @@ def parse_fourier(text: str) -> FourierExpansion:
 
 
 def emit_fourier(f: FourierExpansion) -> str:
-    lines = [f"p fourier {f.n} {f.term_count}", f"const {format_rational(f.constant)}"]
+    lines = [f"p fourier {f.n} {f.term_count}", f"const {f.constant}"]
     for subset, coeff in f.sorted_terms():
         idx = " ".join(str(i + 1) for i in sorted(subset))
-        lines.append(f"{format_rational(coeff)} {len(subset)} {idx}")
+        lines.append(f"{coeff} {len(subset)} {idx}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,9 +216,7 @@ def parse_vectorset(text: str) -> VectorSet:
     """Parse the vector-set format: 'p vecset n count' then 0/1 rows."""
     lines = _content_lines(text)
     n, count, rows = _parse_header(lines, "vecset")
-    if len(rows) != count:
-        where = rows[count][0] if len(rows) > count else (rows[-1][0] if rows else 1)
-        raise ParseError(where, f"header declares {count} vectors, found {len(rows)}")
+    _check_count(rows, count, "vectors", 1)
     seen: set[int] = set()
     vectors = []
     for line_no, tokens in rows:
@@ -231,7 +227,7 @@ def parse_vectorset(text: str) -> VectorSet:
             raise ParseError(line_no, "duplicate vector")
         seen.add(vec.bits)
         vectors.append(vec)
-    return VectorSet.from_vectors(n, vectors)
+    return VectorSet(n, vectors)
 
 
 def parse_cnf(text: str) -> CnfFormula:

@@ -38,10 +38,6 @@ class VectorSet:
             if v.n != self.n:
                 raise MaxlinError(f"vector of dimension {v.n} in a set of dimension {self.n}")
 
-    @classmethod
-    def from_vectors(cls, n: int, vectors: Iterable[F2Vector]) -> VectorSet:
-        return cls(n, frozenset(vectors))
-
     def __len__(self) -> int:
         return len(self.vectors)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, decide_aa, regime_exponent
@@ -119,36 +119,44 @@ class KernelOutcome:
         return None if self.is_yes else self.reduced_system
 
 
+def _product_expansion(
+    n: int, products: Iterable[tuple[Sequence[int], Sequence[int], int]]
+) -> FourierExpansion:
+    """Sum of factor * (prod_j (1 + s_j x_{v_j}) - 1) over the
+    (variables, signs, factor) products, expanded term by term.
+
+    Each product's constant term is factor * (1 - 1) = 0, so the sum's
+    constant is zero; terms whose coefficients cancel are dropped.
+    """
+    coefficients: dict[frozenset[int], Fraction] = {}
+    for variables, signs, factor in products:
+        arity = len(variables)
+        for size in range(1, arity + 1):
+            for positions in combinations(range(arity), size):
+                product = factor
+                for j in positions:
+                    product *= signs[j]
+                subset = frozenset(variables[j] for j in positions)
+                coefficients[subset] = coefficients.get(subset, Fraction(0)) + product
+    terms = {s: c for s, c in coefficients.items() if c != 0}
+    return FourierExpansion(n, Fraction(0), terms)
+
+
 def sat_to_fourier(formula: CnfFormula, r: int) -> FourierExpansion:
     """Expand sum over clauses of [1 - prod (1 + eps_i x_i)] term by term.
 
     eps_i is +1 for a positive literal and -1 for a negated one; a falsified
-    clause contributes 1 - 2^r and a satisfied one contributes 1.  The
-    constant term is accumulated rather than assumed (each clause's own
-    contribution cancels to zero).
+    clause contributes 1 - 2^r and a satisfied one contributes 1.
     """
     if not isinstance(r, int) or r < 1:
         raise MaxlinError(f"clause arity r must be a positive integer, got {r!r}")
-    constant = Fraction(0)
-    coefficients: dict[frozenset[int], Fraction] = {}
     for clause in formula.clauses:
         if len(clause) != r:
             raise MaxlinError(f"clause {clause} does not have exactly {r} literals")
-        variables = [abs(lit) - 1 for lit in clause]
-        signs = [1 if lit > 0 else -1 for lit in clause]
-        constant += 1
-        for size in range(0, r + 1):
-            for positions in combinations(range(r), size):
-                product = 1
-                for j in positions:
-                    product *= signs[j]
-                if size == 0:
-                    constant -= product
-                else:
-                    subset = frozenset(variables[j] for j in positions)
-                    coefficients[subset] = coefficients.get(subset, Fraction(0)) - product
-    terms = {s: c for s, c in coefficients.items() if c != 0}
-    return FourierExpansion(formula.n, constant, terms)
+    return _product_expansion(formula.n, (
+        ([abs(lit) - 1 for lit in clause], [1 if lit > 0 else -1 for lit in clause], -1)
+        for clause in formula.clauses
+    ))
 
 
 def satisfied_clause_count(formula: CnfFormula, point: Sequence[int]) -> int:
@@ -222,27 +230,14 @@ def csp_to_fourier(inst: CspInstance, r: int) -> FourierExpansion:
     """
     if not isinstance(r, int) or r < 1:
         raise MaxlinError(f"arity bound r must be a positive integer, got {r!r}")
-    constant = Fraction(0)
-    coefficients: dict[frozenset[int], Fraction] = {}
     for cons in inst.constraints:
         if cons.arity > r:
             raise MaxlinError(f"constraint arity {cons.arity} exceeds the bound {r}")
-        scale = 2 ** (r - cons.arity)
-        for point in sorted(cons.satisfying):
-            for size in range(0, cons.arity + 1):
-                for positions in combinations(range(cons.arity), size):
-                    product = 1
-                    for j in positions:
-                        product *= point[j]
-                    if size == 0:
-                        constant += scale * (product - 1)
-                    else:
-                        subset = frozenset(cons.variables[j] for j in positions)
-                        coefficients[subset] = (
-                            coefficients.get(subset, Fraction(0)) + scale * product
-                        )
-    terms = {s: c for s, c in coefficients.items() if c != 0}
-    return FourierExpansion(inst.n, constant, terms)
+    return _product_expansion(inst.n, (
+        (cons.variables, point, 2 ** (r - cons.arity))
+        for cons in inst.constraints
+        for point in sorted(cons.satisfying)
+    ))
 
 
 def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:

@@ -263,7 +263,7 @@ def search_accepting_sequence(sys: LinearSystem, k: int):
     def rec(cur, acc, path):
         if acc >= k:
             return tuple(path)
-        if cur.m == 0 or acc + cur.total_weight < k:
+        if cur.m == 0 or acc + sum(eq.weight for eq in cur.equations) < k:
             return None
         key = (cur.content(), min(acc, k))
         if key in seen:
@@ -366,6 +366,6 @@ def paired_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
             continue
         bits.add(extra)
         bits.add(extra ^ shift)
-    members = VectorSet.from_vectors(n, [F2Vector(n, b) for b in bits])
+    members = VectorSet(n, [F2Vector(n, b) for b in bits])
     assert len(members) ** 2 <= 2**n
     return members, 2

@@ -12,17 +12,29 @@ from typing import Callable, Iterable
 
 from maxlin import (
     Certificate,
+    DimensionMismatchError,
+    Equation,
     EquationNotFoundError,
     LinearSystem,
     MaxlinError,
     NonIntegralWeightError,
 )
 from maxlin.algoh import HRun, MarkRecord
-from maxlin.f2core import add_lhs
 
 from reference_reduce import apply_rule2
 
 Chooser = Callable[[LinearSystem], int]
+
+
+def add_lhs(e1: Equation, e2: Equation) -> Equation:
+    """Replace e2 by the sum of both equations.
+
+    The lhs and rhs are XORed; weight and id stay those of e2, the equation
+    being replaced.  The result may have a zero lhs (when both sides agree).
+    """
+    if e1.n != e2.n:
+        raise DimensionMismatchError(f"dimensions differ: {e1.n} vs {e2.n}")
+    return Equation(e1.lhs ^ e2.lhs, e1.rhs ^ e2.rhs, e2.weight, e2.eq_id)
 
 
 def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:

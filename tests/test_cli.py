@@ -122,6 +122,18 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_non_utf8_input_exits_2_from_a_file_and_from_stdin(self, tmp_path, capsys, monkeypatch):
+        data = b"p maxlin 1 1\n1 0 1 \xff1\n"
+        message = "error: line 2: variable index must be an integer, got '\\udcff1'\n"
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        assert main(["reduce", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
+        # a stdin that decodes strictly, as under a UTF-8 locale without UTF-8 mode
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["reduce"]) == 2
+        assert capsys.readouterr() == ("", message)
+
     def test_oracle_ceiling_exits_2_at_once(self, tmp_path):
         wide = tmp_path / "wide"
         wide.write_text("p maxlin 40 1\n1 0 1 1\n")
@@ -140,6 +152,48 @@ class TestSubcommands:
         default = capsys.readouterr().out
         assert main(["excess", "--oracle", "--oracle-cap", "60", files["triple"]]) == 0
         assert capsys.readouterr().out == default
+
+
+# Every command's exact stdout and exit code under each --output mode, as
+# (argv before the input, input text, plain stdout, machine stdout, exit code).
+RATIONAL = "p maxlin 2 2\n3/2 0 1 1\n1/3 0 1 2\n"
+MERGING = "p maxlin 3 4\n3/2 0 1 1\n1/2 1 2 1 2\n1 0 2 2 3\n1 1 2 2 3\n"
+RATIONAL_FOURIER = "p fourier 2 2\nconst 1/2\n3/2 1 1\n-1/3 2 1 2\n"
+WIDE = "p maxlin 6 6\n" + "".join(f"1 0 1 {i}\n" for i in range(1, 7))
+OUTPUT_TABLE = [
+    (["reduce"], MERGING,
+     "p maxlin 2 2\n3/2 0 1 1\n1/2 1 2 1 2\nc transcript kept 1 2\n"
+     "c transcript deleted 3 0\nc transcript merge 2 3 - 0\n", None, 0),
+    (["solve", "--k", "1"], PAIR, "NO\n00\n0\n", "answer=no\nwitness=00\nexcess=0\n", 1),
+    (["solve", "--k", "2"], TRIPLE, "YES\n00\n2\n", "answer=yes\nwitness=00\nexcess=2\n", 0),
+    (["excess", "--oracle"], RATIONAL, "11/6\n00\n", "excess=11/6\nwitness=00\n", 0),
+    (["bound"], RATIONAL_FOURIER, "7/6\n", "bound=7/6\n", 0),
+    (["kset", "--k", "1"], UNITS, "001\n010\n", "vector1=001\nvector2=010\n", 0),
+    (["verify", "--cert", "0", "--k", "2"], TRIPLE, "ACCEPT\n", "answer=accept\n", 0),
+    (["verify", "--cert", "0,1", "--k", "3"], TRIPLE, "REJECT\n", "answer=reject\n", 1),
+    (["from-cnf", "--r", "2"], CLAUSE,
+     "p fourier 2 3\nconst 0\n-1 1 1\n-1 2 1 2\n-1 1 2\n", None, 0),
+    (["from-fourier"], RATIONAL_FOURIER,
+     "c constant 1/2\np maxlin 2 2\n3/2 0 1 1\n1/3 1 2 1 2\n", None, 0),
+    (["kernel", "--r", "2", "--k", "2"], WIDE, "YES\n", "answer=yes\n", 0),
+    (["kernel", "--r", "2", "--k", "4"], TRIPLE,
+     "p maxlin 2 3\n2 0 1 1\n1 0 1 2\n1 1 2 1 2\n",
+     "answer=kernel\np maxlin 2 3\n2 0 1 1\n1 0 1 2\n1 1 2 1 2\n", 0),
+]
+
+
+@pytest.mark.parametrize("mode", ["plain", "machine"])
+@pytest.mark.parametrize(
+    "argv, text, plain, machine, code", OUTPUT_TABLE, ids=[" ".join(row[0]) for row in OUTPUT_TABLE]
+)
+def test_output_bytes_and_exit_code(tmp_path, capsys, mode, argv, text, plain, machine, code):
+    # None: the command writes the same bytes in both modes
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main(argv + ["--output", mode, str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (machine if mode == "machine" and machine is not None else plain)
+    assert captured.err == ""
 
 
 class TestDeterminism:

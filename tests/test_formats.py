@@ -8,7 +8,6 @@ from maxlin.formats import (
     emit_fourier,
     emit_system,
     emit_transcript_comments,
-    format_rational,
     parse_cnf,
     parse_csp,
     parse_fourier,
@@ -27,7 +26,8 @@ class TestRational:
 
     def test_fraction_in_lowest_terms(self):
         assert parse_rational("6/4", 1) == Fraction(3, 2)
-        assert format_rational(Fraction(6, 4)) == "3/2"
+        system = parse_system("p maxlin 1 1\n6/4 0 1 1\n")
+        assert emit_system(system) == "p maxlin 1 1\n3/2 0 1 1\n"
 
     def test_negative(self):
         assert parse_rational("-5/2", 1) == Fraction(-5, 2)

@@ -9,11 +9,11 @@ from helpers import random_vectorset
 
 
 def vecset(n, patterns):
-    return VectorSet.from_vectors(n, [F2Vector.from01(p) for p in patterns])
+    return VectorSet(n, [F2Vector.from01(p) for p in patterns])
 
 
 def units_with_zero(n):
-    return VectorSet.from_vectors(
+    return VectorSet(
         n, [F2Vector.zero(n)] + [F2Vector.from_support(n, [j]) for j in range(n)]
     )
 
@@ -43,7 +43,7 @@ class TestFindKset:
         for i in range(7):
             vectors.append(F2Vector.from_support(8, [i]))
             vectors.append(F2Vector.from_support(8, [i, 7]))
-        members = VectorSet.from_vectors(8, vectors)
+        members = VectorSet(8, vectors)
         found = find_kset(members, 2)
         assert verify_kset(members, found)
         # pinned: deterministic output of the quotient lifting
@@ -52,9 +52,7 @@ class TestFindKset:
     def test_pair_scan_on_nearly_full_space(self):
         # only one nonzero vector is missing; the chosen pair must sum to it
         missing = 0b111
-        members = VectorSet.from_vectors(
-            3, [F2Vector(3, b) for b in range(8) if b != missing]
-        )
+        members = VectorSet(3, [F2Vector(3, b) for b in range(8) if b != missing])
         found = find_kset(members, 1)
         assert found[0].bits ^ found[1].bits == missing
 
@@ -89,7 +87,7 @@ class TestFindKset:
             bits.add(1 << j)
         while len(bits) < 22:  # 22^4 <= 2^18
             bits.add(rng.randrange(1, 2**n))
-        members = VectorSet.from_vectors(n, [F2Vector(n, b) for b in bits])
+        members = VectorSet(n, [F2Vector(n, b) for b in bits])
         found = find_kset(members, 4)
         assert len(found) == 5
         assert verify_kset(members, found)

@@ -64,7 +64,7 @@ def verify_cases(draw):
     vectors = [F2Vector(n, b) for b in cand]
     if draw(st.integers(0, 9)) == 0:
         vectors.append(F2Vector(n + 1, 0))
-    return VectorSet.from_vectors(n, [F2Vector(n, b) for b in bits]), vectors
+    return VectorSet(n, [F2Vector(n, b) for b in bits]), vectors
 
 
 @PROPERTY
@@ -76,7 +76,7 @@ def test_verify_kset_matches_the_enumeration(case):
 
 def test_verify_kset_cases_reach_both_verdicts():
     # the dependent-candidate argument needs no zero vector in the set
-    members = VectorSet.from_vectors(4, [F2Vector(4, b) for b in (0b0001, 0b0010, 0b0011, 0b1100)])
+    members = VectorSet(4, [F2Vector(4, b) for b in (0b0001, 0b0010, 0b0011, 0b1100)])
     dependent = [F2Vector(4, b) for b in (0b0001, 0b0010, 0b0011)]
     assert not verify_kset(members, dependent)
     assert not ref.verify_kset(members, dependent)
@@ -102,7 +102,7 @@ def dense_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
             bits.update(1 << j for j in range(n))
         while len(bits) < size:
             bits.add(rng.getrandbits(n))
-        members = VectorSet.from_vectors(n, [F2Vector(n, b) for b in bits])
+        members = VectorSet(n, [F2Vector(n, b) for b in bits])
         if members.spans():
             return members, k
 

@@ -37,3 +37,22 @@ def test_every_command_config_field_is_read():
         and node.value.id == "config"
     }
     assert sorted(fields - read) == []
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # a deleted name must not linger in an export list
+    package = Path(maxlin.__file__).parent
+    undefined = []
+    for path in sorted(package.glob("*.py")):
+        defined, exported = set(), []
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+                defined |= names
+        undefined += [f"{path.stem}.{name}" for name in exported if name not in defined]
+    assert undefined == []

@@ -34,7 +34,7 @@ from .errors import (
     NonIntegralWeightError,
 )
 from .f2core import Assignment, Equation, LinearSystem, parity
-from .reduce import _equation, _FreshIds, _merge_rows, _rows, apply_rule2
+from .reduce import _equation, _FreshIds, _merge_rows, _rows, _system, apply_rule2
 
 __all__ = [
     "MarkRecord",
@@ -156,11 +156,7 @@ class _Marking:
         return MarkRecord(marked, low.bit_length() - 1, iteration)
 
     def system(self) -> LinearSystem:
-        eqs = tuple(
-            _equation(self.n, row) if (eq := self.live[row[3]]) is None else eq
-            for row in self.rows
-        )
-        return LinearSystem(self.n, eqs, self.fresh.next_id)
+        return _system(self.n, self.rows, self.fresh.next_id, self.live)
 
 
 def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:

@@ -52,12 +52,13 @@ class CommandConfig:
 
 
 def _read_input(config: CommandConfig) -> str:
-    """The input as text.  A byte that is not UTF-8 decodes to a lone
-    surrogate, which no token accepts, so the parser reports its line;
-    stdin is decoded here too, whatever the locale's error handler."""
+    """The input as text, without a leading UTF-8 byte-order mark.  A byte
+    that is not UTF-8 decodes to a lone surrogate, which no token accepts,
+    so the parser reports its line; stdin is decoded here too, whatever the
+    locale's error handler."""
     if config.input_path == "-":
-        return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
-    with open(config.input_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return sys.stdin.buffer.read().decode("utf-8-sig", "surrogateescape")
+    with open(config.input_path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         return handle.read()
 
 

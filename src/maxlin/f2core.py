@@ -59,6 +59,11 @@ def reverse_bits(x: int, n: int) -> int:
     return int(format(x & ((1 << n) - 1), f"0{n}b")[::-1], 2)
 
 
+def _pack(indices: Iterable[int]) -> int:
+    """The bits of distinct indices: the sum of 1 << i, which is their OR."""
+    return sum(map(lshift, repeat(1), indices))
+
+
 def _check_packed(n: int, bits: int) -> None:
     if n < 0:
         raise MaxlinError("dimension must be non-negative")
@@ -97,8 +102,7 @@ class F2Vector:
         if support and (min(support) < 0 or max(support) >= n
                         or len(set(support)) != len(support)):
             _raise_support_error(n, support)
-        # the indices are distinct, so a sum is an OR
-        return cls(n, sum(map(lshift, repeat(1), support)))
+        return cls(n, _pack(support))
 
     @classmethod
     def from01(cls, text: str) -> F2Vector:

@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from operator import lshift, lt, sub
+from operator import lt, sub
 
 from .errors import MaxlinError, ParseError
-from .f2core import F2Vector, LinearSystem
+from .f2core import F2Vector, LinearSystem, _pack
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -141,8 +141,8 @@ def parse_system(text: str) -> LinearSystem:
         if t < 1:
             raise ParseError(line_no, "equations must involve at least one variable")
         idx = _parse_index_list(tokens[3:], line_no, n, t)
-        # index i is bit i - 1; the indices are distinct, so a sum is an OR
-        bits = sum(map(lshift, repeat(1), idx)) >> 1
+        # index i is bit i - 1
+        bits = _pack(idx) >> 1
         built.append((F2Vector(n, bits), rhs, weight))
     return LinearSystem.build(n, built)
 
@@ -304,7 +304,7 @@ def parse_csp(text: str) -> CspInstance:
                 raise ParseError(row_no, f"expected {arity} entries of -1 or 1")
             point = []
             for tok in row_tokens:
-                value = _parse_int(tok.lstrip("+") if tok.startswith("+") else tok, row_no, "entry")
+                value = _parse_int(tok, row_no, "entry")
                 if value not in (-1, 1):
                     raise ParseError(row_no, f"entries must be -1 or 1, got {tok!r}")
                 point.append(value)

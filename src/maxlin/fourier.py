@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, as_weight, parity
+from .f2core import LinearSystem, _pack, as_weight, parity
 from .reduce import apply_rule1
 
 __all__ = [
@@ -25,13 +25,6 @@ __all__ = [
     "system_to_fourier",
     "maxima_lower_bound",
 ]
-
-
-def _term_bits(subset: frozenset[int]) -> int:
-    bits = 0
-    for i in subset:
-        bits |= 1 << i
-    return bits
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ def eval_fourier(f: FourierExpansion, point: Sequence[int]) -> Fraction:
             raise MaxlinError(f"point entries must be -1 or +1, got {value!r}")
     total = f.constant
     for subset, coeff in f.terms.items():
-        if parity(_term_bits(subset) & negatives):
+        if parity(_pack(subset) & negatives):
             total -= coeff
         else:
             total += coeff

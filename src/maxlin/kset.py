@@ -56,81 +56,54 @@ class VectorSet:
         return len(_pivot_basis((v.bits for v in self.vectors), self.n)) == self.n
 
 
-class _Tracked:
-    """One set element: its current coordinates and the top-level vector it
-    stands for."""
-
-    __slots__ = ("cur", "orig")
-
-    def __init__(self, bits: int, orig: F2Vector):
-        self.cur = bits
-        self.orig = orig
-
-
-def _swap_bits(x: int, p: int, q: int) -> int:
-    bp = x >> p & 1
-    bq = x >> q & 1
-    if bp != bq:
-        x ^= (1 << p) | (1 << q)
-    return x
-
-
-def _extend(items: list[_Tracked], level: int, pick: _Tracked) -> None:
-    """Change coordinates so the picked element becomes unit vector `level`.
-
-    The pick has a set bit at or above `level` (see _search).  The change is
-    a coordinate swap plus coordinate additions, all fixing the units below
-    `level`, applied to every element.
-    """
-    tail = pick.cur >> level
-    pivot = level + (tail & -tail).bit_length() - 1
-    if pivot != level:
-        for item in items:
-            item.cur = _swap_bits(item.cur, pivot, level)
-    clear_mask = pick.cur & ~(1 << level)
-    if clear_mask:
-        for item in items:
-            if item.cur >> level & 1:
-                item.cur ^= clear_mask
-
-
 def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vector]:
     """One recursion level of the greedy-plus-quotient search.
 
-    The zero vector is always an element, so an element whose coordinates
-    from `level` up are all zero shares that residue with it; the elements
-    alone in their residue class with a nonzero one are exactly the
-    unchosen nonzero ones the greedy phase may take.  The pick is the one
-    whose coordinates come first lexicographically (coordinate 0 most
-    significant): coordinates stay distinct, so it is unique, and x beats
-    the current pick p exactly when x has a 0 at the lowest bit of x ^ p.
+    The state is the list ``cur`` of coordinates, indexed like ``elements``
+    (coordinates, top-level vector), and ``chosen``, the picked indices:
+    chosen element i is unit vector i.  The zero vector is always an
+    element, so the elements alone in their residue class (coordinates from
+    ``level`` up) with a nonzero one are exactly the unchosen nonzero ones
+    the greedy phase may take.  The pick is the one whose coordinates come
+    first lexicographically (coordinate 0 most significant): coordinates
+    stay distinct, so it is unique, and x beats the current pick p exactly
+    when x has a 0 at the lowest bit of x ^ p.  A pick becomes unit vector
+    ``level`` by a coordinate swap and coordinate additions, fixing the
+    units below ``level``.  A stalled phase recurses on the quotient.
     """
-    items = [_Tracked(bits, orig) for bits, orig in elements]
-    chosen: list[_Tracked] = []
+    cur = [bits for bits, _ in elements]
+    chosen: list[int] = []
     while len(chosen) < k + 1:
         level = len(chosen)
-        counts = Counter(item.cur >> level for item in items)
+        counts = Counter(x >> level for x in cur)
         pick = None
-        for item in items:
-            residue = item.cur >> level
+        for i, x in enumerate(cur):
+            residue = x >> level
             if residue and counts[residue] == 1:
                 if pick is None:
-                    pick = item
+                    pick = i
                 else:
-                    diff = item.cur ^ pick.cur
-                    if not item.cur & diff & -diff:
-                        pick = item
+                    diff = x ^ cur[pick]
+                    if not x & diff & -diff:
+                        pick = i
         if pick is None:
             break
-        _extend(items, level, pick)
+        tail = cur[pick] >> level
+        pivot = level + (tail & -tail).bit_length() - 1
+        if pivot != level:
+            swap = 1 << pivot | 1 << level
+            cur = [x ^ swap if (x >> pivot ^ x >> level) & 1 else x for x in cur]
+        clear = cur[pick] & ~(1 << level)
+        if clear:
+            cur = [x ^ clear if x >> level & 1 else x for x in cur]
         chosen.append(pick)
     if len(chosen) == k + 1:
-        return [item.orig for item in chosen]
+        return [elements[i][1] for i in chosen]
 
     level = len(chosen)
-    groups: dict[int, list[_Tracked]] = {}
-    for item in items:
-        groups.setdefault(item.cur >> level, []).append(item)
+    groups: dict[int, list[F2Vector]] = {}
+    for x, (_, orig) in zip(cur, elements):
+        groups.setdefault(x >> level, []).append(orig)
     # A stalled phase leaves no singleton class with a nonzero residue, and
     # the zero class holds the zero element and every chosen one, so each
     # class has two or more elements and the quotient at most halves the
@@ -141,8 +114,7 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
             f"internal error: greedy phase stalled at level {level} in dimension {n} for k={k}"
         )
     quotient = [
-        (suffix, min(group, key=lambda item: item.orig.lex_key()).orig)
-        for suffix, group in sorted(groups.items())
+        (suffix, min(group, key=F2Vector.lex_key)) for suffix, group in sorted(groups.items())
     ]
     return _search(quotient, quotient_n, k)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, MaxlinError
 from .f2core import Assignment, Equation, F2Vector, LinearSystem, _pivot_basis, rref
@@ -82,10 +83,8 @@ def _identity_transcript(n: int) -> ReductionTranscript:
 
 # A working row: (lhs bits, rhs, weight, eq_id).
 _Row = tuple[int, int, Fraction, int]
-# Merge recorder: (first id, second id, surviving weight or None when the
-# pair cancelled) -> id of the surviving row.
-_Record = Callable[[int, int, "Fraction | None"], "int | None"]
 _NO_DEPS: frozenset[int] = frozenset()
+_KEEP_NONE: Mapping[int, Equation | None] = MappingProxyType({})
 
 
 def _rows(sys: LinearSystem) -> list[_Row]:
@@ -97,8 +96,16 @@ def _equation(n: int, row: _Row) -> Equation:
     return Equation(F2Vector(n, bits), rhs, weight, eq_id)
 
 
-def _system(n: int, rows: Iterable[_Row], next_id: int = -1) -> LinearSystem:
-    return LinearSystem(n, tuple(_equation(n, row) for row in rows), next_id)
+def _system(
+    n: int, rows: Iterable[_Row], next_id: int, keep: Mapping[int, Equation | None] = _KEEP_NONE
+) -> LinearSystem:
+    """The system of the rows; a row reuses ``keep[eq_id]`` when that is an
+    Equation, which must then be the row's own, and is built otherwise."""
+    return LinearSystem(
+        n,
+        tuple(_equation(n, row) if (eq := keep.get(row[3])) is None else eq for row in rows),
+        next_id,
+    )
 
 
 class _FreshIds:
@@ -119,31 +126,7 @@ class _FreshIds:
         return new_id
 
 
-class _LogReplay:
-    """Merge recorder of a replay: checks every merge against the recorded
-    log and hands back the recorded surviving id."""
-
-    def __init__(self, log: Sequence[MergeEvent]):
-        self.log = log
-        self.consumed = 0
-
-    def __call__(self, a_id: int, b_id: int, weight: Fraction | None) -> int | None:
-        if self.consumed == len(self.log):
-            raise MaxlinError("transcript merge log ended early")
-        event = self.log[self.consumed]
-        self.consumed += 1
-        if event.merged_ids != (a_id, b_id):
-            raise MaxlinError(
-                f"transcript expects merge {event.merged_ids}, replay reached ({a_id}, {b_id})"
-            )
-        if (weight is None) != (event.surviving_id is None):
-            raise MaxlinError(f"transcript merge outcome mismatch for {event.merged_ids}")
-        if weight is not None and weight != event.weight:
-            raise MaxlinError(f"transcript merge weight mismatch for {event.merged_ids}")
-        return event.surviving_id
-
-
-def _merge_pair(a: _Row, b: _Row, record: _Record) -> _Row | None:
+def _merge_pair(a: _Row, b: _Row, record: _FreshIds) -> _Row | None:
     """Rule 2 on two rows with equal lhs; None means both cancel."""
     bits, rhs_a, w_a, id_a = a
     _, rhs_b, w_b, id_b = b
@@ -159,7 +142,7 @@ def _merge_pair(a: _Row, b: _Row, record: _Record) -> _Row | None:
     return bits, rhs, weight, record(id_a, id_b, weight)
 
 
-def _merge_rows(rows: list[_Row], record: _Record) -> list[_Row]:
+def _merge_rows(rows: list[_Row], record: _FreshIds) -> list[_Row]:
     """Rule 2: fold each equal-lhs group pairwise in order of appearance.
 
     Rows that share their lhs with no other row come back as they are, and
@@ -228,16 +211,9 @@ def apply_rule2(sys: LinearSystem) -> LinearSystem:
     rows = _merge_rows(unmerged, fresh)
     if rows is unmerged:
         return sys
-    # merged rows take fresh ids from sys.next_id; every other row keeps its
-    # Equation
-    return LinearSystem(
-        sys.n,
-        tuple(
-            sys.equation(row[3]) if row[3] < sys.next_id else _equation(sys.n, row)
-            for row in rows
-        ),
-        fresh.next_id,
-    )
+    # merged rows take fresh ids from sys.next_id, which no equation of sys
+    # holds; every other row keeps its Equation
+    return _system(sys.n, rows, fresh.next_id, sys._by_id)
 
 
 def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
@@ -255,32 +231,25 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     )
 
 
-def _reduce_rows(
-    rows: list[_Row], n: int, record: _Record
-) -> tuple[list[_Row], list[int], list[tuple[int, frozenset[int]]]]:
-    """Rule 2, then rule 1: one round is already the fixed point.
-
-    Rule 2 leaves distinct rows, and rule 1 keeps them distinct: two rows
-    equal on every pivot column would differ by a nonzero vector of the
-    row space whose lowest set bit is no pivot, and no such vector exists.
-    The projection has full rank, so a second round would change nothing.
-    Returns the rows, the kept columns and the deleted ones (see
-    _project_rows).
-    """
-    return _project_rows(_merge_rows(rows, record), n)
-
-
 def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     """Apply rule 2 then rule 1, which reaches the fixed point of both.
 
-    One round suffices (see _reduce_rows).  Both rules run on plain rows
-    and the result is built once.  Cost: O(m * rank) big-int XORs for the
-    elimination (see rref), one pass over the rows' set bits for the
-    projection and O(n) transcript entries; nothing walks every declared
-    column per row.
+    One round suffices: rule 2 leaves distinct rows, and rule 1 keeps them
+    distinct, since two rows equal on every pivot column would differ by a
+    nonzero vector of the row space whose lowest set bit is no pivot, and no
+    such vector exists.  The projection has full rank, so a second round
+    would change nothing.
+
+    The reduction is deterministic (groups fold in order of appearance,
+    merged rows take fresh ids from ``sys.next_id``, the kept columns are
+    the leftmost pivots), which replay_transcript relies on.  Both rules
+    run on plain rows and the result is built once.  Cost: O(m * rank)
+    big-int XORs for the elimination (see rref), one pass over the rows'
+    set bits for the projection and O(n) transcript entries; nothing walks
+    every declared column per row.
     """
     fresh = _FreshIds(sys.next_id)
-    rows, kept, deleted = _reduce_rows(_rows(sys), sys.n, fresh)
+    rows, kept, deleted = _project_rows(_merge_rows(_rows(sys), fresh), sys.n)
     if not fresh.events and not deleted:
         return sys, _identity_transcript(sys.n)
     transcript = ReductionTranscript(
@@ -310,24 +279,23 @@ def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:
 def replay_transcript(tr: ReductionTranscript, original: LinearSystem) -> LinearSystem:
     """Re-derive the reduced system from the original plus the transcript.
 
-    The replay runs the reduction's own rule 2 and rule 1, takes every
-    surviving id from the recorded merge log and validates each merge
-    against it, then checks the kept and deleted columns; the result must
-    be bit-identical to the reduction's output.  (Restricting every row to the
-    final kept columns first is not a replay: when a cancellation lowers
-    the rank, that restriction merges rows the reduction kept apart.)
+    make_irreducible is deterministic, so the replay reruns it on the
+    original and accepts exactly the transcript that run returns: the same
+    kept and deleted columns and the same merge log, every surviving id and
+    weight included.  Any other transcript raises MaxlinError.  The result
+    is that run's reduced system, bit-identical to the reduction's output.
+    (Restricting every row to the final kept columns first is not a replay:
+    when a cancellation lowers the rank, that restriction merges rows the
+    reduction kept apart.)
     """
     if original.n != tr.original_n:
         raise DimensionMismatchError(
             f"system has {original.n} variables, transcript expects {tr.original_n}"
         )
-    replay = _LogReplay(tr.merge_log)
-    rows, kept, deleted = _reduce_rows(_rows(original), original.n, replay)
-    if replay.consumed != len(tr.merge_log):
-        raise MaxlinError("transcript merge log has unused entries")
-    if tuple(kept) != tr.kept_variables or tuple(deleted) != tr.deleted_variables:
-        raise MaxlinError("transcript column deletions differ from the replay")
-    return _system(tr.reduced_n, rows)
+    reduced, expected = make_irreducible(original)
+    if expected != tr:
+        raise MaxlinError("transcript differs from the reduction of the system")
+    return reduced
 
 
 def is_irreducible(sys: LinearSystem) -> bool:

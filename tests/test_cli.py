@@ -1,3 +1,4 @@
+import codecs
 import io
 import random
 import subprocess
@@ -133,6 +134,22 @@ class TestSubcommands:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert main(["reduce"]) == 2
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_dropped(self, source, tmp_path, capsys, monkeypatch):
+        plain = tmp_path / "plain"
+        plain.write_text(TRIPLE)
+        assert main(["reduce", str(plain)]) == 0
+        want = capsys.readouterr()
+        data = codecs.BOM_UTF8 + TRIPLE.encode()
+        if source == "file":
+            marked = tmp_path / "marked"
+            marked.write_bytes(data)
+            assert main(["reduce", str(marked)]) == 0
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            assert main(["reduce"]) == 0
+        assert capsys.readouterr() == want
 
     def test_oracle_ceiling_exits_2_at_once(self, tmp_path):
         wide = tmp_path / "wide"

@@ -151,6 +151,12 @@ class TestCspFormat:
         inst = parse_csp("p csp 1 1\n1 1 1\n+1\n")
         assert inst.constraints[0].satisfying == {(1,)}
 
+    @pytest.mark.parametrize("entry", ["+-1", "++1"])
+    def test_stacked_signs_are_rejected(self, entry):
+        with pytest.raises(ParseError) as err:
+            parse_csp(f"p csp 2 1\n2 1 2 2\n-1 -1\n1 {entry}\n")
+        assert err.value.line_no == 4
+
     def test_errors(self):
         for text, line in [
             ("p csp 2 1\n2 1 1 1\n-1 -1\n", 2),   # repeated variable

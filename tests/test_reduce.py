@@ -101,6 +101,20 @@ class TestRule2:
         assert [eq.lhs.support() for eq in out.equations] == [(0,), (1,)]
         assert out.equations[0].weight == 3
 
+    def test_unmerged_rows_keep_their_equation_objects(self):
+        distinct = LinearSystem.build(2, [([0], 0, 1), ([1], 1, 2)])
+        assert apply_rule2(distinct) is distinct
+        sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 5), ([0], 1, 2)])
+        out = apply_rule2(sys)
+        assert out.ids() == (3, 1)
+        assert out.equations[1] is sys.equations[1]
+        rng = random.Random(18)
+        for _ in range(40):
+            sys = random_system(rng)
+            for eq in apply_rule2(sys).equations:
+                if sys.has_equation(eq.eq_id):
+                    assert eq is sys.equation(eq.eq_id)
+
     def test_pointwise_excess_preserved(self):
         rng = random.Random(13)
         for _ in range(20):

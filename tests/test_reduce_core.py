@@ -6,6 +6,7 @@ and of opposite right-hand side and integer or rational weights.  Every
 public result must match the reference exactly: pivots and reduced rows,
 equations with their ids and order, ``next_id`` and the whole transcript.
 """
+from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
 
@@ -23,7 +24,7 @@ from maxlin import (
     replay_transcript,
 )
 from maxlin.f2core import reverse_bits, rref
-from maxlin.reduce import ReductionTranscript
+from maxlin.reduce import MergeEvent, ReductionTranscript
 
 import reference_reduce as ref
 
@@ -130,6 +131,39 @@ def test_replay_rejects_a_shortened_log(sys, data):
         replay_transcript(broken, sys)
     with pytest.raises(MaxlinError):
         ref.replay_transcript(broken, sys)
+
+
+def _relabel(tr: ReductionTranscript, old: int, new: int) -> ReductionTranscript:
+    swap = {old: new}
+    log = tuple(
+        MergeEvent(
+            tuple(swap.get(i, i) for i in event.merged_ids),
+            swap.get(event.surviving_id, event.surviving_id),
+            event.weight,
+        )
+        for event in tr.merge_log
+    )
+    return replace(tr, merge_log=log)
+
+
+def test_replay_rejects_a_relabeled_surviving_id():
+    # rows 0, 1 and 3 fold into id 4, then 5; relabel either survivor (and
+    # every later reference to it) with an id the reduction never hands out
+    sys = LinearSystem.build(2, [([0], 0, 1), ([0], 0, 2), ([1], 0, 1), ([0], 1, 1)])
+    out, tr = make_irreducible(sys)
+    assert [event.surviving_id for event in tr.merge_log] == [4, 5]
+    assert replay_transcript(tr, sys) == out
+    for old in (4, 5):
+        broken = _relabel(tr, old, 9)
+        with pytest.raises(MaxlinError):
+            replay_transcript(broken, sys)
+
+
+def test_replay_of_an_identity_reduction_returns_the_input():
+    sys = LinearSystem.build(3, [([0, 2], 1, 2), ([1], 0, 1), ([0], 0, Fraction(1, 3))])
+    _, tr = make_irreducible(sys)
+    assert tr.is_identity()
+    assert replay_transcript(tr, sys) == sys
 
 
 def test_cost_does_not_grow_with_declared_n():

@@ -56,3 +56,22 @@ def test_every_exported_name_is_defined_in_its_module():
                 defined |= names
         undefined += [f"{path.stem}.{name}" for name in exported if name not in defined]
     assert undefined == []
+
+
+def test_library_has_no_mutable_default_arguments():
+    # a mutable default is shared by every call; a read-only mapping or None
+    # is safe
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    package = Path(maxlin.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{default.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in [*node.args.defaults, *node.args.kw_defaults]
+        if isinstance(default, mutable)
+        or isinstance(default, ast.Call)
+        and isinstance(default.func, ast.Name)
+        and default.func.id in ("dict", "list", "set")
+    ]
+    assert found == []

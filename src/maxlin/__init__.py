@@ -12,10 +12,8 @@ from .algoh import (
     HRun,
     MarkRecord,
     h_step,
-    lowest_id_chooser,
     reconstruct,
     run_h,
-    sequence_chooser,
     verify_certificate,
 )
 from .errors import (

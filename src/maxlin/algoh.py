@@ -16,16 +16,15 @@ row, and no step builds or validates a ``LinearSystem``: the frozen
 ``Equation`` of a row is reused until a step touches it, and a touched row
 gets one only if it is marked.  No occurrence index is kept, because the
 rows are dense: about half of them hold the marked variable, and updating
-an index would cost one entry per changed bit.  A chooser sees the live
-rows through a ``MarkingView`` with two methods, ``ids()`` and
-``has_equation(eq_id)``; a ``LinearSystem`` is one too.
+an index would cost one entry per changed bit.  The paper marks "an
+arbitrary equation" at each step; a run marks a given sequence of ids
+first and then the lowest live id.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -44,24 +43,7 @@ __all__ = [
     "run_h",
     "reconstruct",
     "verify_certificate",
-    "lowest_id_chooser",
-    "sequence_chooser",
 ]
-
-
-class MarkingView(Protocol):
-    """What a chooser may ask of the equations still live: their ids in
-    order, and whether one id is among them."""
-
-    def ids(self) -> tuple[int, ...]: ...
-
-    def has_equation(self, eq_id: int) -> bool: ...
-
-
-# Picks the id to mark next.  run_h calls it once per step with a view of
-# the live rows, valid only during that call; an id the view does not hold
-# raises EquationNotFoundError.  ids() costs O(m), has_equation() O(1).
-Chooser = Callable[[MarkingView], int]
 
 
 @dataclass(frozen=True)
@@ -98,7 +80,7 @@ class HRun(NamedTuple):
 
 
 class _Marking:
-    """Working state of a marking run, and the MarkingView its chooser sees.
+    """Working state of a marking run.
 
     ``rows`` are the live rows in order.  ``live`` maps each live id, in the
     same order, to the frozen Equation of its row, or to None once a step
@@ -111,12 +93,6 @@ class _Marking:
         self.rows = _rows(sys)
         self.live: dict[int, Equation | None] = {eq.eq_id: eq for eq in sys.equations}
         self.fresh = _FreshIds(sys.next_id)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self.live)
-
-    def has_equation(self, eq_id: int) -> bool:
-        return eq_id in self.live
 
     def step(self, eq_id: int, iteration: int) -> MarkRecord:
         """Mark one row, add it into every row holding its lowest bit, and
@@ -175,50 +151,31 @@ def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSys
     return state.system(), record
 
 
-def lowest_id_chooser(view: MarkingView) -> int:
-    return min(view.ids())
-
-
-def sequence_chooser(ids: Iterable[int], *, require_present: bool = False) -> Chooser:
-    """Chooser that marks the given ids in order, then the lowest live id.
-
-    Ids no longer present are skipped, or rejected when require_present is
-    set (used where a marking order is guaranteed to survive).  The chooser
-    is stateful: build a fresh one per run.
-    """
-    remaining = deque(ids)
-
-    def choose(view: MarkingView) -> int:
-        while remaining:
-            candidate = remaining.popleft()
-            if view.has_equation(candidate):
-                return candidate
-            if require_present:
-                raise MaxlinError(f"equation {candidate} vanished before its marking turn")
-        return lowest_id_chooser(view)
-
-    return choose
-
-
-def run_h(sys: LinearSystem, chooser: Chooser | None = None) -> HRun:
+def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     """Run the marking loop until the system is empty.
 
+    The ids of ``first`` are marked in order, each of which must still be
+    live at its turn (else MaxlinError); after them every step marks the
+    lowest live id.  Ids still listed when the system empties are ignored.
     The input is first re-merged (rule 2) so repeated left-hand sides never
     reach a marking step; that merge preserves the excess of every
     assignment, so marked-weight guarantees carry back to the input system.
     The loop then steps on plain rows (see the module docstring): each step
     costs O(m) bit tests and one rule-2 pass plus one XOR per touched row,
     and only marked rows that a step touched get a new Equation, so a whole
-    run builds at most the one system of the entry merge.  The chooser is
-    called once per step with a MarkingView of the live rows (see Chooser).
+    run builds at most the one system of the entry merge.
     """
-    if chooser is None:
-        chooser = lowest_id_chooser
     state = _Marking(apply_rule2(sys))
+    order = iter(first)
     records: list[MarkRecord] = []
     total = Fraction(0)
     while state.rows:
-        record = state.step(chooser(state), len(records))
+        eq_id = next(order, None)
+        if eq_id is None:
+            eq_id = min(state.live)
+        elif eq_id not in state.live:
+            raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
+        record = state.step(eq_id, len(records))
         records.append(record)
         total += record.marked_equation.weight
     return HRun(tuple(records), total)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .f2core import Assignment, F2Vector, LinearSystem, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
-from .algoh import reconstruct, run_h, sequence_chooser
+from .algoh import reconstruct, run_h
 from .reduce import lift_assignment, make_irreducible
 
 __all__ = [
@@ -87,6 +88,22 @@ def regime_exponent(m: int, n: int) -> int:
     return lo
 
 
+def _in_marking_regime(sys: LinearSystem, k: int) -> bool:
+    """k <= m and (m+2)^(k-1) <= 2^n: the lower bound then reaches k * w_min."""
+    return k <= sys.m and k - 1 <= regime_exponent(sys.m, sys.n)
+
+
+def _marking_witness(
+    sys: LinearSystem, first: Iterable[int] = ()
+) -> tuple[ExcessWitness, Fraction]:
+    """Mark ``first`` in order, then the lowest live id, and back-substitute
+    the transcript; returns the witness and the total marked weight."""
+    run = run_h(sys, first)
+    assignment = reconstruct(run.records, sys.n)
+    witness = ExcessWitness(assignment, evaluate(sys, assignment).excess, "marking")
+    return witness, run.total_marked_weight
+
+
 def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     """Constructively achieve excess >= k * w_min on an irreducible system.
 
@@ -117,12 +134,10 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     marked_first = find_kset(members, k - 1)
     by_bits = {eq.lhs.bits: eq.eq_id for eq in sys.equations}
     ids = [by_bits[v.bits] for v in marked_first]
-    run = run_h(sys, sequence_chooser(ids, require_present=True))
-    assignment = reconstruct(run.records, sys.n)
-    excess = evaluate(sys, assignment).excess
-    if excess < k * sys.min_weight or excess < run.total_marked_weight:
+    witness, marked = _marking_witness(sys, ids)
+    if witness.excess < k * sys.min_weight or witness.excess < marked:
         raise MaxlinError("internal error: marking lower bound not met")
-    return ExcessWitness(assignment, excess, "marking")
+    return witness
 
 
 def _scaled_equations(sys: LinearSystem) -> tuple[list[tuple[int, int, int]], int]:
@@ -220,13 +235,11 @@ def decide_aa(
         witness = brute_force_max_excess(reduced, cap=oracle_cap)
         return False, lifted(witness)
     if k == 1:
-        run = run_h(reduced)
-        assignment = reconstruct(run.records, reduced.n)
-        excess = evaluate(reduced, assignment).excess
-        if excess < 1:
+        witness, _ = _marking_witness(reduced)
+        if witness.excess < 1:
             raise MaxlinError("internal error: nonempty irreducible system has excess >= 1")
-        return True, lifted(ExcessWitness(assignment, excess, "marking"))
-    if k <= reduced.m and k - 1 <= regime_exponent(reduced.m, reduced.n):
+        return True, lifted(witness)
+    if _in_marking_regime(reduced, k):
         witness = lower_bound_assignment(reduced, k)
         if witness.excess < k:
             raise MaxlinError("internal error: lower bound below k despite integral weights")

@@ -4,13 +4,17 @@ All variable indices are 1-based on disk and 0-based in memory.  Rationals
 are written in lowest terms as ``p`` or ``p/q``; floating-point notation is
 rejected.  Comment lines start with ``c`` and are ignored everywhere.
 
+Integers are ASCII decimal, with an optional sign: ``int`` alone would also
+take ``_`` between digits and non-ASCII digits such as ``٣``.
+
 Systems and expansions are read a line at a time, not a token at a time:
 a line's index tokens are converted by one ``map(int, ...)`` and checked
-for count, range and strict order in one pass, and a system row's bits are
-packed straight from those indices.  Only a line that fails the check is
-walked token by token, to raise the same ``ParseError`` (text and line
-number) that a token-at-a-time parser would raise first.  Each distinct
-weight token of a system file is parsed once.
+for count, range and strict order in one pass, plus one ``_plain`` test of
+the joined tokens, and a system row's bits are packed straight from those
+indices.  Only a line that fails the check is walked token by token, to
+raise the same ``ParseError`` (text and line number) that a token-at-a-time
+parser would raise first.  Each distinct weight token of a system file is
+parsed once.
 """
 from __future__ import annotations
 
@@ -38,11 +42,11 @@ __all__ = [
     "parse_csp",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(line_no, f"{token!r} is not a decimal rational (p or p/q)")
     try:
         return Fraction(token)
@@ -61,11 +65,19 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _plain(text: str) -> bool:
+    """ASCII without '_': then int() reads a whitespace-free token only as
+    [+-]?[0-9]+."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+    if _plain(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(line_no, f"{what} must be an integer, got {token!r}")
 
 
 def _parse_header(lines, expected: str):
@@ -98,7 +110,8 @@ def _parse_index_list(tokens, line_no, n, count):
         except ValueError:
             pass
         else:
-            if idx[0] >= 1 and idx[-1] <= n and all(map(lt, idx, idx[1:])):
+            if (idx[0] >= 1 and idx[-1] <= n and all(map(lt, idx, idx[1:]))
+                    and _plain("".join(tokens))):
                 return idx
     _raise_index_error(tokens, line_no, n, count)
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
-from .excess import DEFAULT_ORACLE_CAP, AaInstance, decide_aa, regime_exponent
+from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
 from .f2core import LinearSystem
 from .fourier import FourierExpansion, eval_fourier, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
@@ -259,5 +259,4 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
     if oversized:
         raise MaxlinError(f"equations {oversized} have more than {r} variables")
     reduced, transcript = make_irreducible(sys)
-    is_yes = reduced.m >= k and k - 1 <= regime_exponent(reduced.m, reduced.n)
-    return KernelOutcome(is_yes, reduced, transcript, k)
+    return KernelOutcome(_in_marking_regime(reduced, k), reduced, transcript, k)

@@ -203,7 +203,7 @@ def fourier_brute_max(f: FourierExpansion) -> Fraction:
 
 
 def enumerate_all_runs(sys: LinearSystem):
-    """DFS over every chooser sequence of the marking loop.
+    """DFS over every marking order of the loop.
 
     Yields (records, total marked weight) for each complete run; the input
     is first re-merged exactly as run_h does.
@@ -225,7 +225,7 @@ def enumerate_all_runs(sys: LinearSystem):
 
 
 def max_marked_weight(sys: LinearSystem) -> Fraction:
-    """Best total marked weight over all chooser sequences (memoized DFS)."""
+    """Best total marked weight over all marking orders (memoized DFS)."""
     from maxlin import h_step
     from maxlin.reduce import apply_rule2
 

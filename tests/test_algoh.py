@@ -13,10 +13,8 @@ from maxlin import (
     brute_force_max_excess,
     evaluate,
     h_step,
-    lowest_id_chooser,
     reconstruct,
     run_h,
-    sequence_chooser,
     verify_certificate,
 )
 from maxlin.algoh import MarkRecord
@@ -98,18 +96,22 @@ class TestRunH:
         run = run_h(LinearSystem.build(1, [([0], 0, 1)]))
         assert run.total_marked_weight == 1
 
-    def test_sequence_chooser_order(self):
+    def test_first_ids_marked_in_order(self):
         sys = LinearSystem.build(3, [([0], 0, 1), ([1], 0, 2), ([2], 0, 3)])
-        run = run_h(sys, sequence_chooser([2, 0]))
+        run = run_h(sys, [2, 0])
         assert [r.marked_equation.eq_id for r in run.records] == [2, 0, 1]
 
-    def test_sequence_chooser_requires_presence(self):
+    def test_first_ids_must_be_present(self):
         sys = LinearSystem.build(
             3, [([0], 0, 1), ([0, 1], 0, 1), ([1], 1, 1), ([2], 0, 1)]
         )
-        chooser = sequence_chooser([0, 2], require_present=True)
-        with pytest.raises(MaxlinError):
-            run_h(sys, chooser)  # id 2 cancels once id 0 is marked
+        with pytest.raises(MaxlinError, match="equation 2 vanished before its marking turn"):
+            run_h(sys, [0, 2])  # id 2 cancels once id 0 is marked
+
+    def test_marks_the_lowest_live_id_by_default(self):
+        rows = [Equation(F2Vector.from_support(3, [i]), 0, Fraction(1), i) for i in (2, 0, 1)]
+        run = run_h(LinearSystem(3, tuple(rows), 3))
+        assert [r.marked_equation.eq_id for r in run.records] == [0, 1, 2]
 
     def test_marked_variables_distinct_and_never_reappear(self):
         rng = random.Random(22)
@@ -246,8 +248,3 @@ class TestVerifyCertificate:
             assert (found is not None) == is_yes
             if found is not None:
                 assert verify_certificate(sys, Certificate(found), k)
-
-
-def test_lowest_id_chooser():
-    sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 1)])
-    assert lowest_id_chooser(sys) == 0

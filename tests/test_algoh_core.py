@@ -3,7 +3,8 @@
 Inputs are dense systems over up to 7 used columns plus a few all-zero
 ones, with repeated left-hand sides of equal and of opposite right-hand
 side and unit, integer or rational weights.  Marking orders mix present
-ids, ids that only a merge creates and ids that never exist.  Records
+ids, ids that only a merge creates and ids that never exist; the reference
+marks them through ``sequence_chooser(order, require_present=True)``.  Records
 (marked equation with its id, variable and iteration), totals, output
 systems, raised errors and certificate verdicts must match the reference
 exactly.
@@ -19,9 +20,7 @@ from maxlin import (
     LinearSystem,
     MaxlinError,
     h_step,
-    lowest_id_chooser,
     run_h,
-    sequence_chooser,
     verify_certificate,
 )
 
@@ -65,26 +64,22 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def blind_chooser(order):
-    """Hands out the order as it is, absent ids included, then the lowest id."""
-    remaining = list(order)
-    return lambda view: remaining.pop(0) if remaining else min(view.ids())
-
-
 def assert_same_system(got: LinearSystem, want: LinearSystem) -> None:
     assert got == want
     assert got.ids() == want.ids()
     assert got.next_id == want.next_id
 
 
+def reference_run(sys, order):
+    return outcome(ref.run_h, sys, ref.sequence_chooser(order, require_present=True))
+
+
 @PROPERTY
-@given(marking_systems(), ORDERS, st.booleans())
-def test_run_h_matches_reference(sys, order, require_present):
+@given(marking_systems(), ORDERS)
+def test_run_h_matches_reference(sys, order):
     assert outcome(run_h, sys) == outcome(ref.run_h, sys)
-    got = outcome(run_h, sys, sequence_chooser(order, require_present=require_present))
-    want = outcome(ref.run_h, sys, ref.sequence_chooser(order, require_present=require_present))
-    assert got == want
-    assert outcome(run_h, sys, blind_chooser(order)) == outcome(ref.run_h, sys, blind_chooser(order))
+    assert outcome(run_h, sys, order) == reference_run(sys, order)
+    assert outcome(run_h, sys, iter(order)) == reference_run(sys, order)
 
 
 @PROPERTY
@@ -115,23 +110,30 @@ def test_verify_certificate_matches_reference(sys, data, k):
     assert got == outcome(ref.verify_certificate, sys, cert, k)
 
 
-@PROPERTY
-@given(marking_systems(weight_kinds=(UNIT, INTEGER)), ORDERS)
-def test_choosers_accept_a_linear_system(sys, order):
-    if not sys.m:
-        return
-    assert lowest_id_chooser(sys) == ref.lowest_id_chooser(sys)
-    got = outcome(sequence_chooser(order, require_present=True), sys)
-    assert got == outcome(ref.sequence_chooser(order, require_present=True), sys)
-
-
 def test_marking_a_merged_row():
     # marking id 0 turns row 1 into z2 = 0, which merges with row 2 into id 3
     sys = LinearSystem.build(2, [([0], 0, 1), ([0, 1], 0, 1), ([1], 0, 2)])
-    run = run_h(sys, sequence_chooser([0, 3], require_present=True))
-    assert run == ref.run_h(sys, ref.sequence_chooser([0, 3], require_present=True))
+    run = run_h(sys, [0, 3])
+    assert ("ok", run) == reference_run(sys, [0, 3])
     merged = run.records[1].marked_equation
     assert (merged.eq_id, merged.lhs.bits, merged.rhs, merged.weight) == (3, 0b10, 0, 3)
+
+
+def test_ids_listed_after_the_system_empties_are_ignored():
+    # marking id 0 cancels z2 = 0 against z1 + z2 = 1 and empties the system
+    sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
+    for order in ([0, 1], [0, 1, 2, 99]):
+        run = run_h(sys, order)
+        assert ("ok", run) == reference_run(sys, order)
+        assert [r.marked_equation.eq_id for r in run.records] == [0]
+
+
+def test_an_id_gone_before_its_turn_raises_the_reference_error():
+    sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
+    for order in ([1, 0], [99], [3]):
+        got = outcome(run_h, sys, order)
+        assert got == reference_run(sys, order)
+        assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
 
 
 def test_run_h_builds_no_system_per_step(monkeypatch):

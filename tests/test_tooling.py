@@ -1,5 +1,8 @@
-"""Source-level rules for the library itself."""
+"""Source-level rules for the library itself, and the README's example."""
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import maxlin
@@ -75,3 +78,14 @@ def test_library_has_no_mutable_default_arguments():
         and default.func.id in ("dict", "list", "set")
     ]
     assert found == []
+
+
+def test_readme_quick_start_runs_and_prints_its_comment():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == "True 00 2\n"
+    assert "# True 00 2" in code

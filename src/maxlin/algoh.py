@@ -7,18 +7,16 @@ transcript yields an assignment satisfying every marked equation, whose
 excess is at least the total marked weight.  The same machinery powers a
 polynomial-time certificate verifier for the above-average question.
 
-A marking run works on the plain ``(lhs bits, rhs, weight, eq_id)`` rows of
-``maxlin.reduce``: rule 2 merges the input once, and every later step is one
-bit test per live row, one XOR per row containing the marked variable, and
-one set of the left-hand sides, with rule 2's grouping pass only when two
-are equal.  So a step costs O(m) int operations plus one XOR per touched
-row, and no step builds or validates a ``LinearSystem``: the frozen
-``Equation`` of a row is reused until a step touches it, and a touched row
-gets one only if it is marked.  No occurrence index is kept, because the
-rows are dense: about half of them hold the marked variable, and updating
-an index would cost one entry per changed bit.  The paper marks "an
-arbitrary equation" at each step; a run marks a given sequence of ids
-first and then the lowest live id.
+A marking run works on ``LinearSystem.rows``: rule 2 merges the input once,
+and every later step is one bit test per live row, one XOR per row
+containing the marked variable, and one set of the left-hand sides, with
+rule 2's grouping pass only when two are equal.  So a step costs O(m) int
+operations plus one XOR per touched row, and builds no ``LinearSystem``,
+only the ``Equation`` of its marked row for its ``MarkRecord``.  No
+occurrence index is kept, because the rows are dense: about half of them
+hold the marked variable, and updating an index would cost one entry per
+changed bit.  The paper marks "an arbitrary equation" at each step; a run
+marks a given sequence of ids first and then the lowest live id.
 """
 from __future__ import annotations
 
@@ -32,8 +30,8 @@ from .errors import (
     MaxlinError,
     NonIntegralWeightError,
 )
-from .f2core import Assignment, Equation, LinearSystem, parity
-from .reduce import _equation, _FreshIds, _merge_rows, _rows, _system, apply_rule2
+from .f2core import Assignment, Equation, F2Vector, LinearSystem, parity
+from .reduce import _FreshIds, _merge_rows, apply_rule2
 
 __all__ = [
     "MarkRecord",
@@ -82,16 +80,14 @@ class HRun(NamedTuple):
 class _Marking:
     """Working state of a marking run.
 
-    ``rows`` are the live rows in order.  ``live`` maps each live id, in the
-    same order, to the frozen Equation of its row, or to None once a step
-    has touched the row (or when a merge made it).  One merge recorder hands
-    out fresh ids for the whole run.
+    ``rows`` are the live rows in order and ``live`` is the set of their
+    ids.  One merge recorder hands out fresh ids for the whole run.
     """
 
     def __init__(self, sys: LinearSystem):
         self.n = sys.n
-        self.rows = _rows(sys)
-        self.live: dict[int, Equation | None] = {eq.eq_id: eq for eq in sys.equations}
+        self.rows = sys.rows
+        self.live = {row[3] for row in sys.rows}
         self.fresh = _FreshIds(sys.next_id)
 
     def step(self, eq_id: int, iteration: int) -> MarkRecord:
@@ -100,9 +96,8 @@ class _Marking:
         live = self.live
         if eq_id not in live:
             raise EquationNotFoundError(f"no equation with id {eq_id}")
-        marked = live.pop(eq_id)
-        mark = next(row for row in self.rows if row[3] == eq_id)
-        bits, rhs = mark[0], mark[1]
+        live.remove(eq_id)
+        bits, rhs, weight, _ = next(row for row in self.rows if row[3] == eq_id)
         low = bits & -bits
         out = []
         for row in self.rows:
@@ -112,34 +107,29 @@ class _Marking:
                 summed = row[0] ^ bits
                 if summed:
                     out.append((summed, row[1] ^ rhs, row[2], row[3]))
-                    live[row[3]] = None
                 elif row[1] != rhs:
                     raise MaxlinError(
                         f"equations {eq_id} and {row[3]} share a left-hand side with "
                         "opposite right-hand sides; apply rule 2 first"
                     )
                 else:
-                    del live[row[3]]
+                    live.remove(row[3])
         # after a step, repeated left-hand sides are rare (14 of 140 steps
         # on 420 dense rows over 140 variables), and a set is cheaper than
         # rule 2's grouping pass
         if len({row[0] for row in out}) != len(out):
             out = _merge_rows(out, self.fresh)
-            self.live = {row[3]: live.get(row[3]) for row in out}
+            self.live = {row[3] for row in out}
         self.rows = out
-        if marked is None:
-            marked = _equation(self.n, mark)
+        marked = Equation(F2Vector(self.n, bits), rhs, weight, eq_id)
         return MarkRecord(marked, low.bit_length() - 1, iteration)
-
-    def system(self) -> LinearSystem:
-        return _system(self.n, self.rows, self.fresh.next_id, self.live)
 
 
 def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:
     """Mark one equation and eliminate its lowest variable from the system.
 
     This is one step of run_h's row loop, with the system built once on
-    each side; equations the step does not touch come back as they are.
+    each side; rows the step does not touch come back as the same tuples.
     Callers are expected to hand in a system without repeated left-hand
     sides (run_h re-merges after every step), in which case no substitution
     can cancel a row outright.  A cancelled row with rhs 0 is dropped
@@ -148,7 +138,7 @@ def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSys
     """
     state = _Marking(sys)
     record = state.step(eq_id, iteration)
-    return state.system(), record
+    return LinearSystem.from_rows(sys.n, state.rows, state.fresh.next_id), record
 
 
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
@@ -160,10 +150,8 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     The input is first re-merged (rule 2) so repeated left-hand sides never
     reach a marking step; that merge preserves the excess of every
     assignment, so marked-weight guarantees carry back to the input system.
-    The loop then steps on plain rows (see the module docstring): each step
-    costs O(m) bit tests and one rule-2 pass plus one XOR per touched row,
-    and only marked rows that a step touched get a new Equation, so a whole
-    run builds at most the one system of the entry merge.
+    The loop then steps on the system's rows (see the module docstring), so
+    a whole run builds at most the one system of the entry merge.
     """
     state = _Marking(apply_rule2(sys))
     order = iter(first)

@@ -22,6 +22,7 @@ from .excess import (
     decide_aa,
 )
 from .formats import (
+    _plain,
     emit_fourier,
     emit_system,
     emit_transcript_comments,
@@ -170,10 +171,20 @@ def run(config: CommandConfig, out: IO[str] | None = None) -> int:
         return 2
 
 
+def _int(text: str) -> int:
+    """An integer option, in ASCII decimal as the file formats read it."""
+    if _plain(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_cert(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
+        return tuple(_int(part) for part in text.split(",") if part != "")
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"certificate must be comma-separated ids: {text!r}")
 
 
@@ -193,28 +204,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", choices=("plain", "machine"), default="plain", dest="output_mode"
     )
     oracle_opts = argparse.ArgumentParser(add_help=False)
-    oracle_opts.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    oracle_opts.add_argument("--oracle-cap", type=_int, default=DEFAULT_ORACLE_CAP)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser("reduce", parents=[common], help="emit the irreducible system + transcript")
     solve = sub.add_parser("solve", parents=[common, oracle_opts], help="decide excess >= k")
-    solve.add_argument("--k", type=int, required=True)
+    solve.add_argument("--k", type=_int, required=True)
     excess = sub.add_parser(
         "excess", parents=[common, oracle_opts], help="exact maximum excess by enumeration"
     )
     excess.add_argument("--oracle", action="store_true", required=True)
     sub.add_parser("bound", parents=[common], help="lower bound on the expansion's maximum")
     kset = sub.add_parser("kset", parents=[common], help="find k+1 sum-independent vectors")
-    kset.add_argument("--k", type=int, required=True)
+    kset.add_argument("--k", type=_int, required=True)
     verify = sub.add_parser("verify", parents=[common], help="check a marking certificate")
     verify.add_argument("--cert", type=_parse_cert, required=True)
-    verify.add_argument("--k", type=int, required=True)
+    verify.add_argument("--k", type=_int, required=True)
     from_cnf = sub.add_parser("from-cnf", parents=[common], help="expand a DIMACS CNF formula")
-    from_cnf.add_argument("--r", type=int, required=True)
+    from_cnf.add_argument("--r", type=_int, required=True)
     sub.add_parser("from-fourier", parents=[common], help="emit the associated system")
     kernel = sub.add_parser("kernel", parents=[common], help="exact-threshold kernel")
-    kernel.add_argument("--r", type=int, required=True)
-    kernel.add_argument("--k", type=int, required=True)
+    kernel.add_argument("--r", type=_int, required=True)
+    kernel.add_argument("--k", type=_int, required=True)
     return parser
 
 

@@ -121,8 +121,9 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
-    members = VectorSet(sys.n, [eq.lhs for eq in sys.equations] + [F2Vector.zero(sys.n)])
-    if sys.has_duplicate_lhs() or not members.spans():
+    by_bits = {row[0]: row[3] for row in sys.rows}
+    members = VectorSet(sys.n, [F2Vector(sys.n, bits) for bits in by_bits] + [F2Vector.zero(sys.n)])
+    if len(by_bits) != sys.m or not members.spans():
         raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
     m = sys.m
     if k > m:
@@ -132,22 +133,11 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
             "threshold_exceeded", f"need (m+2)^(k-1) <= 2^n, got ({m}+2)^{k - 1} > 2^{sys.n}"
         )
     marked_first = find_kset(members, k - 1)
-    by_bits = {eq.lhs.bits: eq.eq_id for eq in sys.equations}
     ids = [by_bits[v.bits] for v in marked_first]
     witness, marked = _marking_witness(sys, ids)
     if witness.excess < k * sys.min_weight or witness.excess < marked:
         raise MaxlinError("internal error: marking lower bound not met")
     return witness
-
-
-def _scaled_equations(sys: LinearSystem) -> tuple[list[tuple[int, int, int]], int]:
-    """Equations as (reversed-bit mask, rhs, integer weight) plus the scale."""
-    scale = math.lcm(*(eq.weight.denominator for eq in sys.equations), 1)
-    data = [
-        (reverse_bits(eq.lhs.bits, sys.n), eq.rhs, int(eq.weight * scale))
-        for eq in sys.equations
-    ]
-    return data, scale
 
 
 def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -186,7 +176,8 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
-    eq_data, scale = _scaled_equations(sys)
+    scale = math.lcm(*(row[2].denominator for row in sys.rows), 1)
+    eq_data = [(reverse_bits(bits, sys.n), rhs, int(w * scale)) for bits, rhs, w, _ in sys.rows]
     # Python ints past the int64 headroom, so the sums stay exact
     dtype = np.int64 if sum(w for _, _, w in eq_data) < _INT64_SAFE else object
     low_bits = min(sys.n, _BLOCK_BITS)

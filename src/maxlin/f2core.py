@@ -2,13 +2,16 @@
 
 Vectors are packed into Python ints (bit j = variable j, 0-based), so any
 dimension works and XOR/equality are single integer operations.  Weights are
-exact ``fractions.Fraction`` values and must stay positive.  All types are
-immutable after construction and safe to share across threads.
+exact ``fractions.Fraction`` values and must stay positive.  A
+``LinearSystem`` stores ``(lhs bits, rhs, weight, eq_id)`` rows, which the
+whole package reads, and builds its ``Equation`` objects only on request.
+All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import lshift
 from typing import Iterable, NamedTuple, Sequence
@@ -62,6 +65,15 @@ def reverse_bits(x: int, n: int) -> int:
 def _pack(indices: Iterable[int]) -> int:
     """The bits of distinct indices: the sum of 1 << i, which is their OR."""
     return sum(map(lshift, repeat(1), indices))
+
+
+def _support(bits: int) -> tuple[int, ...]:
+    """The set bits' indices, ascending."""
+    out = []
+    while bits:
+        out.append((low := bits & -bits).bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
 
 def _check_packed(n: int, bits: int) -> None:
@@ -118,13 +130,7 @@ class F2Vector:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
     def support(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return _support(self.bits)
 
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -173,6 +179,24 @@ class Assignment:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
 
+_Row = tuple[int, int, Fraction, int]
+
+
+def _check_row(n: int, row: tuple) -> _Row:
+    """The row with its weight made a Fraction (a tuple whose weight is one
+    comes back as it is), or the first error that an Equation of it raises."""
+    bits, rhs, weight, eq_id = row
+    _check_packed(n, bits)
+    if rhs not in (0, 1):
+        raise MaxlinError("rhs must be 0 or 1")
+    fraction = as_weight(weight)
+    if fraction <= 0:
+        raise MaxlinError("weights must be positive")
+    if not isinstance(eq_id, int) or eq_id < 0:
+        raise MaxlinError("equation ids must be non-negative integers")
+    return row if fraction is weight and type(row) is tuple else (bits, rhs, fraction, eq_id)
+
+
 @dataclass(frozen=True)
 class Equation:
     """One weighted row: sum of the lhs support variables = rhs.
@@ -186,13 +210,8 @@ class Equation:
     eq_id: int
 
     def __post_init__(self) -> None:
-        if self.rhs not in (0, 1):
-            raise MaxlinError("rhs must be 0 or 1")
-        object.__setattr__(self, "weight", as_weight(self.weight))
-        if self.weight <= 0:
-            raise MaxlinError("weights must be positive")
-        if not isinstance(self.eq_id, int) or self.eq_id < 0:
-            raise MaxlinError("equation ids must be non-negative integers")
+        row = _check_row(self.lhs.n, (self.lhs.bits, self.rhs, self.weight, self.eq_id))
+        object.__setattr__(self, "weight", row[2])
 
     @property
     def n(self) -> int:
@@ -204,79 +223,97 @@ class Equation:
         return parity(self.lhs.bits & assignment.bits) == self.rhs
 
 
-@dataclass(frozen=True)
+def _equation_row(n: int, eq: Equation) -> _Row:
+    if eq.n != n:
+        raise DimensionMismatchError(f"equation {eq.eq_id} has dimension {eq.n}, system has {n}")
+    return eq.lhs.bits, eq.rhs, eq.weight, eq.eq_id
+
+
+@dataclass(frozen=True, init=False)
 class LinearSystem:
     """Ordered multiset of equations over variables 0..n-1 with stable ids.
 
-    Ids are assigned at construction and never reused; merged rows always
-    get fresh ids drawn from ``next_id`` (which is bookkeeping and excluded
-    from equality).
+    ``rows`` holds one ``(lhs bits, rhs, weight, eq_id)`` tuple per
+    equation; equality and hashing are over ``(n, rows)``.  Ids are assigned
+    at construction and never reused; merged rows always get fresh ids drawn
+    from ``next_id`` (which is bookkeeping and excluded from equality).
     """
 
     n: int
-    equations: tuple[Equation, ...] = ()
-    next_id: int = field(default=-1, compare=False)
+    rows: tuple[_Row, ...]
+    next_id: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "equations", tuple(self.equations))
-        if self.n < 0:
+    def __init__(self, n: int, equations: Iterable[Equation] = (), next_id: int = -1):
+        equations = tuple(equations)
+        self._store(n, (_equation_row(n, eq) for eq in equations), next_id)
+        vars(self)["equations"] = equations
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[tuple], next_id: int = -1) -> LinearSystem:
+        """The system of the rows, raising what Equations of them would."""
+        return cls.__new__(cls)._store(n, [_check_row(n, row) for row in rows], next_id)
+
+    def _store(self, n: int, rows: Iterable[_Row], next_id: int) -> LinearSystem:
+        """Check n and each row's lhs and id in turn, and fill in the fields."""
+        if n < 0:
             raise MaxlinError("dimension must be non-negative")
-        by_id: dict[int, Equation] = {}
-        for eq in self.equations:
-            if eq.n != self.n:
-                raise DimensionMismatchError(
-                    f"equation {eq.eq_id} has dimension {eq.n}, system has {self.n}"
-                )
-            if eq.lhs.is_zero():
-                raise MaxlinError(f"equation {eq.eq_id} has an empty left-hand side")
-            if eq.eq_id in by_id:
-                raise MaxlinError(f"duplicate equation id {eq.eq_id}")
-            by_id[eq.eq_id] = eq
-        min_next = max(by_id, default=-1) + 1
-        if self.next_id < min_next:
-            object.__setattr__(self, "next_id", min_next)
-        object.__setattr__(self, "_by_id", by_id)
+        index: dict[int, int] = {}
+        kept = []
+        for row in rows:
+            if not row[0]:
+                raise MaxlinError(f"equation {row[3]} has an empty left-hand side")
+            if row[3] in index:
+                raise MaxlinError(f"duplicate equation id {row[3]}")
+            index[row[3]] = len(kept)
+            kept.append(row)
+        next_id = max(next_id, max(index, default=-1) + 1)
+        vars(self).update(n=n, rows=tuple(kept), next_id=next_id, _index=index)
+        return self
+
+    @cached_property
+    def equations(self) -> tuple[Equation, ...]:
+        """The rows as Equations; a system built from Equations keeps them."""
+        return tuple(Equation(F2Vector(self.n, row[0]), *row[1:]) for row in self.rows)
 
     @classmethod
     def build(cls, n: int, rows: Iterable[tuple]) -> LinearSystem:
         """Build from (support-or-F2Vector, rhs, weight) rows; ids run 0.."""
-        eqs = []
-        for i, (lhs, rhs, weight) in enumerate(rows):
-            vec = lhs if isinstance(lhs, F2Vector) else F2Vector.from_support(n, lhs)
-            eqs.append(Equation(vec, rhs, as_weight(weight), i))
-        return cls(n, tuple(eqs))
+        return cls(n, [
+            Equation(lhs if isinstance(lhs, F2Vector) else F2Vector.from_support(n, lhs), rhs, w, i)
+            for i, (lhs, rhs, w) in enumerate(rows)
+        ])
 
     @property
     def m(self) -> int:
-        return len(self.equations)
+        return len(self.rows)
 
     @property
     def min_weight(self) -> Fraction:
-        if not self.equations:
+        if not self.rows:
             raise MaxlinError("empty system has no minimum weight")
-        return min(eq.weight for eq in self.equations)
+        return min(row[2] for row in self.rows)
 
     def equation(self, eq_id: int) -> Equation:
         try:
-            return self._by_id[eq_id]
+            return self.equations[self._index[eq_id]]
         except KeyError:
             raise EquationNotFoundError(f"no equation with id {eq_id}") from None
 
     def has_equation(self, eq_id: int) -> bool:
-        return eq_id in self._by_id
+        return eq_id in self._index
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(eq.eq_id for eq in self.equations)
+        return tuple(self._index)
 
     def has_duplicate_lhs(self) -> bool:
-        return len({eq.lhs.bits for eq in self.equations}) != len(self.equations)
+        return len({row[0] for row in self.rows}) != len(self.rows)
 
     def has_integral_weights(self) -> bool:
-        return all(eq.weight.denominator == 1 for eq in self.equations)
+        return all(row[2].denominator == 1 for row in self.rows)
 
     def content(self) -> tuple:
         """Id-insensitive view: (n, ordered (lhs bits, rhs, weight) triples)."""
-        return (self.n, tuple((eq.lhs.bits, eq.rhs, eq.weight) for eq in self.equations))
+        return (self.n, tuple(row[:3] for row in self.rows))
 
 
 class Evaluation(NamedTuple):
@@ -291,11 +328,11 @@ def evaluate(sys: LinearSystem, assignment: Assignment) -> Evaluation:
         raise DimensionMismatchError(f"dimensions differ: {sys.n} vs {assignment.n}")
     sat = Fraction(0)
     fals = Fraction(0)
-    for eq in sys.equations:
-        if parity(eq.lhs.bits & assignment.bits) == eq.rhs:
-            sat += eq.weight
+    for bits, rhs, weight, _ in sys.rows:
+        if parity(bits & assignment.bits) == rhs:
+            sat += weight
         else:
-            fals += eq.weight
+            fals += weight
     return Evaluation(sat, fals, sat - fals)
 
 
@@ -360,5 +397,5 @@ def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
 def rank_and_basis(sys: LinearSystem) -> tuple[int, tuple[int, ...]]:
     """F2 rank of the lhs matrix and the lexicographically smallest
     independent column set (the leftmost pivots)."""
-    lows = sorted(_pivot_basis((eq.lhs.bits for eq in sys.equations), sys.n))
+    lows = sorted(_pivot_basis((row[0] for row in sys.rows), sys.n))
     return len(lows), tuple(low.bit_length() - 1 for low in lows)

@@ -10,11 +10,11 @@ take ``_`` between digits and non-ASCII digits such as ``٣``.
 Systems and expansions are read a line at a time, not a token at a time:
 a line's index tokens are converted by one ``map(int, ...)`` and checked
 for count, range and strict order in one pass, plus one ``_plain`` test of
-the joined tokens, and a system row's bits are packed straight from those
-indices.  Only a line that fails the check is walked token by token, to
-raise the same ``ParseError`` (text and line number) that a token-at-a-time
-parser would raise first.  Each distinct weight token of a system file is
-parsed once.
+the joined tokens; a system row's bits are packed from those indices into
+the row ``LinearSystem.from_rows`` stores, with no ``Equation``.  Only a
+line that fails the check is walked token by token, to raise the same
+``ParseError`` (text and line number) that a token-at-a-time parser would
+raise first.  Each distinct weight token of a system file is parsed once.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import lt, sub
 
 from .errors import MaxlinError, ParseError
-from .f2core import F2Vector, LinearSystem, _pack
+from .f2core import F2Vector, LinearSystem, _pack, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -155,17 +155,16 @@ def parse_system(text: str) -> LinearSystem:
             raise ParseError(line_no, "equations must involve at least one variable")
         idx = _parse_index_list(tokens[3:], line_no, n, t)
         # index i is bit i - 1
-        bits = _pack(idx) >> 1
-        built.append((F2Vector(n, bits), rhs, weight))
-    return LinearSystem.build(n, built)
+        built.append((_pack(idx) >> 1, rhs, weight, len(built)))
+    return LinearSystem.from_rows(n, built)
 
 
 def emit_system(sys: LinearSystem) -> str:
     lines = [f"p maxlin {sys.n} {sys.m}"]
-    for eq in sys.equations:
-        support = eq.lhs.support()
+    for bits, rhs, weight, _ in sys.rows:
+        support = _support(bits)
         idx = " ".join(str(j + 1) for j in support)
-        lines.append(f"{eq.weight} {eq.rhs} {len(support)} {idx}".rstrip())
+        lines.append(f"{weight} {rhs} {len(support)} {idx}".rstrip())
     return "\n".join(lines) + "\n"
 
 

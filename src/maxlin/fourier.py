@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, _pack, as_weight, parity
+from .f2core import LinearSystem, _pack, _support, as_weight, parity
 from .reduce import apply_rule1
 
 __all__ = [
@@ -91,9 +91,9 @@ def fourier_to_system(f: FourierExpansion) -> tuple[LinearSystem, Fraction]:
     The constant term has no equation and is returned separately.
     """
     rows = []
-    for subset, coeff in f.sorted_terms():
-        rows.append((sorted(subset), 0 if coeff > 0 else 1, abs(coeff)))
-    return LinearSystem.build(f.n, rows), f.constant
+    for i, (subset, coeff) in enumerate(f.sorted_terms()):
+        rows.append((_pack(subset), 0 if coeff > 0 else 1, abs(coeff), i))
+    return LinearSystem.from_rows(f.n, rows), f.constant
 
 
 def system_to_fourier(sys: LinearSystem) -> FourierExpansion:
@@ -105,8 +105,8 @@ def system_to_fourier(sys: LinearSystem) -> FourierExpansion:
     if sys.has_duplicate_lhs():
         raise MaxlinError("system has repeated left-hand sides; apply rule 2 first")
     terms = {
-        frozenset(eq.lhs.support()): eq.weight if eq.rhs == 0 else -eq.weight
-        for eq in sys.equations
+        frozenset(_support(bits)): weight if rhs == 0 else -weight
+        for bits, rhs, weight, _ in sys.rows
     }
     return FourierExpansion(sys.n, Fraction(0), terms)
 

@@ -5,10 +5,10 @@ weights); rule 1 projects the system onto an independent column basis.
 Neither changes the maximum excess, and the transcript lets any assignment
 of the reduced system be lifted back to the original at equal excess.
 
-Both rules run on plain ``(lhs bits, rhs, weight, eq_id)`` rows, and the
-frozen ``Equation``/``LinearSystem`` values are built once per public call.
-Rule 1 eliminates each row on its lowest set bit (``f2core.rref``), so a
-reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
+Both rules read ``LinearSystem.rows`` and build one result with
+``LinearSystem.from_rows``, passing the rows they leave alone on as the same
+tuples.  Rule 1 eliminates each row on its lowest set bit (``f2core.rref``),
+so a reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
 Nothing walks every declared column per row: for one sparse equation over a
 million declared variables, listing the deleted columns is nearly all the
 work.
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, Equation, F2Vector, LinearSystem, _pivot_basis, rref
+from .f2core import Assignment, LinearSystem, _pivot_basis, _Row, rref
 
 __all__ = [
     "MergeEvent",
@@ -81,31 +80,7 @@ def _identity_transcript(n: int) -> ReductionTranscript:
     return ReductionTranscript(n, n, tuple(range(n)))
 
 
-# A working row: (lhs bits, rhs, weight, eq_id).
-_Row = tuple[int, int, Fraction, int]
 _NO_DEPS: frozenset[int] = frozenset()
-_KEEP_NONE: Mapping[int, Equation | None] = MappingProxyType({})
-
-
-def _rows(sys: LinearSystem) -> list[_Row]:
-    return [(eq.lhs.bits, eq.rhs, eq.weight, eq.eq_id) for eq in sys.equations]
-
-
-def _equation(n: int, row: _Row) -> Equation:
-    bits, rhs, weight, eq_id = row
-    return Equation(F2Vector(n, bits), rhs, weight, eq_id)
-
-
-def _system(
-    n: int, rows: Iterable[_Row], next_id: int, keep: Mapping[int, Equation | None] = _KEEP_NONE
-) -> LinearSystem:
-    """The system of the rows; a row reuses ``keep[eq_id]`` when that is an
-    Equation, which must then be the row's own, and is built otherwise."""
-    return LinearSystem(
-        n,
-        tuple(_equation(n, row) if (eq := keep.get(row[3])) is None else eq for row in rows),
-        next_id,
-    )
 
 
 class _FreshIds:
@@ -142,11 +117,11 @@ def _merge_pair(a: _Row, b: _Row, record: _FreshIds) -> _Row | None:
     return bits, rhs, weight, record(id_a, id_b, weight)
 
 
-def _merge_rows(rows: list[_Row], record: _FreshIds) -> list[_Row]:
+def _merge_rows(rows: Sequence[_Row], record: _FreshIds) -> Sequence[_Row]:
     """Rule 2: fold each equal-lhs group pairwise in order of appearance.
 
     Rows that share their lhs with no other row come back as they are, and
-    when no two rows share one the input list itself comes back.
+    when no two rows share one the input sequence itself comes back.
     """
     groups: dict[int, list[_Row]] = {}
     for row in rows:
@@ -177,8 +152,8 @@ def _project(bits: int, new_bit: dict[int, int]) -> int:
 
 
 def _project_rows(
-    rows: list[_Row], n: int
-) -> tuple[list[_Row], list[int], list[tuple[int, frozenset[int]]]]:
+    rows: Sequence[_Row], n: int
+) -> tuple[Sequence[_Row], list[int], list[tuple[int, frozenset[int]]]]:
     """Rule 1 on rows over n columns.
 
     Returns the rows projected onto the pivot columns, the pivots, and each
@@ -207,13 +182,11 @@ def _project_rows(
 def apply_rule2(sys: LinearSystem) -> LinearSystem:
     """Merge all equations sharing a left-hand side; idempotent."""
     fresh = _FreshIds(sys.next_id)
-    unmerged = _rows(sys)
-    rows = _merge_rows(unmerged, fresh)
-    if rows is unmerged:
+    rows = _merge_rows(sys.rows, fresh)
+    if rows is sys.rows:
         return sys
-    # merged rows take fresh ids from sys.next_id, which no equation of sys
-    # holds; every other row keeps its Equation
-    return _system(sys.n, rows, fresh.next_id, sys._by_id)
+    # merged rows take fresh ids from sys.next_id, which no row of sys holds
+    return LinearSystem.from_rows(sys.n, rows, fresh.next_id)
 
 
 def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
@@ -222,11 +195,11 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     The projection is excess-preserving: each deleted column equals a sum
     of kept columns, recorded in the transcript.
     """
-    rows, pivots, deleted = _project_rows(_rows(sys), sys.n)
+    rows, pivots, deleted = _project_rows(sys.rows, sys.n)
     if not deleted:
         return sys, _identity_transcript(sys.n)
     rank = len(pivots)
-    return _system(rank, rows, sys.next_id), ReductionTranscript(
+    return LinearSystem.from_rows(rank, rows, sys.next_id), ReductionTranscript(
         sys.n, rank, tuple(pivots), tuple(deleted)
     )
 
@@ -243,19 +216,19 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     The reduction is deterministic (groups fold in order of appearance,
     merged rows take fresh ids from ``sys.next_id``, the kept columns are
     the leftmost pivots), which replay_transcript relies on.  Both rules
-    run on plain rows and the result is built once.  Cost: O(m * rank)
+    run on the system's rows and the result is built once.  Cost: O(m * rank)
     big-int XORs for the elimination (see rref), one pass over the rows'
     set bits for the projection and O(n) transcript entries; nothing walks
     every declared column per row.
     """
     fresh = _FreshIds(sys.next_id)
-    rows, kept, deleted = _project_rows(_merge_rows(_rows(sys), fresh), sys.n)
+    rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
     if not fresh.events and not deleted:
         return sys, _identity_transcript(sys.n)
     transcript = ReductionTranscript(
         sys.n, len(kept), tuple(kept), tuple(deleted), tuple(fresh.events)
     )
-    return _system(len(kept), rows, fresh.next_id), transcript
+    return LinearSystem.from_rows(len(kept), rows, fresh.next_id), transcript
 
 
 def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:
@@ -302,4 +275,4 @@ def is_irreducible(sys: LinearSystem) -> bool:
     """True when rule 2 has nothing to merge and the lhs matrix has full rank."""
     if sys.has_duplicate_lhs():
         return False
-    return len(_pivot_basis((eq.lhs.bits for eq in sys.equations), sys.n)) == sys.n
+    return len(_pivot_basis((row[0] for row in sys.rows), sys.n)) == sys.n

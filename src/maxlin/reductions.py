@@ -255,7 +255,7 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
         raise PreconditionError("k_too_small", f"kernelization needs integer k >= 2, got {k!r}")
     if not sys.has_integral_weights():
         raise NonIntegralWeightError("kernelization requires integral weights")
-    oversized = [eq.eq_id for eq in sys.equations if eq.lhs.popcount() > r]
+    oversized = [eq_id for bits, _, _, eq_id in sys.rows if bits.bit_count() > r]
     if oversized:
         raise MaxlinError(f"equations {oversized} have more than {r} variables")
     reduced, transcript = make_irreducible(sys)

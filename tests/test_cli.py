@@ -260,6 +260,33 @@ class TestArgumentParsing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--k", "\u0662"], "invalid int value"),  # Arabic-Indic two
+            (["solve", "--k", "2_0"], "invalid int value"),
+            (["solve", "--k", "2", "--oracle-cap", "\uff12\uff14"], "invalid int value"),
+            (["excess", "--oracle", "--oracle-cap", "2_4"], "invalid int value"),
+            (["kset", "--k", "\uff11"], "invalid int value"),
+            (["from-cnf", "--r", "\u0663"], "invalid int value"),
+            (["kernel", "--r", "2", "--k", "2_0"], "invalid int value"),
+            (["verify", "--cert", "0_0", "--k", "2"], "certificate must be"),
+            (["verify", "--cert", "1,\u0660", "--k", "2"], "certificate must be"),
+        ],
+    )
+    def test_integer_options_are_ascii_decimal(self, files, capsys, argv, message):
+        # the file formats' rule: ASCII digits with an optional sign, no '_'
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [files["triple"]])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["2", "+2", "02"])
+    def test_integer_options_keep_signs_and_leading_zeros(self, files, capsys, k):
+        assert main(["solve", "--k", k, "--oracle-cap", "+024", files["triple"]]) == 0
+        assert main(["verify", "--cert", "+0,", "--k", k, files["triple"]]) == 0
+        assert capsys.readouterr().out == "YES\n00\n2\nACCEPT\n"
+
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 

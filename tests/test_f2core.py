@@ -238,3 +238,73 @@ class TestSystemInvariants:
         assert reverse_bits(0b001, 3) == 0b100
         assert reverse_bits(0b101, 3) == 0b101
         assert reverse_bits(0, 0) == 0
+
+
+def raised(build):
+    try:
+        build()
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestFromRows:
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (2, [(0b100, 0, Fraction(1), 0)]),  # a bit past n
+            (2, [(0, 0, Fraction(1), 0)]),  # zero lhs
+            (2, [(0b01, 2, Fraction(1), 0)]),  # rhs 2
+            (2, [(0b01, 0, Fraction(0), 0)]),  # weight 0
+            (2, [(0b01, 0, Fraction(-1, 2), 0)]),  # negative weight
+            (2, [(0b01, 0, 1.5, 0)]),  # float weight
+            (2, [(0b01, 0, "x", 0)]),  # weight that is no number
+            (2, [(0b01, 0, Fraction(1), -1)]),  # negative id
+            (2, [(0b01, 0, Fraction(1), 3), (0b10, 0, Fraction(1), 3)]),  # repeated id
+            (2, [(0, 0, Fraction(1), 0), (0b01, 2, Fraction(1), 1)]),  # row checks come first
+            (-1, []),  # negative dimension
+            (-1, [(0b01, 0, Fraction(1), 0)]),
+        ],
+    )
+    def test_malformed_rows_raise_what_equations_raise(self, n, rows):
+        via_rows = raised(lambda: LinearSystem.from_rows(n, rows))
+        via_equations = raised(lambda: LinearSystem(
+            n, [Equation(F2Vector(n, bits), rhs, w, i) for bits, rhs, w, i in rows]
+        ))
+        assert via_rows is not None
+        assert via_rows == via_equations
+
+    def test_equals_the_system_built_from_equations(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            sys = random_system(rng, m_min=0, rational_weights=True)
+            rows = [(eq.lhs.bits, eq.rhs, eq.weight, eq.eq_id) for eq in sys.equations]
+            for next_id in (-1, sys.next_id + 3):
+                got = LinearSystem.from_rows(sys.n, rows, next_id)
+                want = LinearSystem(sys.n, sys.equations, next_id)
+                assert got == want and hash(got) == hash(want)
+                assert got.equations == want.equations
+                assert got.ids() == want.ids()
+                assert got.next_id == want.next_id
+                assert got.rows == want.rows == tuple(rows)
+                assert all(a is b for a, b in zip(got.rows, rows))
+
+    def test_weights_become_fractions(self):
+        sys = LinearSystem.from_rows(2, [(0b01, 0, 2, 0), (0b10, 1, "3/2", 5)])
+        assert sys.rows == ((0b01, 0, Fraction(2), 0), (0b10, 1, Fraction(3, 2), 5))
+        assert all(type(row[2]) is Fraction for row in sys.rows)
+        assert sys.next_id == 6
+
+    def test_a_system_of_equations_keeps_them(self):
+        eqs = (eqn(2, [0], 0, 1, eq_id=0), eqn(2, [1], 1, 2, eq_id=4))
+        sys = LinearSystem(2, eqs)
+        assert sys.equations is eqs
+        assert sys.equation(4) is eqs[1]
+        assert sys.rows == ((0b01, 0, Fraction(1), 0), (0b10, 1, Fraction(2), 4))
+        assert sys == LinearSystem.from_rows(2, sys.rows)
+
+    def test_equality_ignores_next_id_but_not_ids(self):
+        row = (0b01, 0, Fraction(1), 0)
+        assert LinearSystem.from_rows(1, [row], 9) == LinearSystem.from_rows(1, [row])
+        assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(1, [(*row[:3], 1)])
+        assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(2, [row])

@@ -158,15 +158,24 @@ class TestCspFormat:
         assert err.value.line_no == 4
 
     def test_errors(self):
-        for text, line in [
-            ("p csp 2 1\n2 1 1 1\n-1 -1\n", 2),   # repeated variable
-            ("p csp 2 1\n2 1 2 5\n", 2),          # |V| too large
-            ("p csp 2 1\n2 1 2 1\n-1 0\n", 3),    # bad entry
-            ("p csp 2 1\n2 1 2 2\n-1 -1\n-1 -1\n", 4),  # duplicate point
+        for text, line, message in [
+            ("p csp 2 1\n2 1 1 1\n-1 -1\n", 2, "repeats variable 1"),
+            ("p csp 2 1\n2 1 2 5\n", 2, "|V| must be between"),
+            ("p csp 2 1\n2 1 2 1\n-1 0\n", 3, "entries must be -1 or 1"),
+            ("p csp 2 1\n2 1 2 2\n-1 -1\n-1 -1\n", 4, "duplicate satisfying point"),
+            ("p csp 2 2\n1 1 1\n1\n", 3, "expected 2 constraints"),
+            ("p csp 2 1\n1 1\n", 2, "constraint lines need"),
+            ("p csp 2 1\n0 1 1\n", 2, "arity must be at least 1"),
+            ("p csp 2 1\n2 1 1\n", 2, "expected 2 indices plus |V|"),
+            ("p csp 2 1\n1 3 1\n1\n", 2, "index 3 outside 1..2"),
+            ("p csp 2 1\n1 1 2\n1\n", 2, "constraint needs 2 satisfying rows"),
+            ("p csp 2 1\n2 1 2 1\n-1\n", 3, "expected 2 entries of -1 or 1"),
+            ("p csp 2 1\n1 1 1\n1\n1 2 1\n", 4, "trailing content"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_csp(text)
             assert err.value.line_no == line, text
+            assert message in str(err.value), text
 
 
 def test_emitted_fourier_is_canonical():

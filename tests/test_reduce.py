@@ -101,19 +101,20 @@ class TestRule2:
         assert [eq.lhs.support() for eq in out.equations] == [(0,), (1,)]
         assert out.equations[0].weight == 3
 
-    def test_unmerged_rows_keep_their_equation_objects(self):
+    def test_unmerged_rows_keep_their_row_tuples(self):
         distinct = LinearSystem.build(2, [([0], 0, 1), ([1], 1, 2)])
         assert apply_rule2(distinct) is distinct
         sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 5), ([0], 1, 2)])
         out = apply_rule2(sys)
         assert out.ids() == (3, 1)
-        assert out.equations[1] is sys.equations[1]
+        assert out.rows[1] is sys.rows[1]
         rng = random.Random(18)
         for _ in range(40):
             sys = random_system(rng)
-            for eq in apply_rule2(sys).equations:
-                if sys.has_equation(eq.eq_id):
-                    assert eq is sys.equation(eq.eq_id)
+            before = {row[3]: row for row in sys.rows}
+            for row in apply_rule2(sys).rows:
+                if row[3] in before:
+                    assert row is before[row[3]]
 
     def test_pointwise_excess_preserved(self):
         rng = random.Random(13)
@@ -145,6 +146,13 @@ class TestMakeIrreducible:
         out, tr = make_irreducible(sys)
         assert out.n == 1 and out.m == 1
         assert (0, frozenset()) in tr.deleted_variables
+
+    def test_rank_deficient_system_is_not_irreducible(self):
+        # distinct left-hand sides, but column z3 is the sum of columns z1 and z2
+        sys = LinearSystem.build(3, [([0, 2], 0, 1), ([1, 2], 1, 1), ([0, 1], 0, 2)])
+        assert not sys.has_duplicate_lhs()
+        assert rank_and_basis(sys)[0] == 2
+        assert not is_irreducible(sys)
 
     def test_output_is_irreducible(self):
         rng = random.Random(14)

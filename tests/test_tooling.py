@@ -80,6 +80,19 @@ def test_library_has_no_mutable_default_arguments():
     assert found == []
 
 
+def test_only_f2core_reads_equations():
+    # the algorithms read LinearSystem.rows; Equation objects are for callers
+    package = Path(maxlin.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "f2core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "equations"
+    ]
+    assert found == []
+
+
 def test_readme_quick_start_runs_and_prints_its_comment():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]

@@ -10,7 +10,6 @@ expansion bridge (`fourier`), and SAT/CSP reductions plus kernelization
 from .algoh import (
     Certificate,
     HRun,
-    MarkRecord,
     h_step,
     reconstruct,
     run_h,

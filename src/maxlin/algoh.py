@@ -12,11 +12,12 @@ and every later step is one bit test per live row, one XOR per row
 containing the marked variable, and one set of the left-hand sides, with
 rule 2's grouping pass only when two are equal.  So a step costs O(m) int
 operations plus one XOR per touched row, and builds no ``LinearSystem``,
-only the ``Equation`` of its marked row for its ``MarkRecord``.  No
-occurrence index is kept, because the rows are dense: about half of them
-hold the marked variable, and updating an index would cost one entry per
-changed bit.  The paper marks "an arbitrary equation" at each step; a run
-marks a given sequence of ids first and then the lowest live id.
+only the ``Equation`` of its marked row.  That equation is the step's whole
+record, since the marked variable is its lowest one.  No occurrence index
+is kept, because the rows are dense: about half of them hold the marked
+variable, and updating an index would cost one entry per changed bit.  The
+paper marks "an arbitrary equation" at each step; a run marks a given
+sequence of ids first and then the lowest live id.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .f2core import Assignment, Equation, F2Vector, LinearSystem, parity
 from .reduce import _FreshIds, _merge_rows, apply_rule2
 
 __all__ = [
-    "MarkRecord",
     "Certificate",
     "HRun",
     "h_step",
@@ -42,22 +42,6 @@ __all__ = [
     "reconstruct",
     "verify_certificate",
 ]
-
-
-@dataclass(frozen=True)
-class MarkRecord:
-    """Snapshot of one marking: the equation as it stood and the variable taken,
-    always the lowest one in the equation's support."""
-
-    marked_equation: Equation
-    marked_variable: int
-    iteration: int
-
-    def __post_init__(self) -> None:
-        if self.marked_equation.lhs.is_zero() or (
-            self.marked_variable != self.marked_equation.lhs.min_var()
-        ):
-            raise MaxlinError("marked variable must be the equation's lowest support index")
 
 
 @dataclass(frozen=True)
@@ -73,7 +57,10 @@ class Certificate:
 
 
 class HRun(NamedTuple):
-    records: tuple[MarkRecord, ...]
+    """A marking run: each marked equation as it stood when marked, in
+    order, and their total weight."""
+
+    records: tuple[Equation, ...]
     total_marked_weight: Fraction
 
 
@@ -90,7 +77,7 @@ class _Marking:
         self.live = {row[3] for row in sys.rows}
         self.fresh = _FreshIds(sys.next_id)
 
-    def step(self, eq_id: int, iteration: int) -> MarkRecord:
+    def step(self, eq_id: int) -> Equation:
         """Mark one row, add it into every row holding its lowest bit, and
         re-merge equal left-hand sides (see h_step)."""
         live = self.live
@@ -121,12 +108,12 @@ class _Marking:
             out = _merge_rows(out, self.fresh)
             self.live = {row[3] for row in out}
         self.rows = out
-        marked = Equation(F2Vector(self.n, bits), rhs, weight, eq_id)
-        return MarkRecord(marked, low.bit_length() - 1, iteration)
+        return Equation(F2Vector(self.n, bits), rhs, weight, eq_id)
 
 
-def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:
-    """Mark one equation and eliminate its lowest variable from the system.
+def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
+    """Mark one equation and eliminate its lowest variable from the system;
+    returns the new system and the marked equation.
 
     This is one step of run_h's row loop, with the system built once on
     each side; rows the step does not touch come back as the same tuples.
@@ -137,8 +124,8 @@ def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSys
     MaxlinError.
     """
     state = _Marking(sys)
-    record = state.step(eq_id, iteration)
-    return LinearSystem.from_rows(sys.n, state.rows, state.fresh.next_id), record
+    marked = state.step(eq_id)
+    return LinearSystem.from_rows(sys.n, state.rows, state.fresh.next_id), marked
 
 
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
@@ -155,47 +142,42 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     """
     state = _Marking(apply_rule2(sys))
     order = iter(first)
-    records: list[MarkRecord] = []
-    total = Fraction(0)
+    records: list[Equation] = []
     while state.rows:
         eq_id = next(order, None)
         if eq_id is None:
             eq_id = min(state.live)
         elif eq_id not in state.live:
             raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
-        record = state.step(eq_id, len(records))
-        records.append(record)
-        total += record.marked_equation.weight
-    return HRun(tuple(records), total)
+        records.append(state.step(eq_id))
+    return HRun(tuple(records), sum((eq.weight for eq in records), Fraction(0)))
 
 
-def reconstruct(records: Iterable[MarkRecord], n: int) -> Assignment:
+def reconstruct(records: Iterable[Equation], n: int) -> Assignment:
     """Back-substitute a marking transcript into a satisfying assignment.
 
-    Unmarked variables are 0; walking the records last-to-first, each marked
-    variable is set so its own equation holds.  Later equations never
-    contain earlier marked variables, so every marked equation ends up
-    satisfied.
+    Each record is a marked equation, whose marked variable is its lowest
+    one.  Unmarked variables are 0; walking the records last-to-first, each
+    marked variable is set so its own equation holds.  Later equations
+    never contain earlier marked variables, so every marked equation ends
+    up satisfied.
     """
     ordered = tuple(records)
-    seen: set[int] = set()
-    for rec in ordered:
-        if rec.marked_equation.n != n:
-            raise DimensionMismatchError(
-                f"record has dimension {rec.marked_equation.n}, expected {n}"
-            )
-        if rec.marked_variable in seen:
-            raise MaxlinError(f"variable {rec.marked_variable} marked twice")
-        seen.add(rec.marked_variable)
+    seen = 0
+    for eq in ordered:
+        if eq.n != n:
+            raise DimensionMismatchError(f"record has dimension {eq.n}, expected {n}")
+        low = eq.lhs.bits & -eq.lhs.bits
+        if not low:
+            raise MaxlinError(f"record {eq.eq_id} has an empty left-hand side")
+        if seen & low:
+            raise MaxlinError(f"variable {low.bit_length() - 1} marked twice")
+        seen |= low
     bits = 0
-    for rec in reversed(ordered):
-        eq = rec.marked_equation
-        var = rec.marked_variable
-        if not eq.lhs.bits >> var & 1:
-            raise MaxlinError(f"marked variable {var} absent from its equation")
-        rest = parity((eq.lhs.bits & ~(1 << var)) & bits)
-        if rest ^ eq.rhs:
-            bits |= 1 << var
+    for eq in reversed(ordered):
+        # the equation's own marked variable is still 0 in bits
+        if parity(eq.lhs.bits & bits) ^ eq.rhs:
+            bits |= eq.lhs.bits & -eq.lhs.bits
     return Assignment(n, bits)
 
 
@@ -213,9 +195,9 @@ def verify_certificate(sys: LinearSystem, cert: Certificate, k: int) -> bool:
         return False
     cur = apply_rule2(sys)
     total = Fraction(0)
-    for i, eq_id in enumerate(ids):
+    for eq_id in ids:
         if not cur.has_equation(eq_id):
             return False
-        cur, record = h_step(cur, eq_id, i)
-        total += record.marked_equation.weight
+        cur, marked = h_step(cur, eq_id)
+        total += marked.weight
     return total >= k

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -22,7 +23,6 @@ from .excess import (
     decide_aa,
 )
 from .formats import (
-    _plain,
     emit_fourier,
     emit_system,
     emit_transcript_comments,
@@ -171,14 +171,14 @@ def run(config: CommandConfig, out: IO[str] | None = None) -> int:
         return 2
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _int(text: str) -> int:
-    """An integer option, in ASCII decimal as the file formats read it."""
-    if _plain(text):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer option, in ASCII decimal with no whitespace or '_'."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_cert(text: str) -> tuple[int, ...]:

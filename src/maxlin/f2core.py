@@ -96,7 +96,10 @@ def _raise_support_error(n: int, support: list[int]) -> None:
 
 @dataclass(frozen=True)
 class F2Vector:
-    """A length-n vector over F2; addition is XOR, so v + v = 0."""
+    """A length-n vector over F2; addition is XOR, so v + v = 0.
+
+    It is also the type of an assignment z_1..z_n (``Assignment``).
+    """
 
     n: int
     bits: int = 0
@@ -129,6 +132,10 @@ class F2Vector:
     def to01(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
+    def values(self) -> tuple[int, ...]:
+        """The coordinates as 0/1 ints, in order."""
+        return tuple(self.bits >> j & 1 for j in range(self.n))
+
     def support(self) -> tuple[int, ...]:
         return _support(self.bits)
 
@@ -153,30 +160,8 @@ class F2Vector:
         return F2Vector(self.n, self.bits ^ other.bits)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Values z_1..z_n packed like an F2Vector (bit j = z_{j+1})."""
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        _check_packed(self.n, self.bits)
-
-    @classmethod
-    def zero(cls, n: int) -> Assignment:
-        return cls(n, 0)
-
-    @classmethod
-    def from01(cls, text: str) -> Assignment:
-        vec = F2Vector.from01(text)
-        return cls(vec.n, vec.bits)
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(self.bits >> j & 1 for j in range(self.n))
-
-    def to01(self) -> str:
-        return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
+# an assignment is a vector of F2^n: bit j holds z_{j+1}
+Assignment = F2Vector
 
 
 _Row = tuple[int, int, Fraction, int]

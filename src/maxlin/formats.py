@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import lt, sub
 
-from .errors import MaxlinError, ParseError
+from .errors import ParseError
 from .f2core import F2Vector, LinearSystem, _pack, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
@@ -327,7 +327,4 @@ def parse_csp(text: str) -> CspInstance:
         constraints.append(CspConstraint(tuple(variables), frozenset(points)))
     if pos != len(rows):
         raise ParseError(rows[pos][0], "trailing content after the declared constraints")
-    try:
-        return CspInstance(n, tuple(constraints))
-    except MaxlinError as exc:
-        raise ParseError(rows[0][0] if rows else 1, str(exc)) from None
+    return CspInstance(n, tuple(constraints))

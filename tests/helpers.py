@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from maxlin import (
     CnfFormula,
@@ -216,9 +217,9 @@ def enumerate_all_runs(sys: LinearSystem):
             yield tuple(records), total
             return
         for eq in cur.equations:
-            nxt, record = h_step(cur, eq.eq_id, len(records))
-            records.append(record)
-            yield from rec(nxt, records, total + record.marked_equation.weight)
+            nxt, marked = h_step(cur, eq.eq_id)
+            records.append(marked)
+            yield from rec(nxt, records, total + marked.weight)
             records.pop()
 
     yield from rec(apply_rule2(sys), [], Fraction(0))
@@ -239,8 +240,8 @@ def max_marked_weight(sys: LinearSystem) -> Fraction:
             return memo[key]
         best = Fraction(0)
         for eq in cur.equations:
-            nxt, record = h_step(cur, eq.eq_id)
-            value = record.marked_equation.weight + rec(nxt)
+            nxt, marked = h_step(cur, eq.eq_id)
+            value = marked.weight + rec(nxt)
             if value > best:
                 best = value
         memo[key] = best
@@ -270,9 +271,9 @@ def search_accepting_sequence(sys: LinearSystem, k: int):
             return None
         seen.add(key)
         for eq in cur.equations:
-            nxt, record = h_step(cur, eq.eq_id)
+            nxt, marked = h_step(cur, eq.eq_id)
             path.append(eq.eq_id)
-            found = rec(nxt, acc + record.marked_equation.weight, path)
+            found = rec(nxt, acc + marked.weight, path)
             if found is not None:
                 return found
             path.pop()
@@ -298,8 +299,8 @@ def certificate_from_assignment(sys: LinearSystem, k: int, assignment) -> tuple[
         satisfied = [eq.eq_id for eq in cur.equations if eq.is_satisfied_by(assignment)]
         assert satisfied, "ran out of satisfied equations before reaching k"
         eq_id = min(satisfied)
-        cur, record = h_step(cur, eq_id)
-        acc += record.marked_equation.weight
+        cur, marked = h_step(cur, eq_id)
+        acc += marked.weight
         path.append(eq_id)
     return tuple(path)
 
@@ -369,3 +370,12 @@ def paired_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
     members = VectorSet(n, [F2Vector(n, b) for b in bits])
     assert len(members) ** 2 <= 2**n
     return members, 2
+
+
+def assert_raises(call, error: type, fragment: str) -> None:
+    """``call()`` raises exactly ``error``, not a subclass of it, and its
+    message contains ``fragment``."""
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert fragment in str(exc.value)

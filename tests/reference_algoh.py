@@ -7,6 +7,7 @@ per mark.  Tests compare the row-based loop in ``maxlin.algoh`` against it.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -19,11 +20,27 @@ from maxlin import (
     MaxlinError,
     NonIntegralWeightError,
 )
-from maxlin.algoh import HRun, MarkRecord
+from maxlin.algoh import HRun
 
 from reference_reduce import apply_rule2
 
 Chooser = Callable[[LinearSystem], int]
+
+
+@dataclass(frozen=True)
+class MarkRecord:
+    """Snapshot of one marking: the equation as it stood and the variable taken,
+    always the lowest one in the equation's support."""
+
+    marked_equation: Equation
+    marked_variable: int
+    iteration: int
+
+    def __post_init__(self) -> None:
+        if self.marked_equation.lhs.is_zero() or (
+            self.marked_variable != self.marked_equation.lhs.min_var()
+        ):
+            raise MaxlinError("marked variable must be the equation's lowest support index")
 
 
 def add_lhs(e1: Equation, e2: Equation) -> Equation:

@@ -6,6 +6,7 @@ import pytest
 from maxlin import (
     Assignment,
     Certificate,
+    DimensionMismatchError,
     EquationNotFoundError,
     LinearSystem,
     MaxlinError,
@@ -17,7 +18,6 @@ from maxlin import (
     run_h,
     verify_certificate,
 )
-from maxlin.algoh import MarkRecord
 from maxlin.f2core import Equation, F2Vector
 
 from helpers import (
@@ -38,14 +38,14 @@ class TestHStep:
         sys = triple_system()
         nxt, record = h_step(sys, 0)
         assert nxt.m == 0  # z2=0 and z2=1 merge away
-        assert record.marked_equation == sys.equation(0)
-        assert record.marked_variable == 0
+        assert record == sys.equation(0)
+        assert record.lhs.min_var() == 0
 
     def test_single_equation(self):
         sys = LinearSystem.build(3, [([1, 2], 1, 4)])
         nxt, record = h_step(sys, 0)
         assert nxt.m == 0
-        assert record.marked_variable == 1
+        assert record.lhs.min_var() == 1
 
     def test_untouched_equations_survive(self):
         sys = LinearSystem.build(4, [([0, 1], 0, 1), ([2], 1, 2), ([3], 0, 3)])
@@ -64,7 +64,7 @@ class TestHStep:
             eq_id = rng.choice(sys.ids())
             nxt, record = h_step(sys, eq_id)
             for eq in nxt.equations:
-                assert not eq.lhs.bits >> record.marked_variable & 1
+                assert not eq.lhs.bits >> record.lhs.min_var() & 1
 
     def test_missing_id(self):
         with pytest.raises(EquationNotFoundError):
@@ -99,7 +99,7 @@ class TestRunH:
     def test_first_ids_marked_in_order(self):
         sys = LinearSystem.build(3, [([0], 0, 1), ([1], 0, 2), ([2], 0, 3)])
         run = run_h(sys, [2, 0])
-        assert [r.marked_equation.eq_id for r in run.records] == [2, 0, 1]
+        assert [r.eq_id for r in run.records] == [2, 0, 1]
 
     def test_first_ids_must_be_present(self):
         sys = LinearSystem.build(
@@ -111,41 +111,49 @@ class TestRunH:
     def test_marks_the_lowest_live_id_by_default(self):
         rows = [Equation(F2Vector.from_support(3, [i]), 0, Fraction(1), i) for i in (2, 0, 1)]
         run = run_h(LinearSystem(3, tuple(rows), 3))
-        assert [r.marked_equation.eq_id for r in run.records] == [0, 1, 2]
+        assert [r.eq_id for r in run.records] == [0, 1, 2]
 
     def test_marked_variables_distinct_and_never_reappear(self):
         rng = random.Random(22)
         for _ in range(30):
             sys = random_system(rng, n_max=7, m_max=10)
             run = run_h(sys)
-            variables = [r.marked_variable for r in run.records]
+            variables = [r.lhs.min_var() for r in run.records]
             assert len(set(variables)) == len(variables)
             for i, record in enumerate(run.records):
                 for later in run.records[i + 1 :]:
-                    assert not later.marked_equation.lhs.bits >> record.marked_variable & 1
+                    assert not later.lhs.bits >> record.lhs.min_var() & 1
 
 
 class TestReconstruct:
     def test_single_record(self):
-        rec = MarkRecord(Equation(F2Vector.from_support(2, [0]), 0, Fraction(1), 0), 0, 0)
+        rec = Equation(F2Vector.from_support(2, [0]), 0, Fraction(1), 0)
         assert reconstruct([rec], 2) == Assignment.from01("00")
 
     def test_back_substitution(self):
-        first = MarkRecord(Equation(F2Vector.from_support(2, [0, 1]), 1, Fraction(1), 0), 0, 0)
-        second = MarkRecord(Equation(F2Vector.from_support(2, [1]), 1, Fraction(1), 1), 1, 1)
+        first = Equation(F2Vector.from_support(2, [0, 1]), 1, Fraction(1), 0)
+        second = Equation(F2Vector.from_support(2, [1]), 1, Fraction(1), 1)
         assert reconstruct([first, second], 2) == Assignment.from01("01")
 
     def test_empty_records(self):
         assert reconstruct([], 3) == Assignment.zero(3)
 
-    def test_inconsistent_record_rejected(self):
-        eq = Equation(F2Vector.from_support(3, [1]), 0, Fraction(1), 0)
-        bad = MarkRecord.__new__(MarkRecord)
-        object.__setattr__(bad, "marked_equation", eq)
-        object.__setattr__(bad, "marked_variable", 2)
-        object.__setattr__(bad, "iteration", 0)
-        with pytest.raises(MaxlinError):
-            reconstruct([bad], 3)
+    def test_record_with_empty_lhs_rejected(self):
+        empty = Equation(F2Vector.zero(3), 0, Fraction(1), 4)
+        with pytest.raises(MaxlinError, match="record 4 has an empty left-hand side"):
+            reconstruct([empty], 3)
+
+    def test_variable_marked_twice_rejected(self):
+        # both records mark variable 1, their lowest one
+        first = Equation(F2Vector.from_support(3, [1, 2]), 0, Fraction(1), 0)
+        second = Equation(F2Vector.from_support(3, [1]), 1, Fraction(1), 1)
+        with pytest.raises(MaxlinError, match="variable 1 marked twice"):
+            reconstruct([first, second], 3)
+
+    def test_record_of_another_dimension_rejected(self):
+        rec = Equation(F2Vector.from_support(2, [0]), 0, Fraction(1), 0)
+        with pytest.raises(DimensionMismatchError, match="record has dimension 2, expected 3"):
+            reconstruct([rec], 3)
 
     def test_every_run_excess_equals_marked_weight(self):
         # reconstruction satisfies all marked rows, and the eliminated rest

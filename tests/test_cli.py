@@ -272,10 +272,18 @@ class TestArgumentParsing:
             (["kernel", "--r", "2", "--k", "2_0"], "invalid int value"),
             (["verify", "--cert", "0_0", "--k", "2"], "certificate must be"),
             (["verify", "--cert", "1,\u0660", "--k", "2"], "certificate must be"),
+            # int() strips whitespace, which no file token can hold
+            (["solve", "--k", " 2 "], "invalid int value: ' 2 '"),
+            (["solve", "--k", "2", "--oracle-cap", "24\n"], "invalid int value: '24\\n'"),
+            (["kset", "--k", "\t1"], "invalid int value"),
+            (["kernel", "--r", "2 ", "--k", "2"], "invalid int value"),
+            (["verify", "--cert", " 0", "--k", "2"], "certificate must be"),
+            (["verify", "--cert", "0, 1", "--k", "2"], "certificate must be"),
         ],
     )
     def test_integer_options_are_ascii_decimal(self, files, capsys, argv, message):
-        # the file formats' rule: ASCII digits with an optional sign, no '_'
+        # the file formats' rule: ASCII digits with an optional sign, and
+        # nothing else: no '_' and no whitespace
         with pytest.raises(SystemExit) as exc:
             main(argv + [files["triple"]])
         assert exc.value.code == 2

@@ -8,6 +8,7 @@ from maxlin import (
     Assignment,
     DimensionMismatchError,
     Equation,
+    EquationNotFoundError,
     F2Vector,
     LinearSystem,
     MaxlinError,
@@ -16,7 +17,7 @@ from maxlin import (
 )
 from maxlin.f2core import _pivot_basis, reverse_bits, rref
 
-from helpers import random_system
+from helpers import assert_raises, random_system
 
 
 def eqn(n, support, rhs, weight, eq_id=0):
@@ -308,3 +309,42 @@ class TestFromRows:
         assert LinearSystem.from_rows(1, [row], 9) == LinearSystem.from_rows(1, [row])
         assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(1, [(*row[:3], 1)])
         assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(2, [row])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: LinearSystem(2, [eqn(3, [0], 0, 1)]),
+            DimensionMismatchError,
+            "equation 0 has dimension 3, system has 2",
+            id="equation-dimension",
+        ),
+        pytest.param(
+            lambda: LinearSystem(2).min_weight,
+            MaxlinError,
+            "empty system has no minimum weight",
+            id="empty-min-weight",
+        ),
+        pytest.param(
+            lambda: LinearSystem(2, [eqn(2, [0], 0, 1)]).equation(5),
+            EquationNotFoundError,
+            "no equation with id 5",
+            id="missing-id",
+        ),
+        pytest.param(
+            lambda: eqn(2, [0], 0, 1).is_satisfied_by(Assignment(3)),
+            DimensionMismatchError,
+            "dimensions differ: 2 vs 3",
+            id="satisfied-by-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector.from01("012"),
+            MaxlinError,
+            "invalid character '2' in 0/1 vector",
+            id="from01-character",
+        ),
+    ],
+)
+def test_boundary_checks(call, error, fragment):
+    assert_raises(call, error, fragment)

@@ -17,7 +17,7 @@ from maxlin.formats import (
 )
 from maxlin.fourier import FourierExpansion
 
-from helpers import random_fourier, random_system
+from helpers import assert_raises, random_fourier, random_system
 
 
 class TestRational:
@@ -183,3 +183,23 @@ def test_emitted_fourier_is_canonical():
         2, 0, {frozenset([1]): Fraction(1), frozenset([0]): Fraction(2)}
     )
     assert emit_fourier(f).splitlines()[2:] == ["2 1 1", "1 1 2"]
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: parse_system(""), "line 1: missing 'p maxlin' header", id="empty"),
+        pytest.param(
+            lambda: parse_system("p maxlin -1 0\n"),
+            "line 1: header counts must be non-negative",
+            id="negative-count",
+        ),
+        pytest.param(
+            lambda: parse_fourier("c only a header\np fourier 2 0\n"),
+            "line 2: missing 'const <rational>' line",
+            id="no-const-line",
+        ),
+    ],
+)
+def test_boundary_checks(call, fragment):
+    assert_raises(call, ParseError, fragment)

@@ -6,6 +6,7 @@ import pytest
 
 from maxlin import (
     Assignment,
+    DimensionMismatchError,
     FourierExpansion,
     LinearSystem,
     MaxlinError,
@@ -17,7 +18,7 @@ from maxlin import (
     system_to_fourier,
 )
 
-from helpers import all_points, fourier_brute_max, fourier_values_vector, random_fourier, random_system
+from helpers import all_points, assert_raises, fourier_brute_max, fourier_values_vector, random_fourier, random_system
 
 
 def negated_elementary(n):
@@ -154,3 +155,42 @@ class TestMaximaLowerBound:
                 terms = {s: c for s, c in full.terms.items() if s != removed}
                 f = FourierExpansion(n, 0, terms)
                 assert maxima_lower_bound(f) == fourier_brute_max(f) == 2
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: FourierExpansion(-1),
+            MaxlinError,
+            "dimension must be non-negative",
+            id="negative-dimension",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset(): Fraction(1)}),
+            MaxlinError,
+            "terms must be nonempty subsets",
+            id="empty-term",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0, 2}): Fraction(1)}),
+            MaxlinError,
+            "term [0, 2] outside 0..1",
+            id="term-range",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0}): Fraction(0)}),
+            MaxlinError,
+            "zero coefficients must not be stored",
+            id="zero-coefficient",
+        ),
+        pytest.param(
+            lambda: eval_fourier(FourierExpansion(2), (1,)),
+            DimensionMismatchError,
+            "point has 1 entries, expected 2",
+            id="point-length",
+        ),
+    ],
+)
+def test_boundary_checks(call, error, fragment):
+    assert_raises(call, error, fragment)

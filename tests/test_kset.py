@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from maxlin import F2Vector, PreconditionError, VectorSet, find_kset, verify_kset
+from maxlin import F2Vector, MaxlinError, PreconditionError, VectorSet, find_kset, verify_kset
 
-from helpers import random_vectorset
+from helpers import assert_raises, random_vectorset
 
 
 def vecset(n, patterns):
@@ -167,3 +167,18 @@ class TestVerifyKset:
         for a, b in combinations(chosen, 2):
             assert (a ^ b).to01() not in {v.to01() for v in members.vectors}
         assert not verify_kset(members, chosen)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: VectorSet(2, [F2Vector.zero(2), F2Vector.zero(3)]),
+            MaxlinError,
+            "vector of dimension 3 in a set of dimension 2",
+            id="vector-dimension",
+        ),
+    ],
+)
+def test_boundary_checks(call, error, fragment):
+    assert_raises(call, error, fragment)

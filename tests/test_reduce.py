@@ -6,6 +6,8 @@ from maxlin import (
     Assignment,
     DimensionMismatchError,
     LinearSystem,
+    MaxlinError,
+    ReductionTranscript,
     apply_rule1,
     apply_rule2,
     brute_force_max_excess,
@@ -17,7 +19,7 @@ from maxlin import (
     replay_transcript,
 )
 
-from helpers import random_system
+from helpers import assert_raises, random_system
 
 
 class TestRule1:
@@ -209,3 +211,41 @@ class TestLiftAssignment:
                 reduced = Assignment(out.n, bits)
                 lifted = lift_assignment(tr, reduced)
                 assert evaluate(sys, lifted).excess == evaluate(out, reduced).excess
+
+
+def test_repeated_lhs_is_not_irreducible():
+    # full rank, so only the repeated left-hand side makes it reducible
+    assert not is_irreducible(LinearSystem.build(1, [([0], 0, 1), ([0], 1, 1)]))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (0, 1)),
+            MaxlinError,
+            "kept_variables must have one entry per reduced variable",
+            id="kept-count",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, frozenset({0})), (1, frozenset({0})))),
+            MaxlinError,
+            "a variable may be deleted only once",
+            id="deleted-twice",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (0,), ((0, frozenset()),)),
+            MaxlinError,
+            "a variable cannot be both kept and deleted",
+            id="kept-and-deleted",
+        ),
+        pytest.param(
+            lambda: replay_transcript(ReductionTranscript(2, 2, (0, 1)), LinearSystem(3)),
+            DimensionMismatchError,
+            "system has 3 variables, transcript expects 2",
+            id="replay-dimension",
+        ),
+    ],
+)
+def test_boundary_checks(call, error, fragment):
+    assert_raises(call, error, fragment)

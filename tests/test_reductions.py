@@ -21,7 +21,7 @@ from maxlin import (
     satisfied_clause_count,
 )
 
-from helpers import all_points, random_cnf, random_csp
+from helpers import all_points, assert_raises, random_cnf, random_csp
 
 
 class TestSatToFourier:
@@ -232,3 +232,85 @@ class TestKernelize:
             else:
                 kernel_yes = brute_force_max_excess(outcome.kernel).excess >= k
                 assert kernel_yes == original_yes
+
+
+def cnf(n, *clauses):
+    return CnfFormula(n, clauses)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: cnf(-1), "variable count must be non-negative", id="cnf-n"),
+        pytest.param(lambda: cnf(2, (1, 0)), "literal 0 is not allowed", id="cnf-literal-0"),
+        pytest.param(lambda: cnf(2, (3,)), "literal 3 exceeds variable count 2", id="cnf-literal-range"),
+        pytest.param(lambda: cnf(2, (1, -1)), "clause (1, -1) repeats variable 1", id="cnf-repeat"),
+        pytest.param(
+            lambda: CspConstraint((), {()}),
+            "constraints must touch at least one variable",
+            id="csp-arity-0",
+        ),
+        pytest.param(
+            lambda: CspConstraint((0, 0), {(1, 1)}),
+            "constraint repeats a variable: (0, 0)",
+            id="csp-repeat",
+        ),
+        pytest.param(
+            lambda: CspConstraint((0,), set()),
+            "constraints must have at least one satisfying point",
+            id="csp-no-point",
+        ),
+        pytest.param(
+            lambda: CspConstraint((0, 1), {(1, 0)}),
+            "satisfying point (1, 0) must be a +-1 tuple of arity 2",
+            id="csp-bad-point",
+        ),
+        pytest.param(
+            lambda: CspInstance(-1, ()),
+            "variable count must be non-negative",
+            id="csp-instance-n",
+        ),
+        pytest.param(
+            lambda: CspInstance(1, (CspConstraint((1,), {(1,)}),)),
+            "constraint variables (1,) outside 0..0",
+            id="csp-instance-range",
+        ),
+        pytest.param(
+            lambda: sat_to_fourier(cnf(1), 0),
+            "clause arity r must be a positive integer, got 0",
+            id="sat-r",
+        ),
+        pytest.param(
+            lambda: csp_to_fourier(CspInstance(1, ()), 0),
+            "arity bound r must be a positive integer, got 0",
+            id="csp-r",
+        ),
+        pytest.param(
+            lambda: kernelize_rlin(LinearSystem(1), 0, 2),
+            "arity bound r must be a positive integer, got 0",
+            id="kernel-r",
+        ),
+        pytest.param(
+            lambda: decide_sat_aa(cnf(2, (1, 2)), 2, 0),
+            "parameter k must be a positive integer, got 0",
+            id="decide-k",
+        ),
+        pytest.param(
+            lambda: satisfied_clause_count(cnf(2, (1, 2)), (1,)),
+            "point has 1 entries, expected 2",
+            id="count-point-length",
+        ),
+        pytest.param(
+            lambda: satisfied_clause_count(cnf(2, (1, 2)), (1, 0)),
+            "point entries must be -1 or +1",
+            id="count-point-entry",
+        ),
+        pytest.param(
+            lambda: sat_satisfied_count_identity(cnf(2, (1,), (1, 2)), (1, 1)),
+            "clauses have mixed arities [1, 2]",
+            id="identity-mixed-arities",
+        ),
+    ],
+)
+def test_boundary_checks(call, fragment):
+    assert_raises(call, MaxlinError, fragment)

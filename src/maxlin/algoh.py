@@ -116,7 +116,7 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     returns the new system and the marked equation.
 
     This is one step of run_h's row loop, with the system built once on
-    each side; rows the step does not touch come back as the same tuples.
+    each side and no row checked again; untouched rows stay the same tuples.
     Callers are expected to hand in a system without repeated left-hand
     sides (run_h re-merges after every step), in which case no substitution
     can cancel a row outright.  A cancelled row with rhs 0 is dropped
@@ -125,7 +125,7 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     """
     state = _Marking(sys)
     marked = state.step(eq_id)
-    return LinearSystem.from_rows(sys.n, state.rows, state.fresh.next_id), marked
+    return LinearSystem._from_rows(sys.n, state.rows, state.fresh.next_id), marked
 
 
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:

@@ -5,6 +5,9 @@ dimension works and XOR/equality are single integer operations.  Weights are
 exact ``fractions.Fraction`` values and must stay positive.  A
 ``LinearSystem`` stores ``(lhs bits, rhs, weight, eq_id)`` rows, which the
 whole package reads, and builds its ``Equation`` objects only on request.
+A row is checked once, where it enters the library (as an ``Equation``, by
+a parser or by ``FourierExpansion``); a system derived from a checked one is
+built by ``LinearSystem._from_rows`` without checking its rows again.
 All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
@@ -167,21 +170,6 @@ Assignment = F2Vector
 _Row = tuple[int, int, Fraction, int]
 
 
-def _check_row(n: int, row: tuple) -> _Row:
-    """The row with its weight made a Fraction (a tuple whose weight is one
-    comes back as it is), or the first error that an Equation of it raises."""
-    bits, rhs, weight, eq_id = row
-    _check_packed(n, bits)
-    if rhs not in (0, 1):
-        raise MaxlinError("rhs must be 0 or 1")
-    fraction = as_weight(weight)
-    if fraction <= 0:
-        raise MaxlinError("weights must be positive")
-    if not isinstance(eq_id, int) or eq_id < 0:
-        raise MaxlinError("equation ids must be non-negative integers")
-    return row if fraction is weight and type(row) is tuple else (bits, rhs, fraction, eq_id)
-
-
 @dataclass(frozen=True)
 class Equation:
     """One weighted row: sum of the lhs support variables = rhs.
@@ -195,8 +183,16 @@ class Equation:
     eq_id: int
 
     def __post_init__(self) -> None:
-        row = _check_row(self.lhs.n, (self.lhs.bits, self.rhs, self.weight, self.eq_id))
-        object.__setattr__(self, "weight", row[2])
+        if not isinstance(self.lhs, F2Vector):
+            raise MaxlinError("the left-hand side must be an F2Vector")
+        if self.rhs not in (0, 1):
+            raise MaxlinError("rhs must be 0 or 1")
+        weight = as_weight(self.weight)
+        if weight <= 0:
+            raise MaxlinError("weights must be positive")
+        if not isinstance(self.eq_id, int) or self.eq_id < 0:
+            raise MaxlinError("equation ids must be non-negative integers")
+        object.__setattr__(self, "weight", weight)
 
     @property
     def n(self) -> int:
@@ -234,9 +230,10 @@ class LinearSystem:
         vars(self)["equations"] = equations
 
     @classmethod
-    def from_rows(cls, n: int, rows: Iterable[tuple], next_id: int = -1) -> LinearSystem:
-        """The system of the rows, raising what Equations of them would."""
-        return cls.__new__(cls)._store(n, [_check_row(n, row) for row in rows], next_id)
+    def _from_rows(cls, n: int, rows: Iterable[_Row], next_id: int = -1) -> LinearSystem:
+        """The system of rows that the library derived from checked input,
+        which only _store's checks see again."""
+        return cls.__new__(cls)._store(n, rows, next_id)
 
     def _store(self, n: int, rows: Iterable[_Row], next_id: int) -> LinearSystem:
         """Check n and each row's lhs and id in turn, and fill in the fields."""

@@ -11,10 +11,11 @@ Systems and expansions are read a line at a time, not a token at a time:
 a line's index tokens are converted by one ``map(int, ...)`` and checked
 for count, range and strict order in one pass, plus one ``_plain`` test of
 the joined tokens; a system row's bits are packed from those indices into
-the row ``LinearSystem.from_rows`` stores, with no ``Equation``.  Only a
-line that fails the check is walked token by token, to raise the same
-``ParseError`` (text and line number) that a token-at-a-time parser would
-raise first.  Each distinct weight token of a system file is parsed once.
+the row ``LinearSystem._from_rows`` stores, with no ``Equation`` and no
+check but the parser's own.  Only a line that fails the check is walked
+token by token, to raise the same ``ParseError`` (text and line number)
+that a token-at-a-time parser would raise first.  Each distinct weight
+token of a system file is parsed once.
 """
 from __future__ import annotations
 
@@ -156,7 +157,7 @@ def parse_system(text: str) -> LinearSystem:
         idx = _parse_index_list(tokens[3:], line_no, n, t)
         # index i is bit i - 1
         built.append((_pack(idx) >> 1, rhs, weight, len(built)))
-    return LinearSystem.from_rows(n, built)
+    return LinearSystem._from_rows(n, built)
 
 
 def emit_system(sys: LinearSystem) -> str:

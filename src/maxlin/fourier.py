@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
@@ -29,8 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierExpansion:
-    """Constant term plus a map from nonempty index subsets to nonzero
-    rational coefficients."""
+    """Constant term plus a read-only map from nonempty index subsets to
+    nonzero rational coefficients."""
 
     n: int
     constant: Fraction = Fraction(0)
@@ -51,7 +52,7 @@ class FourierExpansion:
             if coeff == 0:
                 raise MaxlinError("zero coefficients must not be stored")
             cleaned[subset] = coeff
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     def sorted_terms(self) -> list[tuple[frozenset[int], Fraction]]:
         """Terms in the canonical order: lexicographic on sorted index tuples."""
@@ -93,7 +94,7 @@ def fourier_to_system(f: FourierExpansion) -> tuple[LinearSystem, Fraction]:
     rows = []
     for i, (subset, coeff) in enumerate(f.sorted_terms()):
         rows.append((_pack(subset), 0 if coeff > 0 else 1, abs(coeff), i))
-    return LinearSystem.from_rows(f.n, rows), f.constant
+    return LinearSystem._from_rows(f.n, rows), f.constant
 
 
 def system_to_fourier(sys: LinearSystem) -> FourierExpansion:

@@ -6,8 +6,9 @@ Neither changes the maximum excess, and the transcript lets any assignment
 of the reduced system be lifted back to the original at equal excess.
 
 Both rules read ``LinearSystem.rows`` and build one result with
-``LinearSystem.from_rows``, passing the rows they leave alone on as the same
-tuples.  Rule 1 eliminates each row on its lowest set bit (``f2core.rref``),
+``LinearSystem._from_rows``, unchecked (merged and projected rows are valid
+by construction), passing the rows they leave alone on as the same tuples.
+Rule 1 eliminates each row on its lowest set bit (``f2core.rref``),
 so a reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
 Nothing walks every declared column per row: for one sparse equation over a
 million declared variables, listing the deleted columns is nearly all the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .f2core import Assignment, LinearSystem, _pivot_basis, _Row, rref
@@ -42,6 +43,15 @@ class MergeEvent:
     surviving_id: int | None
     weight: Fraction
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "merged_ids", tuple(self.merged_ids))
+
+
+def _check_range(what: str, indices: Collection[int], n: int) -> None:
+    if indices and (min(indices) < 0 or max(indices) >= n):
+        j = next(j for j in indices if not 0 <= j < n)
+        raise MaxlinError(f"{what} variable {j} outside 0..{n - 1}")
+
 
 @dataclass(frozen=True)
 class ReductionTranscript:
@@ -60,12 +70,23 @@ class ReductionTranscript:
     merge_log: tuple[MergeEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.kept_variables) != self.reduced_n:
+        kept = tuple(self.kept_variables)
+        pairs = tuple(self.deleted_variables)
+        deps = dict(pairs)
+        object.__setattr__(self, "kept_variables", kept)
+        object.__setattr__(
+            self, "deleted_variables", tuple(zip(deps, map(frozenset, deps.values())))
+        )
+        object.__setattr__(self, "merge_log", tuple(self.merge_log))
+        if len(kept) != self.reduced_n:
             raise MaxlinError("kept_variables must have one entry per reduced variable")
-        deleted = {j for j, _ in self.deleted_variables}
-        if len(deleted) != len(self.deleted_variables):
+        _check_range("kept", kept, self.original_n)
+        _check_range("deleted", deps, self.original_n)
+        if len(set(kept)) != len(kept):
+            raise MaxlinError("a variable may be kept only once")
+        if len(deps) != len(pairs):
             raise MaxlinError("a variable may be deleted only once")
-        if deleted & set(self.kept_variables):
+        if deps.keys() & kept:
             raise MaxlinError("a variable cannot be both kept and deleted")
 
     def is_identity(self) -> bool:
@@ -77,7 +98,7 @@ class ReductionTranscript:
 
 
 def _identity_transcript(n: int) -> ReductionTranscript:
-    return ReductionTranscript(n, n, tuple(range(n)))
+    return ReductionTranscript(n, n, range(n))
 
 
 _NO_DEPS: frozenset[int] = frozenset()
@@ -186,7 +207,7 @@ def apply_rule2(sys: LinearSystem) -> LinearSystem:
     if rows is sys.rows:
         return sys
     # merged rows take fresh ids from sys.next_id, which no row of sys holds
-    return LinearSystem.from_rows(sys.n, rows, fresh.next_id)
+    return LinearSystem._from_rows(sys.n, rows, fresh.next_id)
 
 
 def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
@@ -199,8 +220,8 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     if not deleted:
         return sys, _identity_transcript(sys.n)
     rank = len(pivots)
-    return LinearSystem.from_rows(rank, rows, sys.next_id), ReductionTranscript(
-        sys.n, rank, tuple(pivots), tuple(deleted)
+    return LinearSystem._from_rows(rank, rows, sys.next_id), ReductionTranscript(
+        sys.n, rank, pivots, deleted
     )
 
 
@@ -225,10 +246,8 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
     if not fresh.events and not deleted:
         return sys, _identity_transcript(sys.n)
-    transcript = ReductionTranscript(
-        sys.n, len(kept), tuple(kept), tuple(deleted), tuple(fresh.events)
-    )
-    return LinearSystem.from_rows(len(kept), rows, fresh.next_id), transcript
+    transcript = ReductionTranscript(sys.n, len(kept), kept, deleted, fresh.events)
+    return LinearSystem._from_rows(len(kept), rows, fresh.next_id), transcript
 
 
 def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:

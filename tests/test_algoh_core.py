@@ -163,13 +163,13 @@ def test_run_h_builds_no_system_per_step(monkeypatch):
     rows.append(rows[0])  # one repeated row, so the entry merge builds a system
     sys = LinearSystem.build(n, rows)
     built = []
-    from_rows = LinearSystem.from_rows
+    from_rows = LinearSystem._from_rows
 
     def counting(*args):
         built.append(args)
         return from_rows(*args)
 
-    monkeypatch.setattr(LinearSystem, "from_rows", counting)
+    monkeypatch.setattr(LinearSystem, "_from_rows", counting)
     run = run_h(sys)
     assert len(run.records) == n  # full rank: one mark per variable
     assert 1 <= len(built) <= 2

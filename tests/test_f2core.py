@@ -12,10 +12,18 @@ from maxlin import (
     F2Vector,
     LinearSystem,
     MaxlinError,
+    apply_rule1,
+    apply_rule2,
     evaluate,
+    fourier_to_system,
+    h_step,
+    make_irreducible,
     rank_and_basis,
+    run_h,
+    system_to_fourier,
 )
 from maxlin.f2core import _pivot_basis, reverse_bits, rref
+from maxlin.formats import emit_system, parse_system
 
 from helpers import assert_raises, random_system
 
@@ -249,31 +257,59 @@ def raised(build):
     return None
 
 
+# each malformed row's first error through the Equation path, which is the
+# only path outside input takes into a system
+MALFORMED_ROWS = [
+    (2, [(0b100, 0, Fraction(1), 0)], MaxlinError, "bit pattern 0x4 does not fit dimension 2"),
+    (2, [(0, 0, Fraction(1), 0)], MaxlinError, "equation 0 has an empty left-hand side"),
+    (2, [(0b01, 2, Fraction(1), 0)], MaxlinError, "rhs must be 0 or 1"),
+    (2, [(0b01, 0, Fraction(0), 0)], MaxlinError, "weights must be positive"),
+    (2, [(0b01, 0, Fraction(-1, 2), 0)], MaxlinError, "weights must be positive"),
+    (2, [(0b01, 0, 1.5, 0)], MaxlinError,
+     "floating-point weights are not supported; use int, str or Fraction"),
+    (2, [(0b01, 0, "x", 0)], ValueError, "Invalid literal for Fraction: 'x'"),
+    (2, [(0b01, 0, Fraction(1), -1)], MaxlinError, "equation ids must be non-negative integers"),
+    (2, [(0b01, 0, Fraction(1), 3), (0b10, 0, Fraction(1), 3)], MaxlinError,
+     "duplicate equation id 3"),
+    # each Equation is checked as it is built, before the system sees the zero lhs
+    (2, [(0, 0, Fraction(1), 0), (0b01, 2, Fraction(1), 1)], MaxlinError, "rhs must be 0 or 1"),
+    (-1, [], MaxlinError, "dimension must be non-negative"),
+    (-1, [(0b01, 0, Fraction(1), 0)], MaxlinError, "dimension must be non-negative"),
+]
+
+
 class TestFromRows:
+    """Systems built from rows, and the checks on the rows that outside
+    input brings in, which are the only checks a row gets."""
+
+    # each id names the case's n and its place in the table
     @pytest.mark.parametrize(
-        "n, rows",
-        [
-            (2, [(0b100, 0, Fraction(1), 0)]),  # a bit past n
-            (2, [(0, 0, Fraction(1), 0)]),  # zero lhs
-            (2, [(0b01, 2, Fraction(1), 0)]),  # rhs 2
-            (2, [(0b01, 0, Fraction(0), 0)]),  # weight 0
-            (2, [(0b01, 0, Fraction(-1, 2), 0)]),  # negative weight
-            (2, [(0b01, 0, 1.5, 0)]),  # float weight
-            (2, [(0b01, 0, "x", 0)]),  # weight that is no number
-            (2, [(0b01, 0, Fraction(1), -1)]),  # negative id
-            (2, [(0b01, 0, Fraction(1), 3), (0b10, 0, Fraction(1), 3)]),  # repeated id
-            (2, [(0, 0, Fraction(1), 0), (0b01, 2, Fraction(1), 1)]),  # row checks come first
-            (-1, []),  # negative dimension
-            (-1, [(0b01, 0, Fraction(1), 0)]),
-        ],
+        "n, rows, error, text",
+        MALFORMED_ROWS,
+        ids=[f"{case[0]}-rows{i}" for i, case in enumerate(MALFORMED_ROWS)],
     )
-    def test_malformed_rows_raise_what_equations_raise(self, n, rows):
-        via_rows = raised(lambda: LinearSystem.from_rows(n, rows))
-        via_equations = raised(lambda: LinearSystem(
+    def test_malformed_rows_raise_what_equations_raise(self, n, rows, error, text):
+        got = raised(lambda: LinearSystem(
             n, [Equation(F2Vector(n, bits), rhs, w, i) for bits, rhs, w, i in rows]
         ))
-        assert via_rows is not None
-        assert via_rows == via_equations
+        assert got == (error, text)
+
+    @pytest.mark.parametrize(
+        "rows, error, text",
+        [
+            ([([2], 0, 1)], MaxlinError, "variable index 2 outside 0..1"),
+            ([([1, 1], 0, 1)], MaxlinError, "duplicate variable index 1"),
+            ([([], 0, 1)], MaxlinError, "equation 0 has an empty left-hand side"),
+            ([([0], 0, 1), ([1], 3, 1)], MaxlinError, "rhs must be 0 or 1"),
+            ([([0], 0, -1)], MaxlinError, "weights must be positive"),
+            ([([0], 0, 0.5)], MaxlinError,
+             "floating-point weights are not supported; use int, str or Fraction"),
+            ([(F2Vector(3, 1), 0, 1)], DimensionMismatchError,
+             "equation 0 has dimension 3, system has 2"),
+        ],
+    )
+    def test_build_checks_each_row(self, rows, error, text):
+        assert raised(lambda: LinearSystem.build(2, rows)) == (error, text)
 
     def test_equals_the_system_built_from_equations(self):
         rng = random.Random(32)
@@ -281,7 +317,7 @@ class TestFromRows:
             sys = random_system(rng, m_min=0, rational_weights=True)
             rows = [(eq.lhs.bits, eq.rhs, eq.weight, eq.eq_id) for eq in sys.equations]
             for next_id in (-1, sys.next_id + 3):
-                got = LinearSystem.from_rows(sys.n, rows, next_id)
+                got = LinearSystem._from_rows(sys.n, rows, next_id)
                 want = LinearSystem(sys.n, sys.equations, next_id)
                 assert got == want and hash(got) == hash(want)
                 assert got.equations == want.equations
@@ -291,7 +327,9 @@ class TestFromRows:
                 assert all(a is b for a, b in zip(got.rows, rows))
 
     def test_weights_become_fractions(self):
-        sys = LinearSystem.from_rows(2, [(0b01, 0, 2, 0), (0b10, 1, "3/2", 5)])
+        sys = LinearSystem(2, [
+            Equation(F2Vector(2, 0b01), 0, 2, 0), Equation(F2Vector(2, 0b10), 1, "3/2", 5)
+        ])
         assert sys.rows == ((0b01, 0, Fraction(2), 0), (0b10, 1, Fraction(3, 2), 5))
         assert all(type(row[2]) is Fraction for row in sys.rows)
         assert sys.next_id == 6
@@ -302,13 +340,60 @@ class TestFromRows:
         assert sys.equations is eqs
         assert sys.equation(4) is eqs[1]
         assert sys.rows == ((0b01, 0, Fraction(1), 0), (0b10, 1, Fraction(2), 4))
-        assert sys == LinearSystem.from_rows(2, sys.rows)
+        assert sys == LinearSystem._from_rows(2, sys.rows)
 
     def test_equality_ignores_next_id_but_not_ids(self):
         row = (0b01, 0, Fraction(1), 0)
-        assert LinearSystem.from_rows(1, [row], 9) == LinearSystem.from_rows(1, [row])
-        assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(1, [(*row[:3], 1)])
-        assert LinearSystem.from_rows(1, [row]) != LinearSystem.from_rows(2, [row])
+        assert LinearSystem._from_rows(1, [row], 9) == LinearSystem._from_rows(1, [row])
+        assert LinearSystem._from_rows(1, [row]) != LinearSystem._from_rows(1, [(*row[:3], 1)])
+        assert LinearSystem._from_rows(1, [row]) != LinearSystem._from_rows(2, [row])
+
+    def test_from_rows_keeps_the_store_checks(self):
+        assert raised(lambda: LinearSystem._from_rows(-1, [])) == (
+            MaxlinError, "dimension must be non-negative")
+        assert raised(lambda: LinearSystem._from_rows(2, [(0, 0, Fraction(1), 4)])) == (
+            MaxlinError, "equation 4 has an empty left-hand side")
+        row = (0b01, 0, Fraction(1), 3)
+        assert raised(lambda: LinearSystem._from_rows(2, [row, row])) == (
+            MaxlinError, "duplicate equation id 3")
+
+
+def test_derived_systems_build_no_equation(monkeypatch):
+    # a dense system with repeated rows and two unused columns, so rule 2
+    # merges and rule 1 deletes columns; each row is checked only where it
+    # enters, so only a marking step builds an Equation (the marked one)
+    rng = random.Random(13)
+    n = 10
+    rows = [(F2Vector(n, rng.getrandbits(8) or 1), rng.randint(0, 1), rng.randint(1, 4))
+            for _ in range(30)]
+    sys = LinearSystem.build(n, rows + rows[:6])
+    text = emit_system(sys)
+    merged = apply_rule2(sys)
+    reduced, transcript = make_irreducible(sys)
+    assert transcript.merge_log and transcript.deleted_variables
+    expansion = system_to_fourier(merged)
+    built = []
+    post_init = Equation.__post_init__
+
+    def counting(eq):
+        built.append(eq)
+        post_init(eq)
+
+    monkeypatch.setattr(Equation, "__post_init__", counting)
+
+    def count(call, *args):
+        built.clear()
+        result = call(*args)
+        return len(built), result
+
+    assert count(parse_system, text) == (0, sys)
+    assert count(apply_rule2, sys) == (0, merged)
+    assert count(make_irreducible, sys) == (0, (reduced, transcript))
+    assert count(apply_rule1, merged)[0] == 0
+    assert count(fourier_to_system, expansion)[0] == 0
+    assert count(h_step, reduced, reduced.ids()[0])[0] == 1
+    steps, run = count(run_h, sys)
+    assert steps == len(run.records) > 1
 
 
 @pytest.mark.parametrize(
@@ -337,6 +422,12 @@ class TestFromRows:
             DimensionMismatchError,
             "dimensions differ: 2 vs 3",
             id="satisfied-by-dimension",
+        ),
+        pytest.param(
+            lambda: Equation(0b01, 0, 1, 0),
+            MaxlinError,
+            "the left-hand side must be an F2Vector",
+            id="equation-lhs-type",
         ),
         pytest.param(
             lambda: F2Vector.from01("012"),

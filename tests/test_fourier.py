@@ -194,3 +194,15 @@ class TestMaximaLowerBound:
 )
 def test_boundary_checks(call, error, fragment):
     assert_raises(call, error, fragment)
+
+
+def test_terms_are_read_only():
+    source = {frozenset({0}): 1}
+    f = FourierExpansion(2, 0, source)
+    with pytest.raises(TypeError):
+        f.terms[frozenset({1})] = Fraction(0)
+    with pytest.raises(TypeError):
+        del f.terms[frozenset({0})]
+    source[frozenset({1})] = Fraction(0)  # the caller's dict is not the stored map
+    assert f.terms == {frozenset({0}): Fraction(1)}
+    assert fourier_to_system(f)[0].rows == ((0b01, 0, Fraction(1), 0),)

@@ -7,6 +7,7 @@ from maxlin import (
     DimensionMismatchError,
     LinearSystem,
     MaxlinError,
+    MergeEvent,
     ReductionTranscript,
     apply_rule1,
     apply_rule2,
@@ -240,6 +241,30 @@ def test_repeated_lhs_is_not_irreducible():
             id="kept-and-deleted",
         ),
         pytest.param(
+            lambda: ReductionTranscript(2, 1, (-1,)),
+            MaxlinError,
+            "kept variable -1 outside 0..1",
+            id="kept-negative",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (2,)),
+            MaxlinError,
+            "kept variable 2 outside 0..1",
+            id="kept-too-large",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 2, (0, 0)),
+            MaxlinError,
+            "a variable may be kept only once",
+            id="kept-twice",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (0,), ((2, frozenset({0})),)),
+            MaxlinError,
+            "deleted variable 2 outside 0..1",
+            id="deleted-too-large",
+        ),
+        pytest.param(
             lambda: replay_transcript(ReductionTranscript(2, 2, (0, 1)), LinearSystem(3)),
             DimensionMismatchError,
             "system has 3 variables, transcript expects 2",
@@ -249,3 +274,22 @@ def test_repeated_lhs_is_not_irreducible():
 )
 def test_boundary_checks(call, error, fragment):
     assert_raises(call, error, fragment)
+
+
+def test_transcript_fields_become_tuples_and_frozensets():
+    # rows 0 and 2 merge, and column 2 equals column 0 plus column 1
+    sys = LinearSystem.build(3, [([0, 2], 0, 1), ([1, 2], 1, 2), ([0, 2], 0, 3)])
+    out, tr = make_irreducible(sys)
+    assert tr.merge_log and tr.deleted_variables
+    rebuilt = ReductionTranscript(
+        tr.original_n,
+        tr.reduced_n,
+        list(tr.kept_variables),
+        [[j, set(deps)] for j, deps in tr.deleted_variables],
+        [MergeEvent(list(e.merged_ids), e.surviving_id, e.weight) for e in tr.merge_log],
+    )
+    assert rebuilt == tr and hash(rebuilt) == hash(tr)
+    assert type(rebuilt.kept_variables) is tuple and type(rebuilt.merge_log) is tuple
+    assert all(type(pair) is tuple and type(pair[1]) is frozenset
+               for pair in rebuilt.deleted_variables)
+    assert replay_transcript(rebuilt, sys) == out

@@ -4,8 +4,11 @@ and the above-average decision pipeline.
 The lower bound marks a sum-independent set of equations first, which
 guarantees k markings at full weight; the oracle finds the exact maximum
 over all assignments with a fast Walsh-Hadamard transform on integer-scaled
-weights, one 2^16-point block at a time, in O(n 2^n) whatever m is.  The
-decision procedure routes each instance to whichever of the two applies.
+weights, one 2^16-point block at a time, in O(n 2^n + m 2^(n-16)).  Its
+buffers use the narrowest of int16, int32 and int64 that holds the sum of
+the scaled weights (Python ints beyond), and its stages run on contiguous
+runs of entries.  The decision procedure routes each instance to whichever
+of the two applies.
 """
 from __future__ import annotations
 
@@ -42,8 +45,6 @@ DEFAULT_ORACLE_CAP = 24
 # hard ceiling on any cap: 2^14 blocks of 2^16 points
 MAX_ORACLE_N = 30
 _BLOCK_BITS = 16
-# scaled weights must leave headroom in int64 accumulation
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -140,22 +141,38 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     return witness
 
 
-def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a 2^L block.
-
-    Constant-geometry form: every stage writes x[i] + x[i + 2^(L-1)] and
-    x[i] - x[i + 2^(L-1)] to entries 2i and 2i + 1 of the other buffer, so
-    each stage transforms the top index bit and rotates it to the bottom,
-    and after L stages the order is natural again.  Reading two contiguous
-    halves is what makes this faster than the in-place butterfly.  Returns
-    whichever of the two buffers holds the result.
-    """
-    for _ in range(block.size.bit_length() - 1):
-        halves = block.reshape(2, -1)
-        pairs = scratch.reshape(-1, 2)
-        np.add(halves[0], halves[1], out=pairs[:, 0])
-        np.subtract(halves[0], halves[1], out=pairs[:, 1])
+def _butterflies(
+    block: np.ndarray, scratch: np.ndarray, bits: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transform the given index bits, one stage per bit: stage j reads the
+    halves of every run of 2^(j+1) entries and writes their sum and
+    difference to the same places in the other buffer.  Returns the buffer
+    holding the result, then the other one."""
+    for j in bits:
+        pairs, out = block.reshape(-1, 2, 1 << j), scratch.reshape(-1, 2, 1 << j)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
         block, scratch = scratch, block
+    return block, scratch
+
+
+def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a 2^L block, returned in
+    natural order from a block scattered in swapped order.
+
+    With s = L // 2, index x = hi << s | lo must sit at lo << (L - s) | hi,
+    i.e. the block is the (2^s, 2^(L-s)) transpose of natural order.  The
+    stages for bits L-s..L-1 there transform lo; one transpose into the
+    other buffer restores natural order, and the stages for bits s..L-1
+    transform hi.  So every stage reads and writes contiguous runs of at
+    least 2^min(s, L-s) entries.  Returns whichever of the two buffers holds
+    the result.
+    """
+    bits = block.size.bit_length() - 1
+    s = bits // 2
+    block, scratch = _butterflies(block, scratch, range(bits - s, bits))
+    scratch.reshape(1 << (bits - s), 1 << s)[...] = block.reshape(1 << s, 1 << (bits - s)).T
+    block, _ = _butterflies(scratch, block, range(s, bits))
     return block
 
 
@@ -165,30 +182,39 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     Indexing assignments with z_1 most significant, the excess at z is
     sum_e s_e (-1)^<a_e, z> with s_e = +-w_e, i.e. the Walsh-Hadamard
     transform of the signed weights placed at their (reversed-bit) masks.
-    The index is split into low and high bits: for each high pattern, in
-    ascending order, the equations' signs on the high bits are folded into
-    their weights, scattered into one block over the low bits and
-    transformed there.  Memory stays at two block-sized buffers whatever n
-    is, and the cost is O(n 2^n + m 2^(n-16)).  A block's first maximum replaces the best so
-    far only if strictly greater, which keeps the lexicographically
-    smallest maximizer.
+    The index is split into L = min(n, 16) low bits and n - L high bits:
+    for each high pattern, in ascending order, the equations' signs on the
+    high bits are folded into their weights, scattered into one block over
+    the low bits and transformed there (see _walsh_hadamard for the
+    block's layout).  The cost is O(L 2^n + m 2^(n-16)), and memory stays
+    at two block-sized buffers whatever n is.
+
+    Every scattered sum, every stage's entry and the result is a signed sum
+    of some of the scaled weights, so |entry| <= sum |w| bounds them all
+    exactly: the buffers use the narrowest of int16, int32 and int64 that
+    holds that sum, and Python ints beyond it.  A block's first maximum
+    replaces the best so far only if strictly greater, which keeps the
+    lexicographically smallest maximizer.
     """
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
     scale = math.lcm(*(row[2].denominator for row in sys.rows), 1)
     eq_data = [(reverse_bits(bits, sys.n), rhs, int(w * scale)) for bits, rhs, w, _ in sys.rows]
-    # Python ints past the int64 headroom, so the sums stay exact
-    dtype = np.int64 if sum(w for _, _, w in eq_data) < _INT64_SAFE else object
+    total = sum(w for _, _, w in eq_data)
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if total <= np.iinfo(t).max), object)
     low_bits = min(sys.n, _BLOCK_BITS)
+    s = low_bits // 2
     lows = np.array([mask & ((1 << low_bits) - 1) for mask, _, _ in eq_data], dtype=np.intp)
+    lows = (lows & ((1 << s) - 1)) << (low_bits - s) | lows >> s
     highs = np.array([mask >> low_bits for mask, _, _ in eq_data], dtype=np.uint64)
     signed = np.array([-w if rhs else w for _, rhs, w in eq_data], dtype=dtype)
-    scratch = np.empty(1 << low_bits, dtype=dtype)
+    block = np.empty(1 << low_bits, dtype=dtype)
+    scratch = np.empty_like(block)
     best_val, best_at = None, 0
     for zh in range(1 << (sys.n - low_bits)):
         odd = (np.bitwise_count(highs & np.uint64(zh)) & 1).astype(bool)
-        block = np.zeros(1 << low_bits, dtype=dtype)
+        block.fill(0)
         np.add.at(block, lows, np.where(odd, -signed, signed))
         values = _walsh_hadamard(block, scratch)
         pos = int(np.argmax(values))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import lt, sub
 
 from .errors import ParseError
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
@@ -161,11 +162,20 @@ def parse_system(text: str) -> LinearSystem:
 
 
 def emit_system(sys: LinearSystem) -> str:
+    # a row with at least 1 in 16 of its bits set reads its indices from its
+    # reversed bin() digits, as 0/1 bytes selecting from a list of index
+    # names; a sparser row walks its set bits, so that the cost follows the
+    # output and not the declared n
+    names: list[str] = []
     lines = [f"p maxlin {sys.n} {sys.m}"]
     for bits, rhs, weight, _ in sys.rows:
-        support = _support(bits)
-        idx = " ".join(str(j + 1) for j in support)
-        lines.append(f"{weight} {rhs} {len(support)} {idx}".rstrip())
+        count, length = bits.bit_count(), bits.bit_length()
+        if count * 16 < length:
+            idx = " ".join(str(j + 1) for j in _support(bits))
+        else:
+            names.extend(map(str, range(len(names) + 1, length + 1)))
+            idx = " ".join(compress(names, bin(bits)[:1:-1].encode().translate(_BIT_BYTES)))
+        lines.append(f"{weight} {rhs} {count} {idx}".rstrip())
     return "\n".join(lines) + "\n"
 
 

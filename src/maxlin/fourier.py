@@ -54,6 +54,10 @@ class FourierExpansion:
             cleaned[subset] = coeff
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
+    def __hash__(self) -> int:
+        # the generated hash would hash the terms mapping, which has none
+        return hash((self.n, self.constant, frozenset(self.terms.items())))
+
     def sorted_terms(self) -> list[tuple[frozenset[int], Fraction]]:
         """Terms in the canonical order: lexicographic on sorted index tuples."""
         return sorted(self.terms.items(), key=lambda kv: tuple(sorted(kv[0])))

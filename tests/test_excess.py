@@ -126,6 +126,39 @@ class TestBruteForce:
             witness = brute_force_max_excess(sys)
             assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
 
+    @pytest.mark.parametrize("total", [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weight_sums_at_each_integer_type_edge(self, total, sign):
+        # the oracle's integer type is the narrowest that holds the weight
+        # sum; every equation holds (sign 1) or fails (sign -1) at z0, so
+        # the excess reaches +-sum w there
+        rng = random.Random(total * sign)
+        n = 5
+        z0 = rng.getrandbits(n)
+        masks = rng.sample(range(1, 2**n), 6)
+        weights = [rng.randint(1, 9) for _ in masks[1:]]
+        weights.insert(0, total - sum(weights))
+        sys = LinearSystem.build(n, [
+            (F2Vector(n, mask), (mask & z0).bit_count() % 2 ^ (sign < 0), w)
+            for mask, w in zip(masks, weights)
+        ])
+        assert evaluate(sys, Assignment(n, z0)).excess == sign * total
+        witness = brute_force_max_excess(sys)
+        assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+        if sign == 1:
+            assert witness.excess == total
+
+    @pytest.mark.parametrize("n", range(13, 20))
+    def test_every_block_split_matches_frozen_block_oracle(self, n):
+        # past the Hypothesis sizes: a block of 2^13 to 2^16 points (odd and
+        # even bit counts, split in halves of every size), then 2 to 8 blocks
+        rng = random.Random(n)
+        for _ in range(2):
+            sys = random_system(rng, n_min=n, n_max=n, m_min=1, m_max=16, w_max=9,
+                                rational_weights=True)
+            witness = brute_force_max_excess(sys)
+            assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
     def test_matches_direct_enumeration(self):
         rng = random.Random(42)
         for _ in range(15):

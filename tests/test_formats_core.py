@@ -154,6 +154,16 @@ def fourier_files(draw, broken):
     return draw(render([header, const] + body))
 
 
+def emit_by_support(system: LinearSystem) -> str:
+    """The system format written equation by equation from each support."""
+    lines = [f"p maxlin {system.n} {system.m}"]
+    for eq in system.equations:
+        support = eq.lhs.support()
+        fields = [eq.weight, eq.rhs, len(support), *(j + 1 for j in support)]
+        lines.append(" ".join(map(str, fields)))
+    return "\n".join(lines) + "\n"
+
+
 class TestSystemParser:
     @PROPERTY
     @given(system_files(broken=False))
@@ -163,6 +173,7 @@ class TestSystemParser:
         assert got == outcome(ref.parse_system, text)
         system = got[1]
         assert outcome(parse_system, emit_system(system)) == got
+        assert emit_system(system) == emit_by_support(system)
 
     @PROPERTY
     @given(system_files(broken=True))
@@ -250,7 +261,9 @@ def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
          Fraction(rng.randint(1, 4), rng.randint(1, 2)))
         for _ in range(m)
     ]
-    text = emit_system(LinearSystem.build(n, rows))
+    system = LinearSystem.build(n, rows)
+    text = emit_system(system)
+    assert text == emit_by_support(system)
     want = ref.parse_system(text)
     index_tokens = sum(len(row[0]) for row in rows)
 
@@ -274,6 +287,21 @@ def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
     assert calls["_parse_int"] <= 2 * m + 2
     assert index_tokens > 20 * m
     assert calls["from_support"] == 0
+
+
+def test_emit_writes_sparse_and_dense_rows_alike():
+    # rows with fewer than 1 in 16 of their bits set walk their set bits,
+    # the others read them from bin(); [15] and [16] sit on either side
+    rng = random.Random(7)
+    n = 300
+    rows = [([j], 1, 2) for j in (0, 15, 16, n - 1)] + [
+        (sorted(rng.sample(range(n), size)), rng.randint(0, 1),
+         Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+        for size in (1, 2, 3, 18, 19, 20, 150, n)
+        for _ in range(3)
+    ]
+    system = LinearSystem.build(n, rows)
+    assert emit_system(system) == emit_by_support(system)
 
 
 def test_expansion_range_check_names_the_term():

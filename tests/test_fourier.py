@@ -206,3 +206,12 @@ def test_terms_are_read_only():
     source[frozenset({1})] = Fraction(0)  # the caller's dict is not the stored map
     assert f.terms == {frozenset({0}): Fraction(1)}
     assert fourier_to_system(f)[0].rows == ((0b01, 0, Fraction(1), 0),)
+
+
+def test_equal_expansions_hash_equal():
+    f = FourierExpansion(3, Fraction(1, 2), {
+        frozenset({0, 2}): 3, frozenset({1}): Fraction(-1, 2)
+    })
+    g = FourierExpansion(3, "1/2", {(1,): "-1/2", (2, 0): Fraction(3)})
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, FourierExpansion(3, Fraction(1, 2))}) == 2

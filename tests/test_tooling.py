@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+
 import maxlin
 
 
@@ -89,6 +91,43 @@ def test_only_f2core_reads_equations():
         if path.name != "f2core.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and node.attr == "equations"
+    ]
+    assert found == []
+
+
+def test_library_names_no_floating_dtype():
+    # all arithmetic stays exact: no float or complex numpy type, whether
+    # named, spelled as a builtin or as a string, and no
+    # np.bincount(weights=), which always sums in float64
+    def inexact(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("float", "complex")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                return np.dtype(node.value).kind in "fc"
+            except TypeError:
+                return False
+        return False
+
+    def floating(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            named = getattr(np, node.attr, None) if node.value.id in ("np", "numpy") else None
+            return isinstance(named, type) and issubclass(named, np.inexact)
+        if not isinstance(node, ast.Call):
+            return False
+        method = node.func.attr if isinstance(node.func, ast.Attribute) else None
+        return (
+            any(kw.arg == "dtype" and inexact(kw.value) for kw in node.keywords)
+            or method in ("astype", "dtype") and any(map(inexact, node.args))
+            or method == "bincount" and any(kw.arg == "weights" for kw in node.keywords)
+        )
+
+    package = Path(maxlin.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if floating(node)
     ]
     assert found == []
 

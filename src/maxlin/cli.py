@@ -22,6 +22,7 @@ from .excess import (
     brute_force_max_excess,
     decide_aa,
 )
+from .f2core import F2Vector
 from .formats import (
     emit_fourier,
     emit_system,
@@ -114,7 +115,8 @@ def _cmd_bound(config: CommandConfig, out: IO[str]) -> int:
 def _cmd_kset(config: CommandConfig, out: IO[str]) -> int:
     members = parse_vectorset(_read_input(config))
     chosen = find_kset(members, config.k)
-    _write_fields(config, out, [(f"vector{i}", vec.to01()) for i, vec in enumerate(chosen, 1)])
+    vectors = [(f"vector{i}", F2Vector(members.n, b).to01()) for i, b in enumerate(chosen, 1)]
+    _write_fields(config, out, vectors)
     return 0
 
 

@@ -25,7 +25,7 @@ from .errors import (
     OracleCapError,
     PreconditionError,
 )
-from .f2core import Assignment, F2Vector, LinearSystem, evaluate, reverse_bits
+from .f2core import Assignment, LinearSystem, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h
 from .reduce import lift_assignment, make_irreducible
@@ -108,10 +108,11 @@ def _marking_witness(
 def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     """Constructively achieve excess >= k * w_min on an irreducible system.
 
-    Requires k >= 2, k <= m and (m+2)^(k-1) <= 2^n (exact integers).  Builds
-    the lhs vectors plus zero, extracts k of them with no sum of two or more
-    in the set, marks those equations first — none can be touched before its
-    turn — and back-substitutes the transcript into an assignment.
+    Requires k >= 2, k <= m and (m+2)^(k-1) <= 2^n (exact integers).  Puts
+    the rows' lhs bits, as stored, and 0 in a VectorSet, extracts k of them
+    with no sum of two or more in the set, marks those equations first —
+    none can be touched before its turn — and back-substitutes the
+    transcript into an assignment.
 
     Irreducibility is tested as distinct left-hand sides plus
     ``members.spans()`` (0 adds nothing to the span), and find_kset reuses
@@ -123,7 +124,7 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     if not isinstance(k, int) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
     by_bits = {row[0]: row[3] for row in sys.rows}
-    members = VectorSet(sys.n, [F2Vector(sys.n, bits) for bits in by_bits] + [F2Vector.zero(sys.n)])
+    members = VectorSet(sys.n, [*by_bits, 0])
     if len(by_bits) != sys.m or not members.spans():
         raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
     m = sys.m
@@ -134,7 +135,7 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
             "threshold_exceeded", f"need (m+2)^(k-1) <= 2^n, got ({m}+2)^{k - 1} > 2^{sys.n}"
         )
     marked_first = find_kset(members, k - 1)
-    ids = [by_bits[v.bits] for v in marked_first]
+    ids = [by_bits[b] for b in marked_first]
     witness, marked = _marking_witness(sys, ids)
     if witness.excess < k * sys.min_weight or witness.excess < marked:
         raise MaxlinError("internal error: marking lower bound not met")

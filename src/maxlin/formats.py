@@ -25,7 +25,7 @@ from itertools import compress, repeat
 from operator import lt, sub
 
 from .errors import ParseError
-from .f2core import F2Vector, LinearSystem, _pack, _support
+from .f2core import LinearSystem, _pack, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -241,16 +241,14 @@ def parse_vectorset(text: str) -> VectorSet:
     n, count, rows = _parse_header(lines, "vecset")
     _check_count(rows, count, "vectors", 1)
     seen: set[int] = set()
-    vectors = []
     for line_no, tokens in rows:
         if len(tokens) != 1 or len(tokens[0]) != n or set(tokens[0]) - {"0", "1"}:
             raise ParseError(line_no, f"expected a 0/1 string of length {n}")
-        vec = F2Vector.from01(tokens[0])
-        if vec.bits in seen:
+        bits = int(tokens[0][::-1], 2)
+        if bits in seen:
             raise ParseError(line_no, "duplicate vector")
-        seen.add(vec.bits)
-        vectors.append(vec)
-    return VectorSet(n, vectors)
+        seen.add(bits)
+    return VectorSet(n, seen)
 
 
 def parse_cnf(text: str) -> CnfFormula:

@@ -7,9 +7,11 @@ phase extends a partial answer inside a maintained change of coordinates,
 and when it stalls the search recurses on the quotient modulo the span of
 the partial answer, halving the set each time.
 
-Every step costs a polynomial in n, |M| and k: a greedy level is one pass
-over the set, and checking an answer is one elimination over its k+1
-vectors plus one reduction of each member against them, O(|M| (k+1))
+A vector is a packed int, bit j holding coordinate j, as in
+``LinearSystem.rows``: members, the search's coordinates and its answer are
+all ints.  Every step costs a polynomial in n, |M| and k: a greedy level is
+one pass over the set, and checking an answer is one elimination over its
+k+1 vectors plus one reduction of each member against them, O(|M| (k+1))
 big-int XORs, never a walk over the 2^(k+1) subsets.
 """
 from __future__ import annotations
@@ -20,32 +22,31 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import F2Vector, _pivot_basis
+from .f2core import _check_packed, _pivot_basis, reverse_bits
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
 
 @dataclass(frozen=True)
 class VectorSet:
-    """A deduplicated set of F2 vectors of one dimension."""
+    """A deduplicated set of vectors of F2^n, each an int whose bit j is
+    coordinate j; a member that is not an int that fits n bits raises."""
 
     n: int
-    vectors: frozenset[F2Vector]
+    vectors: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", frozenset(self.vectors))
         for v in self.vectors:
-            if v.n != self.n:
-                raise MaxlinError(f"vector of dimension {v.n} in a set of dimension {self.n}")
+            if not isinstance(v, int):
+                raise MaxlinError(f"set member {v!r} is not an int bit pattern")
+            _check_packed(self.n, v)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __contains__(self, v: F2Vector) -> bool:
+    def __contains__(self, v: int) -> bool:
         return v in self.vectors
-
-    def bit_patterns(self) -> frozenset[int]:
-        return frozenset(v.bits for v in self.vectors)
 
     def spans(self) -> bool:
         """True when the set contains a basis of F2^n; computed once per set."""
@@ -53,10 +54,10 @@ class VectorSet:
 
     @cached_property
     def _spans(self) -> bool:
-        return len(_pivot_basis((v.bits for v in self.vectors), self.n)) == self.n
+        return len(_pivot_basis(self.vectors, self.n)) == self.n
 
 
-def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vector]:
+def _search(elements: list[tuple[int, int]], n: int, k: int, top_n: int) -> list[int]:
     """One recursion level of the greedy-plus-quotient search.
 
     The state is the list ``cur`` of coordinates, indexed like ``elements``
@@ -69,7 +70,8 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
     stay distinct, so it is unique, and x beats the current pick p exactly
     when x has a 0 at the lowest bit of x ^ p.  A pick becomes unit vector
     ``level`` by a coordinate swap and coordinate additions, fixing the
-    units below ``level``.  A stalled phase recurses on the quotient.
+    units below ``level``.  A stalled phase recurses on the quotient, whose
+    representatives come first lexicographically in the top-level ``top_n``.
     """
     cur = [bits for bits, _ in elements]
     chosen: list[int] = []
@@ -101,7 +103,7 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
         return [elements[i][1] for i in chosen]
 
     level = len(chosen)
-    groups: dict[int, list[F2Vector]] = {}
+    groups: dict[int, list[int]] = {}
     for x, (_, orig) in zip(cur, elements):
         groups.setdefault(x >> level, []).append(orig)
     # A stalled phase leaves no singleton class with a nonzero residue, and
@@ -114,23 +116,23 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
             f"internal error: greedy phase stalled at level {level} in dimension {n} for k={k}"
         )
     quotient = [
-        (suffix, min(group, key=F2Vector.lex_key)) for suffix, group in sorted(groups.items())
+        (suffix, min(group, key=lambda v: reverse_bits(v, top_n)))
+        for suffix, group in sorted(groups.items())
     ]
-    return _search(quotient, quotient_n, k)
+    return _search(quotient, quotient_n, k, top_n)
 
 
-def _pair_scan(members: VectorSet) -> list[F2Vector]:
-    patterns = members.bit_patterns()
-    ordered = sorted(members.vectors, key=F2Vector.lex_key)
+def _pair_scan(members: VectorSet) -> list[int]:
+    ordered = sorted(members.vectors, key=lambda v: reverse_bits(v, members.n))
     for i, u in enumerate(ordered):
         for w in ordered[i + 1 :]:
-            if u.bits ^ w.bits not in patterns:
+            if u ^ w not in members:
                 return [u, w]
     raise MaxlinError("internal error: every pairwise sum stayed in the set")
 
 
-def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
-    """Find k+1 vectors of M no sum of two or more of which lies in M.
+def find_kset(members: VectorSet, k: int) -> list[int]:
+    """Find k+1 vectors of M, as ints, no sum of two or more of which lies in M.
 
     Preconditions (each with its own error condition code): M contains the
     zero vector and a basis, |M| < 2^n, k+1 <= |M|, and |M|^k <= 2^n — the
@@ -144,7 +146,7 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
         raise PreconditionError("k_not_positive", f"k must be a positive integer, got {k!r}")
     size = len(members)
     n = members.n
-    if F2Vector.zero(n) not in members:
+    if 0 not in members:
         raise PreconditionError("zero_missing", "the zero vector must belong to the set")
     if size >= 2**n:
         raise PreconditionError("set_too_large", f"need |M| < 2^{n}, got {size}")
@@ -159,58 +161,49 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
     if k == 1:
         result = _pair_scan(members)
     else:
-        result = _search([(v.bits, v) for v in members.vectors], n, k)
+        result = _search([(v, v) for v in members.vectors], n, k, n)
     if not verify_kset(members, result):
         raise MaxlinError("internal error: constructed set failed verification")
     return result
 
 
-def verify_kset(members: VectorSet, candidate: Iterable[F2Vector]) -> bool:
-    """Accept iff the candidate vectors are distinct members of M and none of
-    the sums of two or more of them lies in M.
+def verify_kset(members: VectorSet, candidate: Iterable[int]) -> bool:
+    """Accept iff the candidate vectors (packed ints) are distinct members of
+    M and none of the sums of two or more of them lies in M.
 
     Two or more distinct members that are linearly dependent always have a
     sum of two or more of them in M, whether or not 0 is in M: a zero sum
     over one of them puts 0, hence 0 + c = c, in M, and a zero sum over
     three or more makes the sum of all but one of them equal that one (a
-    zero sum over two is a repeat).  So the check
-    eliminates over the candidate, tracking which candidates make up each
-    basis row, rejects a dependent one, and then rejects when a member of M
-    lies in the span with a representation of two or more candidates —
-    unique, as the candidate is independent.  Cost: O(|M| (k+1)) big-int
-    XORs for k+1 candidates, where the direct check would walk 2^(k+1)
-    subsets.
+    zero sum over two is a repeat).  So the check eliminates over the
+    candidate and rejects a dependent one.  An independent candidate writes
+    each vector of its span in one way, so a member of M other than 0 and
+    the candidates that reduces to 0 against it is a sum of two or more of
+    them, and the check rejects it.  Cost: O(|M| (k+1)) big-int XORs for
+    k+1 candidates, where the direct check would walk 2^(k+1) subsets.
     """
     vectors = list(candidate)
-    if len(set(vectors)) != len(vectors):
-        return False
-    if any(v.n != members.n or v not in members for v in vectors):
+    if len(set(vectors)) != len(vectors) or any(v not in members for v in vectors):
         return False
     if len(vectors) < 2:
         return True
-    # lowest set bit -> (row, bit mask of the candidates summing to it)
-    basis: dict[int, tuple[int, int]] = {}
-    for i, v in enumerate(vectors):
-        row, used = v.bits, 1 << i
+    basis: dict[int, int] = {}  # lowest set bit -> basis row
+    for row in vectors:
         while row:
             low = row & -row
-            entry = basis.get(low)
-            if entry is None:
-                basis[low] = (row, used)
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = row
                 break
-            row ^= entry[0]
-            used ^= entry[1]
+            row ^= pivot
         else:
             return False
-    for x in (v.bits for v in members.vectors):
-        used = 0
+    for x in members.vectors - {0, *vectors}:
         while x:
-            entry = basis.get(x & -x)
-            if entry is None:
+            pivot = basis.get(x & -x)
+            if pivot is None:
                 break
-            x ^= entry[0]
-            used ^= entry[1]
+            x ^= pivot
         else:
-            if used & (used - 1):
-                return False
+            return False
     return True

@@ -47,6 +47,8 @@ class CnfFormula:
         for clause in self.clauses:
             variables = set()
             for lit in clause:
+                if not isinstance(lit, int):
+                    raise MaxlinError(f"literal {lit!r} is not an int")
                 if lit == 0:
                     raise MaxlinError("literal 0 is not allowed")
                 var = abs(lit)
@@ -72,6 +74,8 @@ class CspConstraint:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "satisfying", frozenset(tuple(v) for v in self.satisfying))
         arity = len(self.variables)
+        if any(not isinstance(v, int) for v in self.variables):
+            raise MaxlinError(f"constraint variables {self.variables} must be ints")
         if arity < 1:
             raise MaxlinError("constraints must touch at least one variable")
         if len(set(self.variables)) != arity:
@@ -205,8 +209,8 @@ def decide_sat_aa(
     through x_i = (-1)^{z_i}; the answer is re-validated by direct clause
     counting before being returned.
     """
-    if r < 2:
-        raise MaxlinError(f"exact-r SAT requires r >= 2, got {r}")
+    if not isinstance(r, int) or r < 2:
+        raise MaxlinError(f"exact-r SAT requires an integer r >= 2, got {r!r}")
     if not isinstance(k, int) or k < 1:
         raise MaxlinError(f"parameter k must be a positive integer, got {k!r}")
     expansion = sat_to_fourier(formula, r)

@@ -17,7 +17,6 @@ from maxlin import (
     CnfFormula,
     CspConstraint,
     CspInstance,
-    F2Vector,
     FourierExpansion,
     LinearSystem,
     VectorSet,
@@ -143,8 +142,7 @@ def random_vectorset(rng: random.Random, *, n_max: int = 16, k_max: int = 4) -> 
             bits.add(1 << j)
         while len(bits) < size:
             bits.add(rng.randrange(1, 2**n))
-        vectors = frozenset(F2Vector(n, b) for b in bits)
-        members = VectorSet(n, vectors)
+        members = VectorSet(n, bits)
         if len(members) ** k <= 2**n and k + 1 <= len(members) < 2**n:
             return members, k
 
@@ -367,7 +365,7 @@ def paired_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
             continue
         bits.add(extra)
         bits.add(extra ^ shift)
-    members = VectorSet(n, [F2Vector(n, b) for b in bits])
+    members = VectorSet(n, bits)
     assert len(members) ** 2 <= 2**n
     return members, 2
 

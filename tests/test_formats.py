@@ -108,8 +108,10 @@ class TestFourierFormat:
 
 class TestVectorSetFormat:
     def test_parse(self):
-        members = parse_vectorset("p vecset 3 2\n000\n101\n")
-        assert len(members) == 2
+        members = parse_vectorset("p vecset 4 3\n0000\n1000\n0011\n")
+        assert members.n == 4
+        # character j of a row is bit j of its pattern
+        assert members.vectors == {0b0000, 0b0001, 0b1100}
 
     def test_rejects_bad_rows(self):
         for text, line in [

@@ -8,53 +8,56 @@ from maxlin import F2Vector, MaxlinError, PreconditionError, VectorSet, find_kse
 from helpers import assert_raises, random_vectorset
 
 
+def bits01(text):
+    """The packed int of a 0/1 string, character j being coordinate j."""
+    return F2Vector.from01(text).bits
+
+
 def vecset(n, patterns):
-    return VectorSet(n, [F2Vector.from01(p) for p in patterns])
+    return VectorSet(n, [bits01(p) for p in patterns])
 
 
 def units_with_zero(n):
-    return VectorSet(
-        n, [F2Vector.zero(n)] + [F2Vector.from_support(n, [j]) for j in range(n)]
-    )
+    return VectorSet(n, [0] + [1 << j for j in range(n)])
 
 
 class TestFindKset:
     def test_pair_in_plane(self):
         members = vecset(2, ["00", "10", "01"])
         found = find_kset(members, 1)
-        assert {v.to01() for v in found} == {"10", "01"}
+        assert set(found) == {bits01("10"), bits01("01")}
 
     def test_pair_among_units(self):
         found = find_kset(units_with_zero(3), 1)
         assert len(found) == 2
-        assert (found[0] ^ found[1]).popcount() == 2
+        assert (found[0] ^ found[1]).bit_count() == 2
 
     def test_three_units_in_six_dims(self):
         members = units_with_zero(6)
         found = find_kset(members, 2)
         assert len(found) == 3
-        assert all(v.popcount() == 1 for v in found)
+        assert all(v.bit_count() == 1 for v in found)
         assert verify_kset(members, found)
 
     def test_quotient_recursion_path(self):
         # every candidate pairs with its e8-translate, so the greedy phase
         # stalls at one element and the search must recurse on the quotient
-        vectors = [F2Vector.zero(8), F2Vector.from_support(8, [7])]
+        vectors = [0, 1 << 7]
         for i in range(7):
-            vectors.append(F2Vector.from_support(8, [i]))
-            vectors.append(F2Vector.from_support(8, [i, 7]))
+            vectors.append(1 << i)
+            vectors.append(1 << i | 1 << 7)
         members = VectorSet(8, vectors)
         found = find_kset(members, 2)
         assert verify_kset(members, found)
         # pinned: deterministic output of the quotient lifting
-        assert [v.to01() for v in found] == ["10000000", "01000000", "00100000"]
+        assert found == [bits01(p) for p in ("10000000", "01000000", "00100000")]
 
     def test_pair_scan_on_nearly_full_space(self):
         # only one nonzero vector is missing; the chosen pair must sum to it
         missing = 0b111
-        members = VectorSet(3, [F2Vector(3, b) for b in range(8) if b != missing])
+        members = VectorSet(3, [b for b in range(8) if b != missing])
         found = find_kset(members, 1)
-        assert found[0].bits ^ found[1].bits == missing
+        assert found[0] ^ found[1] == missing
 
     def test_deterministic(self):
         rng = random.Random(31)
@@ -87,7 +90,7 @@ class TestFindKset:
             bits.add(1 << j)
         while len(bits) < 22:  # 22^4 <= 2^18
             bits.add(rng.randrange(1, 2**n))
-        members = VectorSet(n, [F2Vector(n, b) for b in bits])
+        members = VectorSet(n, bits)
         found = find_kset(members, 4)
         assert len(found) == 5
         assert verify_kset(members, found)
@@ -141,42 +144,60 @@ class TestPreconditions:
 class TestVerifyKset:
     def test_accepts_valid_pair(self):
         members = vecset(2, ["00", "10", "01"])
-        assert verify_kset(members, [F2Vector.from01("10"), F2Vector.from01("01")])
+        assert verify_kset(members, [bits01("10"), bits01("01")])
 
     def test_rejects_sum_in_set(self):
         members = vecset(2, ["00", "10", "01", "11"])
-        assert not verify_kset(members, [F2Vector.from01("10"), F2Vector.from01("01")])
+        assert not verify_kset(members, [bits01("10"), bits01("01")])
 
     def test_singleton_accepts_vacuously(self):
         members = vecset(2, ["00", "10", "01"])
-        assert verify_kset(members, [F2Vector.from01("10")])
+        assert verify_kset(members, [bits01("10")])
 
     def test_rejects_nonmember(self):
         members = vecset(2, ["00", "10", "01"])
-        assert not verify_kset(members, [F2Vector.from01("11")])
+        assert not verify_kset(members, [bits01("11")])
 
     def test_rejects_duplicates(self):
         members = vecset(2, ["00", "10", "01"])
-        v = F2Vector.from01("10")
+        v = bits01("10")
         assert not verify_kset(members, [v, v])
 
     def test_checks_every_subset_size(self):
         members = vecset(4, ["0000", "1000", "0100", "0010", "0001", "1110"])
-        chosen = [F2Vector.from01(p) for p in ("1000", "0100", "0010")]
+        chosen = [bits01(p) for p in ("1000", "0100", "0010")]
         # pairwise sums are fine but the triple sum 1110 is a member
         for a, b in combinations(chosen, 2):
-            assert (a ^ b).to01() not in {v.to01() for v in members.vectors}
+            assert a ^ b not in members
         assert not verify_kset(members, chosen)
+
+    def test_rejects_out_of_range_and_old_style_candidates(self):
+        members = vecset(2, ["00", "10", "01"])
+        assert not verify_kset(members, [bits01("10"), 0b100])
+        assert not verify_kset(members, [-1])
+        assert not verify_kset(members, [F2Vector.from01("10"), F2Vector.from01("01")])
 
 
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
         pytest.param(
-            lambda: VectorSet(2, [F2Vector.zero(2), F2Vector.zero(3)]),
+            lambda: VectorSet(2, [0, 0b100]),
             MaxlinError,
-            "vector of dimension 3 in a set of dimension 2",
+            "bit pattern 0x4 does not fit dimension 2",
             id="vector-dimension",
+        ),
+        pytest.param(
+            lambda: VectorSet(2, [0, -1]),
+            MaxlinError,
+            "bit pattern -0x1 does not fit dimension 2",
+            id="pattern-negative",
+        ),
+        pytest.param(
+            lambda: VectorSet(2, [0, F2Vector.from01("10")]),
+            MaxlinError,
+            "is not an int bit pattern",
+            id="f2vector-member",
         ),
     ],
 )

@@ -3,11 +3,14 @@ enumeration reference.
 
 ``verify_kset`` must give the reference's verdict on sets with and without
 the zero vector, for candidates of 0-8 vectors that mix members, non-members,
-the zero vector, repeats, vectors of another dimension, dependent sets and
-independent ones.  ``find_kset`` must return the reference's list, in order,
-on random, paired (quotient-recursing) and dense in-regime sets.
+the zero vector, repeats, patterns that do not fit the dimension, dependent
+sets and independent ones.  ``find_kset`` must return the reference's list,
+in order, on random, paired (quotient-recursing) and dense in-regime sets.
+The reference reads sets of ``F2Vector``; ``as_vectors`` hands it the same
+sets in that form, and ``ref_find`` turns its answer back into ints.
 """
 import random
+from dataclasses import dataclass
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,43 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def _independent(rows: list[int], n: int) -> bool:
     return len(_pivot_basis(rows, n)) == len(rows)
+
+
+@dataclass(frozen=True)
+class F2VectorSet:
+    """The ``F2Vector`` form of a ``VectorSet``, which the frozen reference
+    reads: ``vectors``, membership, ``bit_patterns()`` and ``spans()``."""
+
+    n: int
+    vectors: frozenset
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __contains__(self, v) -> bool:
+        return v in self.vectors
+
+    def bit_patterns(self) -> frozenset:
+        return frozenset(v.bits for v in self.vectors)
+
+    def spans(self) -> bool:
+        return len(_pivot_basis(self.bit_patterns(), self.n)) == self.n
+
+
+def as_vectors(members: VectorSet) -> F2VectorSet:
+    return F2VectorSet(members.n, frozenset(F2Vector(members.n, b) for b in members.vectors))
+
+
+def ref_verify(members: VectorSet, candidate: list[int]) -> bool:
+    """The reference's verdict; a pattern wider than n becomes a vector of
+    its own width, which the reference rejects as of another dimension."""
+    n = members.n
+    vectors = [F2Vector(max(n, b.bit_length()), b) for b in candidate]
+    return ref.verify_kset(as_vectors(members), vectors)
+
+
+def ref_find(members: VectorSet, k: int) -> list[int]:
+    return [v.bits for v in ref.find_kset(as_vectors(members), k)]
 
 
 @st.composite
@@ -61,28 +101,30 @@ def verify_cases(draw):
                 cand.insert(draw(st.integers(0, len(cand))), total)
             if kind == "dependent" or draw(st.integers(0, 2)) == 0:
                 bits.add(total)
-    vectors = [F2Vector(n, b) for b in cand]
     if draw(st.integers(0, 9)) == 0:
-        vectors.append(F2Vector(n + 1, 0))
-    return VectorSet(n, [F2Vector(n, b) for b in bits]), vectors
+        cand.append(draw(st.integers(2**n, 2 ** (n + 2) - 1)))
+    return VectorSet(n, bits), cand
 
 
 @PROPERTY
 @given(verify_cases())
 def test_verify_kset_matches_the_enumeration(case):
     members, candidate = case
-    assert verify_kset(members, candidate) == ref.verify_kset(members, candidate)
+    assert verify_kset(members, candidate) == ref_verify(members, candidate)
 
 
 def test_verify_kset_cases_reach_both_verdicts():
     # the dependent-candidate argument needs no zero vector in the set
-    members = VectorSet(4, [F2Vector(4, b) for b in (0b0001, 0b0010, 0b0011, 0b1100)])
-    dependent = [F2Vector(4, b) for b in (0b0001, 0b0010, 0b0011)]
+    members = VectorSet(4, [0b0001, 0b0010, 0b0011, 0b1100])
+    dependent = [0b0001, 0b0010, 0b0011]
     assert not verify_kset(members, dependent)
-    assert not ref.verify_kset(members, dependent)
-    independent = [F2Vector(4, b) for b in (0b0001, 0b1100)]
+    assert not ref_verify(members, dependent)
+    independent = [0b0001, 0b1100]
     assert verify_kset(members, independent)
-    assert ref.verify_kset(members, independent)
+    assert ref_verify(members, independent)
+    wide = [0b0001, 0b10000]
+    assert not verify_kset(members, wide)
+    assert not ref_verify(members, wide)
 
 
 def dense_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
@@ -102,7 +144,7 @@ def dense_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
             bits.update(1 << j for j in range(n))
         while len(bits) < size:
             bits.add(rng.getrandbits(n))
-        members = VectorSet(n, [F2Vector(n, b) for b in bits])
+        members = VectorSet(n, bits)
         if members.spans():
             return members, k
 
@@ -111,7 +153,7 @@ def dense_vectorset(rng: random.Random) -> tuple[VectorSet, int]:
 @given(SEEDS, st.sampled_from((random_vectorset, paired_vectorset, dense_vectorset)))
 def test_find_kset_matches_the_reference(seed, draw_set):
     members, k = draw_set(random.Random(seed))
-    assert find_kset(members, k) == ref.find_kset(members, k)
+    assert find_kset(members, k) == ref_find(members, k)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -121,4 +163,4 @@ def test_find_kset_matches_the_reference_through_the_quotient(seed):
     with mock.patch.object(kset, "_search", wraps=kset._search) as search:
         found = find_kset(members, k)
     assert search.call_count >= 2  # the greedy phase stalled and recursed
-    assert found == ref.find_kset(members, k)
+    assert found == ref_find(members, k)

@@ -245,6 +245,7 @@ def cnf(n, *clauses):
         pytest.param(lambda: cnf(2, (1, 0)), "literal 0 is not allowed", id="cnf-literal-0"),
         pytest.param(lambda: cnf(2, (3,)), "literal 3 exceeds variable count 2", id="cnf-literal-range"),
         pytest.param(lambda: cnf(2, (1, -1)), "clause (1, -1) repeats variable 1", id="cnf-repeat"),
+        pytest.param(lambda: cnf(2, (1.0, 2)), "literal 1.0 is not an int", id="cnf-float-literal"),
         pytest.param(
             lambda: CspConstraint((), {()}),
             "constraints must touch at least one variable",
@@ -259,6 +260,11 @@ def cnf(n, *clauses):
             lambda: CspConstraint((0,), set()),
             "constraints must have at least one satisfying point",
             id="csp-no-point",
+        ),
+        pytest.param(
+            lambda: CspInstance(2, (CspConstraint((0.5,), {(1,)}),)),
+            "constraint variables (0.5,) must be ints",
+            id="csp-float-variable",
         ),
         pytest.param(
             lambda: CspConstraint((0, 1), {(1, 0)}),
@@ -294,6 +300,11 @@ def cnf(n, *clauses):
             lambda: decide_sat_aa(cnf(2, (1, 2)), 2, 0),
             "parameter k must be a positive integer, got 0",
             id="decide-k",
+        ),
+        pytest.param(
+            lambda: decide_sat_aa(cnf(2, (1, 2)), "3", 1),
+            "exact-r SAT requires an integer r >= 2, got '3'",
+            id="decide-r-type",
         ),
         pytest.param(
             lambda: satisfied_clause_count(cnf(2, (1, 2)), (1,)),

@@ -1,8 +1,11 @@
-"""Source-level rules for the library itself, and the README's example."""
+"""Source-level rules for the library itself, the README's example, and the
+pytest settings."""
 import ast
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +144,32 @@ def test_readme_quick_start_runs_and_prints_its_comment():
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue() == "True 00 2\n"
     assert "# True 00 2" in code
+
+
+TWO_TESTS = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_example_does_not_end_the_session(tmp_path):
+    # under filterwarnings = ["error"], a warning raised while Hypothesis
+    # reports a failure would abort the session and skip every later test
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "pyproject.toml").write_text(pyproject.read_text())
+    (tmp_path / "test_two.py").write_text(TWO_TESTS)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

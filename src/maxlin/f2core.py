@@ -8,6 +8,9 @@ whole package reads, and builds its ``Equation`` objects only on request.
 A row is checked once, where it enters the library (as an ``Equation``, by
 a parser or by ``FourierExpansion``); a system derived from a checked one is
 built by ``LinearSystem._from_rows`` without checking its rows again.
+Every public constructor shares two checks: ``_check_dimension`` (n is an
+int >= 0, and a bool is refused) and ``_check_packed`` (a bit pattern is an
+int that fits n bits).
 All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
@@ -79,9 +82,18 @@ def _support(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_packed(n: int, bits: int) -> None:
+def _check_dimension(n: int, what: str = "dimension") -> None:
+    """Raise unless n is an int >= 0; a bool is refused."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MaxlinError(f"{what} must be an int, got {n!r}")
     if n < 0:
-        raise MaxlinError("dimension must be non-negative")
+        raise MaxlinError(f"{what} must be non-negative")
+
+
+def _check_packed(n: int, bits: int) -> None:
+    """Raise unless bits is an int that fits the checked dimension n."""
+    if not isinstance(bits, int):
+        raise MaxlinError(f"{bits!r} is not an int bit pattern")
     if bits < 0 or bits >> n != 0:
         raise MaxlinError(f"bit pattern {bits:#x} does not fit dimension {n}")
 
@@ -108,29 +120,17 @@ class F2Vector:
     bits: int = 0
 
     def __post_init__(self) -> None:
+        _check_dimension(self.n)
         _check_packed(self.n, self.bits)
 
     @classmethod
-    def zero(cls, n: int) -> F2Vector:
-        return cls(n, 0)
-
-    @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> F2Vector:
+        _check_dimension(n)
         support = list(support)
         if support and (min(support) < 0 or max(support) >= n
                         or len(set(support)) != len(support)):
             _raise_support_error(n, support)
         return cls(n, _pack(support))
-
-    @classmethod
-    def from01(cls, text: str) -> F2Vector:
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise MaxlinError(f"invalid character {ch!r} in 0/1 vector")
-        return cls(len(text), bits)
 
     def to01(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
@@ -141,26 +141,6 @@ class F2Vector:
 
     def support(self) -> tuple[int, ...]:
         return _support(self.bits)
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def min_var(self) -> int:
-        """Lowest set coordinate (0-based)."""
-        if self.bits == 0:
-            raise MaxlinError("the zero vector has no support")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    def lex_key(self) -> int:
-        return reverse_bits(self.bits, self.n)
-
-    def __xor__(self, other: F2Vector) -> F2Vector:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"dimensions differ: {self.n} vs {other.n}")
-        return F2Vector(self.n, self.bits ^ other.bits)
 
 
 # an assignment is a vector of F2^n: bit j holds z_{j+1}
@@ -185,7 +165,7 @@ class Equation:
     def __post_init__(self) -> None:
         if not isinstance(self.lhs, F2Vector):
             raise MaxlinError("the left-hand side must be an F2Vector")
-        if self.rhs not in (0, 1):
+        if type(self.rhs) is not int or self.rhs not in (0, 1):
             raise MaxlinError("rhs must be 0 or 1")
         weight = as_weight(self.weight)
         if weight <= 0:
@@ -197,11 +177,6 @@ class Equation:
     @property
     def n(self) -> int:
         return self.lhs.n
-
-    def is_satisfied_by(self, assignment: Assignment) -> bool:
-        if assignment.n != self.n:
-            raise DimensionMismatchError(f"dimensions differ: {self.n} vs {assignment.n}")
-        return parity(self.lhs.bits & assignment.bits) == self.rhs
 
 
 def _equation_row(n: int, eq: Equation) -> _Row:
@@ -237,8 +212,7 @@ class LinearSystem:
 
     def _store(self, n: int, rows: Iterable[_Row], next_id: int) -> LinearSystem:
         """Check n and each row's lhs and id in turn, and fill in the fields."""
-        if n < 0:
-            raise MaxlinError("dimension must be non-negative")
+        _check_dimension(n)
         index: dict[int, int] = {}
         kept = []
         for row in rows:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, _pack, _support, as_weight, parity
+from .f2core import LinearSystem, _check_dimension, _pack, _support, as_weight, parity
 from .reduce import apply_rule1
 
 __all__ = [
@@ -38,8 +38,7 @@ class FourierExpansion:
     terms: Mapping[frozenset[int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise MaxlinError("dimension must be non-negative")
+        _check_dimension(self.n)
         object.__setattr__(self, "constant", as_weight(self.constant))
         cleaned: dict[frozenset[int], Fraction] = {}
         for subset, coeff in self.terms.items():

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import _check_packed, _pivot_basis, reverse_bits
+from .f2core import _check_dimension, _check_packed, _pivot_basis, reverse_bits
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
@@ -36,10 +36,9 @@ class VectorSet:
     vectors: frozenset[int]
 
     def __post_init__(self) -> None:
+        _check_dimension(self.n)
         object.__setattr__(self, "vectors", frozenset(self.vectors))
         for v in self.vectors:
-            if not isinstance(v, int):
-                raise MaxlinError(f"set member {v!r} is not an int bit pattern")
             _check_packed(self.n, v)
 
     def __len__(self) -> int:

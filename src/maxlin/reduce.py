@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, LinearSystem, _pivot_basis, _Row, rref
+from .f2core import Assignment, LinearSystem, _check_dimension, _pivot_basis, _Row, rref
 
 __all__ = [
     "MergeEvent",
@@ -70,6 +70,8 @@ class ReductionTranscript:
     merge_log: tuple[MergeEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_dimension(self.original_n)
+        _check_dimension(self.reduced_n)
         kept = tuple(self.kept_variables)
         pairs = tuple(self.deleted_variables)
         deps = dict(pairs)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
-from .f2core import LinearSystem
+from .f2core import LinearSystem, _check_dimension
 from .fourier import FourierExpansion, eval_fourier, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
 
@@ -41,8 +41,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise MaxlinError("variable count must be non-negative")
+        _check_dimension(self.n, "variable count")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         for clause in self.clauses:
             variables = set()
@@ -97,8 +96,7 @@ class CspInstance:
     constraints: tuple[CspConstraint, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise MaxlinError("variable count must be non-negative")
+        _check_dimension(self.n, "variable count")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for cons in self.constraints:
             if any(not 0 <= v < self.n for v in cons.variables):

@@ -294,7 +294,8 @@ def certificate_from_assignment(sys: LinearSystem, k: int, assignment) -> tuple[
     acc = Fraction(0)
     path: list[int] = []
     while acc < k:
-        satisfied = [eq.eq_id for eq in cur.equations if eq.is_satisfied_by(assignment)]
+        satisfied = [eq.eq_id for eq in cur.equations
+                     if (eq.lhs.bits & assignment.bits).bit_count() % 2 == eq.rhs]
         assert satisfied, "ran out of satisfied equations before reaching k"
         eq_id = min(satisfied)
         cur, marked = h_step(cur, eq_id)

@@ -16,6 +16,7 @@ from maxlin import (
     DimensionMismatchError,
     Equation,
     EquationNotFoundError,
+    F2Vector,
     LinearSystem,
     MaxlinError,
     NonIntegralWeightError,
@@ -25,6 +26,23 @@ from maxlin.algoh import HRun
 from reference_reduce import apply_rule2
 
 Chooser = Callable[[LinearSystem], int]
+
+
+def _is_zero(v: F2Vector) -> bool:
+    return v.bits == 0
+
+
+def _min_var(v: F2Vector) -> int:
+    """Lowest set coordinate (0-based)."""
+    if v.bits == 0:
+        raise MaxlinError("the zero vector has no support")
+    return (v.bits & -v.bits).bit_length() - 1
+
+
+def _xor(a: F2Vector, b: F2Vector) -> F2Vector:
+    if a.n != b.n:
+        raise DimensionMismatchError(f"dimensions differ: {a.n} vs {b.n}")
+    return F2Vector(a.n, a.bits ^ b.bits)
 
 
 @dataclass(frozen=True)
@@ -37,8 +55,8 @@ class MarkRecord:
     iteration: int
 
     def __post_init__(self) -> None:
-        if self.marked_equation.lhs.is_zero() or (
-            self.marked_variable != self.marked_equation.lhs.min_var()
+        if _is_zero(self.marked_equation.lhs) or (
+            self.marked_variable != _min_var(self.marked_equation.lhs)
         ):
             raise MaxlinError("marked variable must be the equation's lowest support index")
 
@@ -51,21 +69,21 @@ def add_lhs(e1: Equation, e2: Equation) -> Equation:
     """
     if e1.n != e2.n:
         raise DimensionMismatchError(f"dimensions differ: {e1.n} vs {e2.n}")
-    return Equation(e1.lhs ^ e2.lhs, e1.rhs ^ e2.rhs, e2.weight, e2.eq_id)
+    return Equation(_xor(e1.lhs, e2.lhs), e1.rhs ^ e2.rhs, e2.weight, e2.eq_id)
 
 
 def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:
     if not sys.has_equation(eq_id):
         raise EquationNotFoundError(f"no equation with id {eq_id}")
     marked = sys.equation(eq_id)
-    var = marked.lhs.min_var()
+    var = _min_var(marked.lhs)
     out = []
     for eq in sys.equations:
         if eq.eq_id == eq_id:
             continue
         if eq.lhs.bits >> var & 1:
             summed = add_lhs(marked, eq)
-            if summed.lhs.is_zero():
+            if _is_zero(summed.lhs):
                 if summed.rhs:
                     raise MaxlinError(
                         f"equations {eq_id} and {eq.eq_id} share a left-hand side with "

@@ -22,6 +22,14 @@ class _Tracked:
         self.orig = orig
 
 
+def _zero(n: int) -> F2Vector:
+    return F2Vector(n, 0)
+
+
+def _lex_key(v: F2Vector) -> int:
+    return reverse_bits(v.bits, v.n)
+
+
 def _swap_bits(x: int, p: int, q: int) -> int:
     bp = x >> p & 1
     bq = x >> q & 1
@@ -71,7 +79,7 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
             f"internal error: greedy phase stalled at level {level} in dimension {n} for k={k}"
         )
     quotient = [
-        (suffix, min(group, key=lambda item: item.orig.lex_key()).orig)
+        (suffix, min(group, key=lambda item: _lex_key(item.orig)).orig)
         for suffix, group in sorted(groups.items())
     ]
     return _search(quotient, quotient_n, k)
@@ -79,7 +87,7 @@ def _search(elements: list[tuple[int, F2Vector]], n: int, k: int) -> list[F2Vect
 
 def _pair_scan(members: VectorSet) -> list[F2Vector]:
     patterns = members.bit_patterns()
-    ordered = sorted(members.vectors, key=F2Vector.lex_key)
+    ordered = sorted(members.vectors, key=_lex_key)
     for i, u in enumerate(ordered):
         for w in ordered[i + 1 :]:
             if u.bits ^ w.bits not in patterns:
@@ -92,7 +100,7 @@ def find_kset(members: VectorSet, k: int) -> list[F2Vector]:
         raise PreconditionError("k_not_positive", f"k must be a positive integer, got {k!r}")
     size = len(members)
     n = members.n
-    if F2Vector.zero(n) not in members:
+    if _zero(n) not in members:
         raise PreconditionError("zero_missing", "the zero vector must belong to the set")
     if size >= 2**n:
         raise PreconditionError("set_too_large", f"need |M| < 2^{n}, got {size}")

@@ -288,7 +288,7 @@ def test_criterion_10_kernel_preservation():
             assert original_yes
         else:
             kernel = outcome.kernel
-            assert all(eq.lhs.popcount() <= r for eq in kernel.equations)
+            assert all(eq.lhs.bits.bit_count() <= r for eq in kernel.equations)
             assert (brute_force_max_excess(kernel).excess >= k) == original_yes
     report(10, "kernel preservation", started)
 

@@ -77,7 +77,8 @@ def marked_equations(records):
     """The reference's records as their marked equations, once each record's
     marked variable and iteration are checked to be derivable."""
     for position, record in enumerate(records):
-        assert record.marked_variable == record.marked_equation.lhs.min_var()
+        bits = record.marked_equation.lhs.bits
+        assert record.marked_variable == (bits & -bits).bit_length() - 1
         assert record.iteration == position
     return tuple(record.marked_equation for record in records)
 

@@ -59,24 +59,24 @@ class TestBruteForce:
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
         witness = brute_force_max_excess(sys)
         assert witness.excess == 2
-        assert witness.assignment == Assignment.from01("00")
+        assert witness.assignment == Assignment(2, 0)
 
     def test_empty_system(self):
         witness = brute_force_max_excess(LinearSystem(3))
         assert witness.excess == 0
-        assert witness.assignment == Assignment.zero(3)
+        assert witness.assignment == Assignment(3, 0)
 
     def test_witness_is_lexicographically_smallest(self):
         # two symmetric maximizers; 01 and 10 both give excess 1
         sys = LinearSystem.build(2, [([0, 1], 1, 1)])
         witness = brute_force_max_excess(sys)
-        assert witness.assignment == Assignment.from01("01")
+        assert witness.assignment == Assignment(2, 0b10)
 
     def test_rational_weights_exact(self):
         sys = LinearSystem.build(1, [([0], 0, Fraction(1, 3)), ([0], 1, Fraction(1, 2))])
         witness = brute_force_max_excess(sys)
         assert witness.excess == Fraction(1, 6)
-        assert witness.assignment == Assignment.from01("1")
+        assert witness.assignment == Assignment(1, 1)
 
     def test_cap_enforced(self):
         sys = LinearSystem.build(5, [([0], 0, 1)])
@@ -322,7 +322,7 @@ class TestDecideAa:
         sys = LinearSystem.build(1, [([0], 0, 1)])
         answer, witness = decide_aa(AaInstance(sys, 1))
         assert answer is True
-        assert witness.assignment == Assignment.from01("0")
+        assert witness.assignment == Assignment(1, 0)
 
     def test_brute_force_branch(self):
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 3)])

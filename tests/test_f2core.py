@@ -22,7 +22,7 @@ from maxlin import (
     run_h,
     system_to_fourier,
 )
-from maxlin.f2core import _pivot_basis, reverse_bits, rref
+from maxlin.f2core import _pivot_basis, parity, reverse_bits, rref
 from maxlin.formats import emit_system, parse_system
 
 from helpers import assert_raises, random_system
@@ -33,47 +33,29 @@ def eqn(n, support, rhs, weight, eq_id=0):
 
 
 class TestF2Vector:
-    def test_xor_is_coordinatewise(self):
-        a = F2Vector.from01("110")
-        b = F2Vector.from01("011")
-        assert (a ^ b).to01() == "101"
-
-    def test_self_sum_is_zero(self):
-        v = F2Vector.from01("10110")
-        assert (v ^ v).is_zero()
-
-    def test_zero_is_identity(self):
-        v = F2Vector.from01("0101")
-        assert v ^ F2Vector.zero(4) == v
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            F2Vector.zero(3) ^ F2Vector.zero(4)
-
     def test_support_roundtrip(self):
         v = F2Vector.from_support(6, [0, 3, 5])
         assert v.support() == (0, 3, 5)
-        assert F2Vector.from01(v.to01()) == v
-
-    def test_min_var(self):
-        assert F2Vector.from_support(5, [2, 4]).min_var() == 2
-        with pytest.raises(MaxlinError):
-            F2Vector.zero(5).min_var()
+        assert v.to01() == "100101"
+        assert v.values() == (1, 0, 0, 1, 0, 1)
+        assert v.bits == 0b101001
 
     def test_lex_key_orders_variable_one_first(self):
-        # (0,1) < (1,0) as coordinate tuples
-        low = F2Vector.from01("01")
-        high = F2Vector.from01("10")
-        assert low.lex_key() < high.lex_key()
+        # (0,1) < (1,0) as coordinate tuples: bit j is coordinate j + 1
+        low = F2Vector(2, 0b10)
+        high = F2Vector(2, 0b01)
+        assert (low.to01(), high.to01()) == ("01", "10")
+        assert reverse_bits(low.bits, 2) < reverse_bits(high.bits, 2)
 
     def test_large_dimension(self):
         v = F2Vector.from_support(4096, [0, 4095])
-        assert v.popcount() == 2
-        assert (v ^ v).is_zero()
+        assert v.bits.bit_count() == 2
+        assert v.bits & -v.bits == 1
+        assert v.support() == (0, 4095)
 
     def test_from_support_accepts_any_iterable(self):
         assert F2Vector.from_support(5, iter([4, 0])).support() == (0, 4)
-        assert F2Vector.from_support(3, ()) == F2Vector.zero(3)
+        assert F2Vector.from_support(3, ()) == F2Vector(3, 0)
 
     @pytest.mark.parametrize(
         "n, support, message",
@@ -104,7 +86,7 @@ class TestEvaluate:
 
     def test_three_equation_example(self):
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
-        result = evaluate(sys, Assignment.from01("00"))
+        result = evaluate(sys, Assignment(2, 0))
         assert result == (3, 1, 2)
 
     def test_weights_partition_total(self):
@@ -126,7 +108,9 @@ class TestEvaluate:
             flipped = Assignment(a.n, a.bits ^ 1 << j)
             for eq in sys.equations:
                 touched = bool(eq.lhs.bits >> j & 1)
-                assert (eq.is_satisfied_by(a) != eq.is_satisfied_by(flipped)) == touched
+                before = parity(eq.lhs.bits & a.bits) == eq.rhs
+                after = parity(eq.lhs.bits & flipped.bits) == eq.rhs
+                assert (before != after) == touched
 
     def test_dimension_mismatch(self):
         sys = LinearSystem.build(2, [([0], 0, 1)])
@@ -219,7 +203,7 @@ class TestPivotBasis:
 class TestSystemInvariants:
     def test_rejects_zero_lhs(self):
         with pytest.raises(MaxlinError):
-            LinearSystem(2, (Equation(F2Vector.zero(2), 0, Fraction(1), 0),))
+            LinearSystem(2, (Equation(F2Vector(2, 0), 0, Fraction(1), 0),))
 
     def test_rejects_duplicate_ids(self):
         e = eqn(2, [0], 0, 1, eq_id=3)
@@ -275,6 +259,9 @@ MALFORMED_ROWS = [
     (2, [(0, 0, Fraction(1), 0), (0b01, 2, Fraction(1), 1)], MaxlinError, "rhs must be 0 or 1"),
     (-1, [], MaxlinError, "dimension must be non-negative"),
     (-1, [(0b01, 0, Fraction(1), 0)], MaxlinError, "dimension must be non-negative"),
+    # only an int rhs: emit_system would write 1.0 or True, which no parser reads
+    (2, [(0b01, 1.0, Fraction(1), 0)], MaxlinError, "rhs must be 0 or 1"),
+    (2, [(0b01, True, Fraction(1), 0)], MaxlinError, "rhs must be 0 or 1"),
 ]
 
 
@@ -418,22 +405,65 @@ def test_derived_systems_build_no_equation(monkeypatch):
             id="missing-id",
         ),
         pytest.param(
-            lambda: eqn(2, [0], 0, 1).is_satisfied_by(Assignment(3)),
-            DimensionMismatchError,
-            "dimensions differ: 2 vs 3",
-            id="satisfied-by-dimension",
-        ),
-        pytest.param(
             lambda: Equation(0b01, 0, 1, 0),
             MaxlinError,
             "the left-hand side must be an F2Vector",
             id="equation-lhs-type",
         ),
         pytest.param(
-            lambda: F2Vector.from01("012"),
+            lambda: LinearSystem(2.0),
             MaxlinError,
-            "invalid character '2' in 0/1 vector",
-            id="from01-character",
+            "dimension must be an int, got 2.0",
+            id="system-float-dimension",
+        ),
+        pytest.param(
+            # a bool is an int in Python, but never a dimension
+            lambda: LinearSystem(True),
+            MaxlinError,
+            "dimension must be an int, got True",
+            id="system-bool-dimension",
+        ),
+        pytest.param(
+            lambda: LinearSystem("2"),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="system-str-dimension",
+        ),
+        pytest.param(
+            lambda: LinearSystem.build("2", [([0], 0, 1)]),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="build-str-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector(2.0, 1),
+            MaxlinError,
+            "dimension must be an int, got 2.0",
+            id="vector-float-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector(True, 1),
+            MaxlinError,
+            "dimension must be an int, got True",
+            id="vector-bool-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector("2", 1),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="vector-str-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector(-1),
+            MaxlinError,
+            "dimension must be non-negative",
+            id="vector-negative-dimension",
+        ),
+        pytest.param(
+            lambda: F2Vector(2, 1.0),
+            MaxlinError,
+            "1.0 is not an int bit pattern",
+            id="vector-float-pattern",
         ),
     ],
 )

@@ -167,6 +167,24 @@ class TestMaximaLowerBound:
             id="negative-dimension",
         ),
         pytest.param(
+            lambda: FourierExpansion(2.0),
+            MaxlinError,
+            "dimension must be an int, got 2.0",
+            id="float-dimension",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(True),
+            MaxlinError,
+            "dimension must be an int, got True",
+            id="bool-dimension",
+        ),
+        pytest.param(
+            lambda: FourierExpansion("2"),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="str-dimension",
+        ),
+        pytest.param(
             lambda: FourierExpansion(2, 0, {frozenset(): Fraction(1)}),
             MaxlinError,
             "terms must be nonempty subsets",

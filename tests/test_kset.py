@@ -10,7 +10,7 @@ from helpers import assert_raises, random_vectorset
 
 def bits01(text):
     """The packed int of a 0/1 string, character j being coordinate j."""
-    return F2Vector.from01(text).bits
+    return int(text[::-1], 2)
 
 
 def vecset(n, patterns):
@@ -175,7 +175,7 @@ class TestVerifyKset:
         members = vecset(2, ["00", "10", "01"])
         assert not verify_kset(members, [bits01("10"), 0b100])
         assert not verify_kset(members, [-1])
-        assert not verify_kset(members, [F2Vector.from01("10"), F2Vector.from01("01")])
+        assert not verify_kset(members, [F2Vector(2, 0b01), F2Vector(2, 0b10)])
 
 
 @pytest.mark.parametrize(
@@ -194,10 +194,34 @@ class TestVerifyKset:
             id="pattern-negative",
         ),
         pytest.param(
-            lambda: VectorSet(2, [0, F2Vector.from01("10")]),
+            lambda: VectorSet(2, [0, F2Vector(2, 0b01)]),
             MaxlinError,
             "is not an int bit pattern",
             id="f2vector-member",
+        ),
+        pytest.param(
+            lambda: VectorSet(2.0, [0]),
+            MaxlinError,
+            "dimension must be an int, got 2.0",
+            id="float-dimension",
+        ),
+        pytest.param(
+            lambda: VectorSet(True, [0]),
+            MaxlinError,
+            "dimension must be an int, got True",
+            id="bool-dimension",
+        ),
+        pytest.param(
+            lambda: VectorSet("2", [0]),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="str-dimension",
+        ),
+        pytest.param(
+            lambda: VectorSet(-1, []),
+            MaxlinError,
+            "dimension must be non-negative",
+            id="negative-dimension",
         ),
     ],
 )

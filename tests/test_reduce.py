@@ -188,20 +188,20 @@ class TestLiftAssignment:
     def test_deleted_variables_become_zero(self):
         sys = LinearSystem.build(2, [([0, 1], 1, 1)])
         out, tr = apply_rule1(sys)
-        lifted = lift_assignment(tr, Assignment.from01("1"))
+        lifted = lift_assignment(tr, Assignment(1, 1))
         assert lifted.to01() == "10"
 
     def test_identity_transcript(self):
         sys = LinearSystem.build(2, [([0], 0, 1), ([1], 1, 2)])
         _, tr = make_irreducible(sys)
-        a = Assignment.from01("01")
+        a = Assignment(2, 0b10)
         assert lift_assignment(tr, a) == a
 
     def test_dimension_mismatch(self):
         sys = LinearSystem.build(2, [([0, 1], 1, 1)])
         _, tr = apply_rule1(sys)
         with pytest.raises(DimensionMismatchError):
-            lift_assignment(tr, Assignment.from01("10"))
+            lift_assignment(tr, Assignment(2, 0b01))
 
     def test_excess_preserved_for_every_assignment(self):
         rng = random.Random(17)
@@ -227,6 +227,30 @@ def test_repeated_lhs_is_not_irreducible():
             MaxlinError,
             "kept_variables must have one entry per reduced variable",
             id="kept-count",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(-1, 0, ()),
+            MaxlinError,
+            "dimension must be non-negative",
+            id="original-negative",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2.0, 0, ()),
+            MaxlinError,
+            "dimension must be an int, got 2.0",
+            id="original-float",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(1, True, (0,)),
+            MaxlinError,
+            "dimension must be an int, got True",
+            id="reduced-bool",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, "2", (0, 1)),
+            MaxlinError,
+            "dimension must be an int, got '2'",
+            id="reduced-str",
         ),
         pytest.param(
             lambda: ReductionTranscript(3, 1, (0,), ((1, frozenset({0})), (1, frozenset({0})))),

@@ -193,7 +193,7 @@ class TestKernelize:
         assert not outcome.is_yes
         kernel = outcome.kernel
         assert kernel is not None and kernel.n <= 2
-        assert all(eq.lhs.popcount() <= 2 for eq in kernel.equations)
+        assert all(eq.lhs.bits.bit_count() <= 2 for eq in kernel.equations)
 
     def test_m_below_k_falls_to_kernel(self):
         sys = LinearSystem.build(2, [([0], 0, 5), ([1], 0, 5)])
@@ -242,6 +242,9 @@ def cnf(n, *clauses):
     "call, fragment",
     [
         pytest.param(lambda: cnf(-1), "variable count must be non-negative", id="cnf-n"),
+        pytest.param(lambda: cnf(2.0), "variable count must be an int, got 2.0", id="cnf-float-n"),
+        pytest.param(lambda: cnf(True), "variable count must be an int, got True", id="cnf-bool-n"),
+        pytest.param(lambda: cnf("2"), "variable count must be an int, got '2'", id="cnf-str-n"),
         pytest.param(lambda: cnf(2, (1, 0)), "literal 0 is not allowed", id="cnf-literal-0"),
         pytest.param(lambda: cnf(2, (3,)), "literal 3 exceeds variable count 2", id="cnf-literal-range"),
         pytest.param(lambda: cnf(2, (1, -1)), "clause (1, -1) repeats variable 1", id="cnf-repeat"),
@@ -275,6 +278,21 @@ def cnf(n, *clauses):
             lambda: CspInstance(-1, ()),
             "variable count must be non-negative",
             id="csp-instance-n",
+        ),
+        pytest.param(
+            lambda: CspInstance(2.0, ()),
+            "variable count must be an int, got 2.0",
+            id="csp-instance-float-n",
+        ),
+        pytest.param(
+            lambda: CspInstance(True, ()),
+            "variable count must be an int, got True",
+            id="csp-instance-bool-n",
+        ),
+        pytest.param(
+            lambda: CspInstance("2", ()),
+            "variable count must be an int, got '2'",
+            id="csp-instance-str-n",
         ),
         pytest.param(
             lambda: CspInstance(1, (CspConstraint((1,), {(1,)}),)),

@@ -98,6 +98,35 @@ def test_only_f2core_reads_equations():
     assert found == []
 
 
+def test_every_dimension_goes_through_the_one_check():
+    # a class with a dimension field checks it with f2core._check_dimension
+    # in one of its methods, and no other module defines that check
+    dimensions = {"n", "original_n", "reduced_n"}
+    package = Path(maxlin.__file__).parent
+    unchecked, redefined = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_check_dimension":
+                if path.name != "f2core.py":
+                    redefined.append(f"{path.relative_to(package)}:{node.lineno}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+            called = {
+                call.func.id
+                for method in node.body if isinstance(method, ast.FunctionDef)
+                for call in ast.walk(method)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            }
+            if fields & dimensions and "_check_dimension" not in called:
+                unchecked.append(f"{path.relative_to(package)}:{node.name}")
+    assert unchecked == [] and redefined == []
+
+
 def test_library_names_no_floating_dtype():
     # all arithmetic stays exact: no float or complex numpy type, whether
     # named, spelled as a builtin or as a string, and no

@@ -9,8 +9,8 @@ A row is checked once, where it enters the library (as an ``Equation``, by
 a parser or by ``FourierExpansion``); a system derived from a checked one is
 built by ``LinearSystem._from_rows`` without checking its rows again.
 Every public constructor shares two checks: ``_check_dimension`` (n is an
-int >= 0, and a bool is refused) and ``_check_packed`` (a bit pattern is an
-int that fits n bits).
+int >= 0) and ``_check_packed`` (a bit pattern is an int that fits n bits);
+both refuse a bool, as ``_is_int`` does.
 All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
@@ -82,9 +82,14 @@ def _support(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool, which Python counts as an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_dimension(n: int, what: str = "dimension") -> None:
     """Raise unless n is an int >= 0; a bool is refused."""
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise MaxlinError(f"{what} must be an int, got {n!r}")
     if n < 0:
         raise MaxlinError(f"{what} must be non-negative")
@@ -92,7 +97,7 @@ def _check_dimension(n: int, what: str = "dimension") -> None:
 
 def _check_packed(n: int, bits: int) -> None:
     """Raise unless bits is an int that fits the checked dimension n."""
-    if not isinstance(bits, int):
+    if not _is_int(bits):
         raise MaxlinError(f"{bits!r} is not an int bit pattern")
     if bits < 0 or bits >> n != 0:
         raise MaxlinError(f"bit pattern {bits:#x} does not fit dimension {n}")
@@ -170,7 +175,7 @@ class Equation:
         weight = as_weight(self.weight)
         if weight <= 0:
             raise MaxlinError("weights must be positive")
-        if not isinstance(self.eq_id, int) or self.eq_id < 0:
+        if not _is_int(self.eq_id) or self.eq_id < 0:
             raise MaxlinError("equation ids must be non-negative integers")
         object.__setattr__(self, "weight", weight)
 

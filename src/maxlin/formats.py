@@ -7,25 +7,33 @@ rejected.  Comment lines start with ``c`` and are ignored everywhere.
 Integers are ASCII decimal, with an optional sign: ``int`` alone would also
 take ``_`` between digits and non-ASCII digits such as ``٣``.
 
-Systems and expansions are read a line at a time, not a token at a time:
-a line's index tokens are converted by one ``map(int, ...)`` and checked
-for count, range and strict order in one pass, plus one ``_plain`` test of
-the joined tokens; a system row's bits are packed from those indices into
-the row ``LinearSystem._from_rows`` stores, with no ``Equation`` and no
-check but the parser's own.  Only a line that fails the check is walked
-token by token, to raise the same ``ParseError`` (text and line number)
-that a token-at-a-time parser would raise first.  Each distinct weight
-token of a system file is parsed once.
+Systems and expansions are read a line at a time, not a token at a time.
+A file with at least ``_TABLE_CUT`` times n index tokens, n at most
+``_TABLE_MAX_N``, builds one table from each index token ``str(i)`` to its
+value: ``1 << i`` for a system, so that a row is the sum of its values
+shifted down by one, and ``i - 1`` for an expansion.  A line's indices are then looked up, and
+strictly ascending values are the format's strictly ascending indices in
+1..n.  A sparser file's lines, and a line with a token not in the table
+(``+3``, ``03``), a wrong count or a failed order test, go through one
+``map(int, ...)`` that is checked for count, range and strict order in one
+pass, plus one ``_plain`` test of the joined tokens.  Only a line that fails
+that check is walked token by token, to raise the same ``ParseError`` (text
+and line number) that a token-at-a-time parser would raise first.  Each
+distinct weight, coefficient and size token of a file is parsed once.  A
+system's rows go straight into ``LinearSystem._from_rows`` and an
+expansion's terms into ``FourierExpansion._from_terms``, with no ``Equation``
+and no check but the parser's own.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import lt, sub
+from functools import partial
+from itertools import compress
+from operator import add, itemgetter, lshift, lt
 
 from .errors import ParseError
-from .f2core import LinearSystem, _pack, _support
+from .f2core import LinearSystem, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -45,6 +53,16 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_RHS = {"0": 0, "1": 1}
+_BIT = partial(lshift, 1)
+_ZERO_BASED = partial(add, -1)
+# a file builds its token table only when it holds at least _TABLE_CUT * n
+# index tokens (n the declared variable count): a sparser file converts its
+# tokens with int(), so that its cost follows its tokens and not its n.  And
+# only for n up to _TABLE_MAX_N, since a system's table of powers of two
+# takes n * n / 16 bytes (4 MiB at the limit)
+_TABLE_CUT = 2
+_TABLE_MAX_N = 1 << 13
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
@@ -118,6 +136,39 @@ def _parse_index_list(tokens, line_no, n, count):
     _raise_index_error(tokens, line_no, n, count)
 
 
+def _table_for(rows, lead, n, value):
+    """The file's token table, if n is at most _TABLE_MAX_N and the rows hold
+    at least _TABLE_CUT * n index tokens (those after each row's first lead
+    tokens), else None."""
+    if n > _TABLE_MAX_N:
+        return None
+    index_tokens = sum(map(len, map(itemgetter(1), rows))) - lead * len(rows)
+    return _index_table(n, value) if index_tokens >= _TABLE_CUT * n else None
+
+
+def _index_table(n, value):
+    """value(i) for each index token str(i), i in 1..n."""
+    return dict(zip(map(str, range(1, n + 1)), map(value, range(1, n + 1))))
+
+
+def _index_values(tokens, line_no, n, count, table, value):
+    """value(i) for each of the line's indices, checked as _parse_index_list
+    checks them.  With the file's table, whose values grow with i, the
+    tokens are looked up: then strictly ascending values are strictly
+    ascending indices in 1..n.  A token not in the table, a wrong count or
+    a failed order test sends the line to _parse_index_list, which still
+    reads '+3' and '03' and raises the error a token-at-a-time reader would."""
+    if table is not None and len(tokens) == count:
+        try:
+            p = list(map(table.__getitem__, tokens))
+        except KeyError:
+            pass
+        else:
+            if all(map(lt, p, p[1:])):
+                return p
+    return map(value, _parse_index_list(tokens, line_no, n, count))
+
+
 def _raise_index_error(tokens, line_no, n, count):
     """Raise the first error of a line that failed _parse_index_list's check."""
     if len(tokens) != count:
@@ -138,7 +189,9 @@ def parse_system(text: str) -> LinearSystem:
     lines = _content_lines(text)
     n, m, rows = _parse_header(lines, "maxlin")
     _check_count(rows, m, "equations", 1)
+    table = _table_for(rows, 3, n, _BIT)
     weights: dict[str, Fraction] = {}
+    sizes: dict[str, int] = {}
     built = []
     for line_no, tokens in rows:
         if len(tokens) < 3:
@@ -149,15 +202,20 @@ def parse_system(text: str) -> LinearSystem:
             if weight <= 0:
                 raise ParseError(line_no, f"weights must be positive, got {tokens[0]}")
             weights[tokens[0]] = weight
-        rhs = _parse_int(tokens[1], line_no, "right-hand bit")
-        if rhs not in (0, 1):
-            raise ParseError(line_no, f"right-hand bit must be 0 or 1, got {rhs}")
-        t = _parse_int(tokens[2], line_no, "support size")
-        if t < 1:
-            raise ParseError(line_no, "equations must involve at least one variable")
-        idx = _parse_index_list(tokens[3:], line_no, n, t)
-        # index i is bit i - 1
-        built.append((_pack(idx) >> 1, rhs, weight, len(built)))
+        rhs = _RHS.get(tokens[1])
+        if rhs is None:
+            rhs = _parse_int(tokens[1], line_no, "right-hand bit")
+            if rhs not in (0, 1):
+                raise ParseError(line_no, f"right-hand bit must be 0 or 1, got {rhs}")
+        t = sizes.get(tokens[2])
+        if t is None:
+            t = _parse_int(tokens[2], line_no, "support size")
+            if t < 1:
+                raise ParseError(line_no, "equations must involve at least one variable")
+            sizes[tokens[2]] = t
+        # index i is bit i, shifted down to bit i - 1
+        bits = sum(_index_values(tokens[3:], line_no, n, t, table, _BIT)) >> 1
+        built.append((bits, rhs, weight, len(built)))
     return LinearSystem._from_rows(n, built)
 
 
@@ -210,21 +268,30 @@ def parse_fourier(text: str) -> FourierExpansion:
     constant = parse_rational(const_tokens[1], const_no)
     rows = rows[1:]
     _check_count(rows, count, "terms", const_no)
+    table = _table_for(rows, 2, n, _ZERO_BASED)
+    coeffs: dict[str, Fraction] = {}
+    sizes: dict[str, int] = {}
     terms: dict[frozenset[int], Fraction] = {}
     for line_no, tokens in rows:
         if len(tokens) < 2:
             raise ParseError(line_no, "term lines need '<coefficient> <t> <indices>'")
-        coeff = parse_rational(tokens[0], line_no)
-        if coeff == 0:
-            raise ParseError(line_no, "zero coefficients are not stored")
-        t = _parse_int(tokens[1], line_no, "term size")
-        if t < 1:
-            raise ParseError(line_no, "terms must involve at least one variable")
-        subset = frozenset(map(sub, _parse_index_list(tokens[2:], line_no, n, t), repeat(1)))
+        coeff = coeffs.get(tokens[0])
+        if coeff is None:
+            coeff = parse_rational(tokens[0], line_no)
+            if coeff == 0:
+                raise ParseError(line_no, "zero coefficients are not stored")
+            coeffs[tokens[0]] = coeff
+        t = sizes.get(tokens[1])
+        if t is None:
+            t = _parse_int(tokens[1], line_no, "term size")
+            if t < 1:
+                raise ParseError(line_no, "terms must involve at least one variable")
+            sizes[tokens[1]] = t
+        subset = frozenset(_index_values(tokens[2:], line_no, n, t, table, _ZERO_BASED))
         if subset in terms:
             raise ParseError(line_no, "duplicate term subset")
         terms[subset] = coeff
-    return FourierExpansion(n, constant, terms)
+    return FourierExpansion._from_terms(n, constant, terms)
 
 
 def emit_fourier(f: FourierExpansion) -> str:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, _check_dimension, _pack, _support, as_weight, parity
+from .f2core import LinearSystem, _check_dimension, _is_int, _pack, _support, as_weight, parity
 from .reduce import apply_rule1
 
 __all__ = [
@@ -45,6 +45,9 @@ class FourierExpansion:
             subset = frozenset(subset)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
+            for j in subset:
+                if not _is_int(j):
+                    raise MaxlinError(f"term index {j!r} is not an int")
             if min(subset) < 0 or max(subset) >= self.n:
                 raise MaxlinError(f"term {sorted(subset)} outside 0..{self.n - 1}")
             coeff = as_weight(coeff)
@@ -52,6 +55,15 @@ class FourierExpansion:
                 raise MaxlinError("zero coefficients must not be stored")
             cleaned[subset] = coeff
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
+
+    @classmethod
+    def _from_terms(cls, n: int, constant: Fraction,
+                    terms: dict[frozenset[int], Fraction]) -> FourierExpansion:
+        """The expansion of terms a parser has checked, which are not checked
+        again; the dict is taken over, not copied."""
+        self = cls.__new__(cls)
+        vars(self).update(n=n, constant=constant, terms=MappingProxyType(terms))
+        return self
 
     def __hash__(self) -> int:
         # the generated hash would hash the terms mapping, which has none

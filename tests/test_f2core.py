@@ -465,6 +465,18 @@ def test_derived_systems_build_no_equation(monkeypatch):
             "1.0 is not an int bit pattern",
             id="vector-float-pattern",
         ),
+        pytest.param(
+            lambda: F2Vector(2, True),
+            MaxlinError,
+            "True is not an int bit pattern",
+            id="vector-bool-pattern",
+        ),
+        pytest.param(
+            lambda: Equation(F2Vector(2, 1), 0, 1, True),
+            MaxlinError,
+            "equation ids must be non-negative integers",
+            id="equation-bool-id",
+        ),
     ],
 )
 def test_boundary_checks(call, error, fragment):

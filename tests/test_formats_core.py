@@ -9,7 +9,10 @@ and bad weights, right-hand bits and headers.  A valid file must give an
 equal value (for systems also equal ids and ``next_id``); a broken one must
 raise a ``ParseError`` with equal text and line number.  The reference reads
 indices with ``int``, which also takes ``1_0`` and ``٣``; those spellings
-are errors here, and are tested on their own.
+are errors here, and are tested on their own.  A file with at least
+``formats._TABLE_CUT`` times n index tokens reads them through a per-file
+token table; the comparison also runs with the cut forced both ways, and
+named lines reach the table and fall back to the token-by-token check.
 """
 import random
 from fractions import Fraction
@@ -216,6 +219,114 @@ class TestFourierParser:
         assert outcome(parse_fourier, text) == outcome(ref.parse_fourier, text)
 
 
+@pytest.mark.parametrize("parse, reference, files", [
+    (parse_system, ref.parse_system, system_files),
+    (parse_fourier, ref.parse_fourier, fourier_files),
+], ids=["system", "fourier"])
+@pytest.mark.parametrize("cut", [0, 10**9], ids=["table", "no-table"])
+@PROPERTY
+@given(data=st.data())
+def test_either_side_of_the_table_cut_matches_the_reference(cut, parse, reference, files, data):
+    # the drawn files are small, so the natural cut may fall either way for
+    # all of them: a cut of 0 gives every file a token table, 10**9 none
+    text = data.draw(files(broken=data.draw(st.booleans())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_TABLE_CUT", cut)
+        assert outcome(parse, text) == outcome(reference, text)
+
+
+def counting_index_table(monkeypatch):
+    """Patch formats._index_table to record the n of each table it builds."""
+    built = []
+    real = formats._index_table
+
+    def counting(n, value):
+        built.append(n)
+        return real(n, value)
+
+    monkeypatch.setattr(formats, "_index_table", counting)
+    return built
+
+
+# (support size, index tokens, the error, or None for a valid line); each
+# line follows lines whose index tokens make its file build a token table
+TABLE_MISSES = [
+    pytest.param("2", "2 2", "indices must be strictly increasing", id="repeated"),
+    pytest.param("2", "3 2", "indices must be strictly increasing", id="swapped"),
+    pytest.param("3", "1 2", "expected 3 indices, got 2", id="count-one-high"),
+    pytest.param("2", "1 +3", None, id="plus-sign"),
+    pytest.param("2", "1 03", None, id="leading-zero"),
+    pytest.param("2", "1 \u0663", "variable index must be an integer, got '\u0663'",
+                 id="arabic-digit"),
+    pytest.param("2", "1 1_0", "variable index must be an integer, got '1_0'", id="underscore"),
+]
+
+
+@pytest.mark.parametrize("size, indices, message", TABLE_MISSES)
+@pytest.mark.parametrize("kind", ["system", "fourier"])
+def test_lines_that_miss_the_table_fall_back(monkeypatch, kind, size, indices, message):
+    built = counting_index_table(monkeypatch)
+    if kind == "system":
+        parse, reference, line = parse_system, ref.parse_system, 4
+        text = f"p maxlin 3 3\n1 0 3 1 2 3\n2 1 3 1 2 3\n1 1 {size} {indices}\n"
+    else:
+        parse, reference, line = parse_fourier, ref.parse_fourier, 5
+        text = f"p fourier 3 3\nconst 0\n1 3 1 2 3\n-2 2 1 2\n3/2 {size} {indices}\n"
+    got = outcome(parse, text)
+    assert built == [3]
+    if message is None:
+        assert got[0] == "ok"
+    else:
+        assert got == ("error", line, f"line {line}: {message}")
+    if "_" not in indices and indices.isascii():  # the reference's int() reads the others
+        assert got == outcome(reference, text)
+
+
+def test_a_sparse_file_builds_no_table_whatever_its_declared_n(monkeypatch):
+    # the cost of a file with few index tokens must not grow with its n
+    built = counting_index_table(monkeypatch)
+    for n in (10**6, 1000):
+        system = f"p maxlin {n} 3\n1 0 1 1\n2 1 2 5 {n}\n1 0 3 7 8 {n - 1}\n"
+        fourier = f"p fourier {n} 2\nconst 1\n1 1 1\n-3/2 3 4 10 {n}\n"
+        assert outcome(parse_system, system) == outcome(ref.parse_system, system)
+        assert outcome(parse_fourier, fourier) == outcome(ref.parse_fourier, fourier)
+    assert built == []
+    parse_system("p maxlin 2 2\n1 0 2 1 2\n1 1 2 1 2\n")
+    parse_fourier("p fourier 2 3\nconst 0\n1 2 1 2\n2 1 1\n3 1 2\n")
+    assert built == [2, 2]
+
+
+def test_no_table_beyond_the_largest_n(monkeypatch):
+    # a system's table of powers of two takes about n * n / 16 bytes
+    assert formats._TABLE_MAX_N ** 2 // 16 <= 4 << 20
+    built = counting_index_table(monkeypatch)
+    monkeypatch.setattr(formats, "_TABLE_MAX_N", 4)
+    for n in (4, 5):
+        row = " ".join(map(str, range(1, n + 1)))
+        text = f"p maxlin {n} 3\n" + f"1 0 {n} {row}\n" * 3
+        assert outcome(parse_system, text) == outcome(ref.parse_system, text)
+    assert built == [4]
+
+
+def test_parse_fourier_checks_each_term_once(monkeypatch):
+    # the parser's own checks are the only ones a term gets
+    rng = random.Random(5)
+    n = 30
+    subsets = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(60)}
+    text = emit_fourier(FourierExpansion(n, Fraction(1, 3), {
+        s: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)) for s in subsets
+    }))
+    want = ref.parse_fourier(text)
+    checks = []
+    real = FourierExpansion.__post_init__
+    monkeypatch.setattr(FourierExpansion, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    got = parse_fourier(text)
+    assert checks == []
+    assert got == want and hash(got) == hash(want)
+    assert type(got.terms) is type(want.terms)
+
+
 @pytest.mark.parametrize("parse, text, line, message", [
     (parse_system, "p maxlin 1_0 1\n1 0 1 1\n", 1, "variable count must be an integer, got '1_0'"),
     (parse_system, "p maxlin 3 ١\n1 0 1 1\n", 1, "entry count must be an integer, got '١'"),
@@ -251,9 +362,9 @@ def test_signs_and_leading_zeros_stay_accepted():
 
 
 def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
-    """A dense 420-row file over 140 variables: _parse_int runs a bounded
-    number of times per row (right-hand bit and count) and never per index,
-    and no row goes through F2Vector.from_support."""
+    """A dense 420-row file over 140 variables builds its token table once:
+    _parse_int runs for the header and once per distinct support size, never
+    per row or per index, and no row goes through F2Vector.from_support."""
     rng = random.Random(6)
     n, m = 140, 420
     rows = [
@@ -279,12 +390,14 @@ def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
         calls["from_support"] += 1
         return real_from_support(cls, *args)
 
+    built = counting_index_table(monkeypatch)
     monkeypatch.setattr(formats, "_parse_int", counting_parse_int)
     monkeypatch.setattr(F2Vector, "from_support", classmethod(counting_from_support))
     got = parse_system(text)
 
     assert got == want and got.ids() == want.ids()
-    assert calls["_parse_int"] <= 2 * m + 2
+    assert calls["_parse_int"] == 2 + len({len(row[0]) for row in rows})
+    assert built == [n]
     assert index_tokens > 20 * m
     assert calls["from_support"] == 0
 

@@ -197,6 +197,18 @@ class TestMaximaLowerBound:
             id="term-range",
         ),
         pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0.5}): Fraction(1)}),
+            MaxlinError,
+            "term index 0.5 is not an int",
+            id="term-float-index",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0, True}): Fraction(1)}),
+            MaxlinError,
+            "term index True is not an int",
+            id="term-bool-index",
+        ),
+        pytest.param(
             lambda: FourierExpansion(2, 0, {frozenset({0}): Fraction(0)}),
             MaxlinError,
             "zero coefficients must not be stored",

@@ -127,6 +127,19 @@ def test_every_dimension_goes_through_the_one_check():
     assert unchecked == [] and redefined == []
 
 
+def test_formats_reads_index_lists_through_one_helper():
+    # parse_system and parse_fourier share one index-list path: only
+    # _index_values names _parse_index_list
+    tree = ast.parse((Path(maxlin.__file__).parent / "formats.py").read_text())
+    users = [
+        top.name if isinstance(top, ast.FunctionDef) else f"line {top.lineno}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_parse_index_list"
+    ]
+    assert users == ["_index_values"]
+
+
 def test_library_names_no_floating_dtype():
     # all arithmetic stays exact: no float or complex numpy type, whether
     # named, spelled as a builtin or as a string, and no

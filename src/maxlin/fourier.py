@@ -27,6 +27,8 @@ __all__ = [
     "maxima_lower_bound",
 ]
 
+_EXACT_INT = frozenset({int})
+
 
 @dataclass(frozen=True)
 class FourierExpansion:
@@ -45,9 +47,12 @@ class FourierExpansion:
             subset = frozenset(subset)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
-            for j in subset:
-                if not _is_int(j):
-                    raise MaxlinError(f"term index {j!r} is not an int")
+            # one C-level pass when every index is exactly an int; any other
+            # type (a bool, a float, an int subclass) gets the exact test
+            if not _EXACT_INT.issuperset(map(type, subset)):
+                for j in subset:
+                    if not _is_int(j):
+                        raise MaxlinError(f"term index {j!r} is not an int")
             if min(subset) < 0 or max(subset) >= self.n:
                 raise MaxlinError(f"term {sorted(subset)} outside 0..{self.n - 1}")
             coeff = as_weight(coeff)
@@ -59,8 +64,9 @@ class FourierExpansion:
     @classmethod
     def _from_terms(cls, n: int, constant: Fraction,
                     terms: dict[frozenset[int], Fraction]) -> FourierExpansion:
-        """The expansion of terms a parser has checked, which are not checked
-        again; the dict is taken over, not copied."""
+        """The expansion of terms a parser has checked or a checked system has
+        produced, which are not checked again; the dict is taken over, not
+        copied."""
         self = cls.__new__(cls)
         vars(self).update(n=n, constant=constant, terms=MappingProxyType(terms))
         return self
@@ -124,7 +130,7 @@ def system_to_fourier(sys: LinearSystem) -> FourierExpansion:
         frozenset(_support(bits)): weight if rhs == 0 else -weight
         for bits, rhs, weight, _ in sys.rows
     }
-    return FourierExpansion(sys.n, Fraction(0), terms)
+    return FourierExpansion._from_terms(sys.n, Fraction(0), terms)
 
 
 def maxima_lower_bound(f: FourierExpansion) -> Fraction:

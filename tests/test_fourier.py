@@ -245,3 +245,19 @@ def test_equal_expansions_hash_equal():
     g = FourierExpansion(3, "1/2", {(1,): "-1/2", (2, 0): Fraction(3)})
     assert f == g and hash(f) == hash(g)
     assert len({f, g, FourierExpansion(3, Fraction(1, 2))}) == 2
+
+
+def test_system_to_fourier_builds_what_the_constructor_accepts():
+    rng = random.Random(55)
+    for _ in range(20):
+        f = system_to_fourier(apply_rule2(random_system(rng, rational_weights=True)))
+        assert FourierExpansion(f.n, f.constant, dict(f.terms)) == f
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+
+def test_an_int_subclass_index_is_an_int():
+    class Index(int):
+        pass
+
+    f = FourierExpansion(3, 0, {frozenset({Index(2), 0}): 1})
+    assert fourier_to_system(f)[0].rows == ((0b101, 0, Fraction(1), 0),)

@@ -9,15 +9,17 @@ buffers use the narrowest of int16, int32 and int64 that holds the sum of
 the scaled weights (Python ints beyond), and its stages run on contiguous
 runs of entries.  The decision procedure routes each instance to whichever
 of the two applies.
+
+Only the oracle uses numpy, and it imports numpy on its first call: the
+reduction, the marking run and the lower bound are integer work, so a
+process that never reaches the oracle never loads numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     MaxlinError,
@@ -25,10 +27,13 @@ from .errors import (
     OracleCapError,
     PreconditionError,
 )
-from .f2core import Assignment, LinearSystem, evaluate, reverse_bits
+from .f2core import Assignment, LinearSystem, _is_int, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h
 from .reduce import lift_assignment, make_irreducible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AaInstance",
@@ -42,7 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_CAP = 24
-# hard ceiling on any cap: 2^14 blocks of 2^16 points
+# hard ceiling on any cap: 2^14 blocks of 2^16 points (and at most the 32
+# bits that _reversed_masks reverses)
 MAX_ORACLE_N = 30
 _BLOCK_BITS = 16
 
@@ -57,7 +63,7 @@ class AaInstance:
     def __post_init__(self) -> None:
         if not self.system.has_integral_weights():
             raise NonIntegralWeightError("above-average instances require integral weights")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise MaxlinError(f"parameter k must be a positive integer, got {self.k!r}")
 
 
@@ -121,7 +127,7 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     over the m + 1 vectors, checking its answer costs O(m k) XORs (see
     verify_kset), and the marking run costs what run_h costs.
     """
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
     by_bits = {row[0]: row[3] for row in sys.rows}
     members = VectorSet(sys.n, [*by_bits, 0])
@@ -149,6 +155,8 @@ def _butterflies(
     halves of every run of 2^(j+1) entries and writes their sum and
     difference to the same places in the other buffer.  Returns the buffer
     holding the result, then the other one."""
+    import numpy as np
+
     for j in bits:
         pairs, out = block.reshape(-1, 2, 1 << j), scratch.reshape(-1, 2, 1 << j)
         np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
@@ -177,6 +185,19 @@ def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return block
 
 
+# the stages that reverse the bits of each 32-bit lane: swap neighbouring
+# runs of 1, 2, 4, 8 and 16 bits
+_LANE_SWAPS = ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF), (16, 0x0000FFFF))
+
+
+def _reversed_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """reverse_bits(mask, n) for every mask of n <= 32 bits at once, with
+    the same few array operations whatever the number of masks."""
+    for shift, keep in _LANE_SWAPS:
+        masks = (masks >> shift) & keep | (masks & keep) << shift
+    return masks >> (32 - n)
+
+
 def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) -> ExcessWitness:
     """Exact maximum excess with the lexicographically smallest maximizer.
 
@@ -200,16 +221,21 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
-    scale = math.lcm(*(row[2].denominator for row in sys.rows), 1)
-    eq_data = [(reverse_bits(bits, sys.n), rhs, int(w * scale)) for bits, rhs, w, _ in sys.rows]
-    total = sum(w for _, _, w in eq_data)
+    import numpy as np
+
+    rows = sys.rows
+    scale = math.lcm(*(w.denominator for _, _, w, _ in rows), 1)
+    scaled = [w.numerator * (scale // w.denominator) for _, _, w, _ in rows]
+    total = sum(scaled)
     dtype = next((t for t in (np.int16, np.int32, np.int64) if total <= np.iinfo(t).max), object)
+    signed = np.array(scaled, dtype=dtype)
+    np.negative(signed, out=signed, where=np.fromiter((row[1] for row in rows), bool, len(rows)))
+    masks = _reversed_masks(np.fromiter((row[0] for row in rows), np.uint64, len(rows)), sys.n)
     low_bits = min(sys.n, _BLOCK_BITS)
     s = low_bits // 2
-    lows = np.array([mask & ((1 << low_bits) - 1) for mask, _, _ in eq_data], dtype=np.intp)
+    lows = (masks & ((1 << low_bits) - 1)).astype(np.intp)
     lows = (lows & ((1 << s) - 1)) << (low_bits - s) | lows >> s
-    highs = np.array([mask >> low_bits for mask, _, _ in eq_data], dtype=np.uint64)
-    signed = np.array([-w if rhs else w for _, rhs, w in eq_data], dtype=dtype)
+    highs = masks >> low_bits
     block = np.empty(1 << low_bits, dtype=dtype)
     scratch = np.empty_like(block)
     best_val, best_at = None, 0

@@ -10,7 +10,8 @@ a parser or by ``FourierExpansion``); a system derived from a checked one is
 built by ``LinearSystem._from_rows`` without checking its rows again.
 Every public constructor shares two checks: ``_check_dimension`` (n is an
 int >= 0) and ``_check_packed`` (a bit pattern is an int that fits n bits);
-both refuse a bool, as ``_is_int`` does.
+both refuse a bool, as ``_is_int`` does.  A collection of indices is
+checked by ``_check_ints``.
 All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import lshift
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, EquationNotFoundError, MaxlinError
 
@@ -85,6 +86,19 @@ def _support(bits: int) -> tuple[int, ...]:
 def _is_int(x) -> bool:
     """An int and not a bool, which Python counts as an int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_EXACT_INT = frozenset({int})
+
+
+def _check_ints(what: str, values: Collection) -> None:
+    """Raise unless every value passes _is_int.  One C-level pass covers
+    values that are all exactly int; any other type (a bool, a float, an
+    int subclass) gets the exact test."""
+    if not _EXACT_INT.issuperset(map(type, values)):
+        for v in values:
+            if not _is_int(v):
+                raise MaxlinError(f"{what} {v!r} is not an int")
 
 
 def _check_dimension(n: int, what: str = "dimension") -> None:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, _check_dimension, _is_int, _pack, _support, as_weight, parity
+from .f2core import LinearSystem, _check_dimension, _check_ints, _pack, _support, as_weight, parity
 from .reduce import apply_rule1
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "system_to_fourier",
     "maxima_lower_bound",
 ]
-
-_EXACT_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -47,12 +45,7 @@ class FourierExpansion:
             subset = frozenset(subset)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
-            # one C-level pass when every index is exactly an int; any other
-            # type (a bool, a float, an int subclass) gets the exact test
-            if not _EXACT_INT.issuperset(map(type, subset)):
-                for j in subset:
-                    if not _is_int(j):
-                        raise MaxlinError(f"term index {j!r} is not an int")
+            _check_ints("term index", subset)
             if min(subset) < 0 or max(subset) >= self.n:
                 raise MaxlinError(f"term {sorted(subset)} outside 0..{self.n - 1}")
             coeff = as_weight(coeff)

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
-from .f2core import _check_dimension, _check_packed, _pivot_basis, reverse_bits
+from .f2core import _check_dimension, _check_packed, _is_int, _pivot_basis, reverse_bits
 
 __all__ = ["VectorSet", "find_kset", "verify_kset"]
 
@@ -141,7 +141,7 @@ def find_kset(members: VectorSet, k: int) -> list[int]:
     and the answer passes through verify_kset, O(|M| (k+1)) XORs, before it
     is returned.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise PreconditionError("k_not_positive", f"k must be a positive integer, got {k!r}")
     size = len(members)
     n = members.n

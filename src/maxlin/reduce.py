@@ -8,6 +8,8 @@ of the reduced system be lifted back to the original at equal excess.
 Both rules read ``LinearSystem.rows`` and build one result with
 ``LinearSystem._from_rows``, unchecked (merged and projected rows are valid
 by construction), passing the rows they leave alone on as the same tuples.
+Their transcripts are built the same way, with
+``ReductionTranscript._from_parts``.
 Rule 1 eliminates each row on its lowest set bit (``f2core.rref``),
 so a reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
 Nothing walks every declared column per row: for one sparse equation over a
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, LinearSystem, _check_dimension, _pivot_basis, _Row, rref
+from .f2core import Assignment, LinearSystem, _check_dimension, _check_ints, _pivot_basis, _Row, rref
 
 __all__ = [
     "MergeEvent",
@@ -48,6 +50,8 @@ class MergeEvent:
 
 
 def _check_range(what: str, indices: Collection[int], n: int) -> None:
+    """Raise unless every index is an int, not a bool, in 0..n-1."""
+    _check_ints(f"{what} variable", indices)
     if indices and (min(indices) < 0 or max(indices) >= n):
         j = next(j for j in indices if not 0 <= j < n)
         raise MaxlinError(f"{what} variable {j} outside 0..{n - 1}")
@@ -60,7 +64,9 @@ class ReductionTranscript:
     Variable indices are original (0-based).  ``kept_variables[i]`` is the
     original index of reduced variable i; ``deleted_variables`` lists, in
     deletion order, each dropped column with the kept columns whose sum it
-    equalled at deletion time.
+    equalled at deletion time.  The constructor refuses an index that is
+    not an int (a bool included) or lies outside the original variables;
+    the reductions build theirs with ``_from_parts``, unchecked.
     """
 
     original_n: int
@@ -91,6 +97,28 @@ class ReductionTranscript:
         if deps.keys() & kept:
             raise MaxlinError("a variable cannot be both kept and deleted")
 
+    @classmethod
+    def _from_parts(
+        cls,
+        original_n: int,
+        reduced_n: int,
+        kept: Iterable[int],
+        deleted: Iterable[tuple[int, frozenset[int]]] = (),
+        merge_log: Iterable[MergeEvent] = (),
+    ) -> ReductionTranscript:
+        """The transcript of a reduction the library ran on a checked system,
+        stored as the constructor stores it but without its checks: ``deleted``
+        already holds distinct (column, frozenset) pairs."""
+        tr = cls.__new__(cls)
+        vars(tr).update(
+            original_n=original_n,
+            reduced_n=reduced_n,
+            kept_variables=tuple(kept),
+            deleted_variables=tuple(deleted),
+            merge_log=tuple(merge_log),
+        )
+        return tr
+
     def is_identity(self) -> bool:
         return (
             self.original_n == self.reduced_n
@@ -100,7 +128,7 @@ class ReductionTranscript:
 
 
 def _identity_transcript(n: int) -> ReductionTranscript:
-    return ReductionTranscript(n, n, range(n))
+    return ReductionTranscript._from_parts(n, n, range(n))
 
 
 _NO_DEPS: frozenset[int] = frozenset()
@@ -222,7 +250,7 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     if not deleted:
         return sys, _identity_transcript(sys.n)
     rank = len(pivots)
-    return LinearSystem._from_rows(rank, rows, sys.next_id), ReductionTranscript(
+    return LinearSystem._from_rows(rank, rows, sys.next_id), ReductionTranscript._from_parts(
         sys.n, rank, pivots, deleted
     )
 
@@ -248,7 +276,7 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
     if not fresh.events and not deleted:
         return sys, _identity_transcript(sys.n)
-    transcript = ReductionTranscript(sys.n, len(kept), kept, deleted, fresh.events)
+    transcript = ReductionTranscript._from_parts(sys.n, len(kept), kept, deleted, fresh.events)
     return LinearSystem._from_rows(len(kept), rows, fresh.next_id), transcript
 
 

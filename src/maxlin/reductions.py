@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
-from .f2core import LinearSystem, _check_dimension
+from .f2core import LinearSystem, _check_dimension, _is_int
 from .fourier import FourierExpansion, eval_fourier, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
 
@@ -46,7 +46,7 @@ class CnfFormula:
         for clause in self.clauses:
             variables = set()
             for lit in clause:
-                if not isinstance(lit, int):
+                if not _is_int(lit):
                     raise MaxlinError(f"literal {lit!r} is not an int")
                 if lit == 0:
                     raise MaxlinError("literal 0 is not allowed")
@@ -73,7 +73,7 @@ class CspConstraint:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "satisfying", frozenset(tuple(v) for v in self.satisfying))
         arity = len(self.variables)
-        if any(not isinstance(v, int) for v in self.variables):
+        if any(not _is_int(v) for v in self.variables):
             raise MaxlinError(f"constraint variables {self.variables} must be ints")
         if arity < 1:
             raise MaxlinError("constraints must touch at least one variable")
@@ -150,7 +150,7 @@ def sat_to_fourier(formula: CnfFormula, r: int) -> FourierExpansion:
     eps_i is +1 for a positive literal and -1 for a negated one; a falsified
     clause contributes 1 - 2^r and a satisfied one contributes 1.
     """
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise MaxlinError(f"clause arity r must be a positive integer, got {r!r}")
     for clause in formula.clauses:
         if len(clause) != r:
@@ -207,9 +207,9 @@ def decide_sat_aa(
     through x_i = (-1)^{z_i}; the answer is re-validated by direct clause
     counting before being returned.
     """
-    if not isinstance(r, int) or r < 2:
+    if not _is_int(r) or r < 2:
         raise MaxlinError(f"exact-r SAT requires an integer r >= 2, got {r!r}")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise MaxlinError(f"parameter k must be a positive integer, got {k!r}")
     expansion = sat_to_fourier(formula, r)
     system, _constant = fourier_to_system(expansion)
@@ -230,7 +230,7 @@ def csp_to_fourier(inst: CspInstance, r: int) -> FourierExpansion:
     the result h satisfies h(x) = 2^r (s - E) with s the satisfied count and
     E the expected satisfied count under uniform random assignment.
     """
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise MaxlinError(f"arity bound r must be a positive integer, got {r!r}")
     for cons in inst.constraints:
         if cons.arity > r:
@@ -251,9 +251,9 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
     reduction preserves arity and the answer, and the failed threshold pins
     its variable count to O(k log k) for fixed r.
     """
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise MaxlinError(f"arity bound r must be a positive integer, got {r!r}")
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise PreconditionError("k_too_small", f"kernelization needs integer k >= 2, got {k!r}")
     if not sys.has_integral_weights():
         raise NonIntegralWeightError("kernelization requires integral weights")

@@ -1,11 +1,15 @@
 import codecs
 import io
+import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import maxlin
 from maxlin.cli import CommandConfig, _build_parser, main, run
 from maxlin.formats import emit_fourier, emit_system, parse_fourier, parse_system
 
@@ -211,6 +215,55 @@ def test_output_bytes_and_exit_code(tmp_path, capsys, mode, argv, text, plain, m
     captured = capsys.readouterr()
     assert captured.out == (machine if mode == "machine" and machine is not None else plain)
     assert captured.err == ""
+
+
+# Runs main for each argv in a fresh interpreter and prints, as JSON, whether
+# numpy was loaded after the import and after each command, with the command's
+# exit code and stdout.
+_COLD_CHILD = """
+import contextlib, io, json, sys
+from maxlin.cli import main
+results = [["numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_only_the_oracle_loads_numpy(tmp_path, capsys):
+    inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE,
+              "fourier": RATIONAL_FOURIER, "rational": RATIONAL}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in inputs}
+    cold = [
+        ["reduce", path["merging"]],
+        ["verify", "--cert", "0", "--k", "2", path["triple"]],
+        ["kernel", "--r", "2", "--k", "2", path["wide"]],
+        ["kernel", "--r", "2", "--k", "4", path["triple"]],
+        ["bound", path["fourier"]],
+        ["solve", "--k", "1", path["triple"]],  # the plain marking run
+        ["solve", "--k", "2", path["wide"]],  # the marking lower bound
+    ]
+    oracle = ["excess", "--oracle", path["rational"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(maxlin.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, json.dumps([*cold, oracle])],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (after_import,), *runs = json.loads(proc.stdout)
+    assert not after_import
+    assert [loaded for _, _, loaded in runs] == [False] * len(cold) + [True]
+    expected = []
+    for argv in [*cold, oracle]:
+        code = main(argv)
+        expected.append([code, capsys.readouterr().out])
+    assert [[code, out] for code, out, _ in runs] == expected
+    assert runs[-1][:2] == [0, "11/6\n00\n"]
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,9 +24,9 @@ from maxlin import (
     make_irreducible,
 )
 from maxlin import f2core, kset, reduce
-from maxlin.excess import regime_exponent
+from maxlin.excess import _reversed_masks, regime_exponent
 
-from helpers import enumerate_max_excess, random_regime_system, random_system
+from helpers import assert_raises, enumerate_max_excess, random_regime_system, random_system
 from reference_oracle import reference_max_excess
 
 
@@ -95,6 +96,28 @@ class TestBruteForce:
     def test_matches_frozen_block_oracle(self, sys):
         witness = brute_force_max_excess(sys)
         assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_many_rational_rows_match_frozen_block_oracle(self, data):
+        # m >= 8n rows with unlike denominators: the scaled weights, signs and
+        # reversed masks are built for all rows at once
+        n = data.draw(st.integers(1, 10))
+        weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 12))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(1, 2**n - 1), st.integers(0, 1), weights),
+            min_size=8 * n, max_size=8 * n + 16,
+        ))
+        sys = LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
+        witness = brute_force_max_excess(sys)
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    def test_reversed_masks_match_reverse_bits(self):
+        rng = random.Random(49)
+        for n in range(1, MAX_ORACLE_N + 1):
+            masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+            got = _reversed_masks(np.array(masks, dtype=np.uint64), n)
+            assert got.tolist() == [f2core.reverse_bits(mask, n) for mask in masks]
 
     def test_ties_across_blocks_keep_the_first(self):
         # n > 16 spans several 2^16-point blocks over z_1 (and z_2); rows
@@ -213,6 +236,13 @@ class TestLowerBound:
         with pytest.raises(PreconditionError) as err:
             lower_bound_assignment(sys, 1)
         assert err.value.condition == "k_too_small"
+
+    def test_bool_k_is_refused(self):
+        sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 1)])
+        assert_raises(
+            lambda: lower_bound_assignment(sys, True), PreconditionError,
+            "k must be an integer >= 2, got True",
+        )
 
     def test_threshold_check(self):
         sys = LinearSystem.build(
@@ -347,6 +377,13 @@ class TestDecideAa:
         sys = LinearSystem.build(1, [([0], 0, 1)])
         with pytest.raises(MaxlinError):
             AaInstance(sys, 0)
+
+    def test_rejects_bool_k(self):
+        sys = LinearSystem.build(1, [([0], 0, 1)])
+        assert_raises(
+            lambda: AaInstance(sys, True), MaxlinError,
+            "parameter k must be a positive integer, got True",
+        )
 
     def test_witness_lives_on_original_variables(self):
         # variable 2 is dependent and gets deleted during reduction

@@ -223,6 +223,12 @@ class TestVerifyKset:
             "dimension must be non-negative",
             id="negative-dimension",
         ),
+        pytest.param(
+            lambda: find_kset(VectorSet(3, [0, 0b001, 0b010, 0b100]), True),
+            PreconditionError,
+            "k must be a positive integer, got True",
+            id="find-bool-k",
+        ),
     ],
 )
 def test_boundary_checks(call, error, fragment):

@@ -289,6 +289,30 @@ def test_repeated_lhs_is_not_irreducible():
             id="deleted-too-large",
         ),
         pytest.param(
+            lambda: ReductionTranscript(2, 1, (0.5,)),
+            MaxlinError,
+            "kept variable 0.5 is not an int",
+            id="kept-float",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (True,)),
+            MaxlinError,
+            "kept variable True is not an int",
+            id="kept-bool",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (0,), ((1.0, frozenset({0})),)),
+            MaxlinError,
+            "deleted variable 1.0 is not an int",
+            id="deleted-float",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(2, 1, (0,), ((True, frozenset({0})),)),
+            MaxlinError,
+            "deleted variable True is not an int",
+            id="deleted-bool",
+        ),
+        pytest.param(
             lambda: replay_transcript(ReductionTranscript(2, 2, (0, 1)), LinearSystem(3)),
             DimensionMismatchError,
             "system has 3 variables, transcript expects 2",
@@ -298,6 +322,32 @@ def test_repeated_lhs_is_not_irreducible():
 )
 def test_boundary_checks(call, error, fragment):
     assert_raises(call, error, fragment)
+
+
+def _shape(value):
+    """The value's types, recursively through tuples and frozensets."""
+    if isinstance(value, tuple):
+        return tuple, [_shape(item) for item in value]
+    if isinstance(value, frozenset):
+        return frozenset, sorted(map(_shape, value), key=repr)
+    return type(value)
+
+
+def test_reductions_store_what_the_constructor_stores():
+    # the rules build their transcripts unchecked; the constructor, given the
+    # same fields, must accept them and store equal values of equal types
+    rng = random.Random(57)
+    for _ in range(60):
+        sys = random_system(rng, n_max=9, m_max=14)
+        for _, tr in (make_irreducible(sys), apply_rule1(sys)):
+            rebuilt = ReductionTranscript(
+                tr.original_n, tr.reduced_n, tr.kept_variables, tr.deleted_variables,
+                tr.merge_log,
+            )
+            assert rebuilt == tr and hash(rebuilt) == hash(tr)
+            assert [_shape(getattr(tr, f)) for f in vars(tr)] == [
+                _shape(getattr(rebuilt, f)) for f in vars(rebuilt)
+            ]
 
 
 def test_transcript_fields_become_tuples_and_frozensets():

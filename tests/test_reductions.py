@@ -215,6 +215,14 @@ class TestKernelize:
         with pytest.raises(PreconditionError):
             kernelize_rlin(sys, 1, 1)
 
+    def test_bool_k_is_refused(self):
+        # True would otherwise pass as k = 1 and fail only the range test
+        sys = LinearSystem.build(1, [([0], 0, 1)])
+        assert_raises(
+            lambda: kernelize_rlin(sys, 1, True), PreconditionError,
+            "kernelization needs integer k >= 2, got True",
+        )
+
     def test_kernel_preserves_answer(self):
         rng = random.Random(65)
         for _ in range(25):
@@ -249,6 +257,7 @@ def cnf(n, *clauses):
         pytest.param(lambda: cnf(2, (3,)), "literal 3 exceeds variable count 2", id="cnf-literal-range"),
         pytest.param(lambda: cnf(2, (1, -1)), "clause (1, -1) repeats variable 1", id="cnf-repeat"),
         pytest.param(lambda: cnf(2, (1.0, 2)), "literal 1.0 is not an int", id="cnf-float-literal"),
+        pytest.param(lambda: cnf(2, (True, 2)), "literal True is not an int", id="cnf-bool-literal"),
         pytest.param(
             lambda: CspConstraint((), {()}),
             "constraints must touch at least one variable",
@@ -268,6 +277,11 @@ def cnf(n, *clauses):
             lambda: CspInstance(2, (CspConstraint((0.5,), {(1,)}),)),
             "constraint variables (0.5,) must be ints",
             id="csp-float-variable",
+        ),
+        pytest.param(
+            lambda: CspConstraint((True,), {(1,)}),
+            "constraint variables (True,) must be ints",
+            id="csp-bool-variable",
         ),
         pytest.param(
             lambda: CspConstraint((0, 1), {(1, 0)}),
@@ -305,9 +319,19 @@ def cnf(n, *clauses):
             id="sat-r",
         ),
         pytest.param(
+            lambda: sat_to_fourier(cnf(1, (1,)), True),
+            "clause arity r must be a positive integer, got True",
+            id="sat-bool-r",
+        ),
+        pytest.param(
             lambda: csp_to_fourier(CspInstance(1, ()), 0),
             "arity bound r must be a positive integer, got 0",
             id="csp-r",
+        ),
+        pytest.param(
+            lambda: csp_to_fourier(CspInstance(1, ()), True),
+            "arity bound r must be a positive integer, got True",
+            id="csp-bool-r",
         ),
         pytest.param(
             lambda: kernelize_rlin(LinearSystem(1), 0, 2),
@@ -315,14 +339,29 @@ def cnf(n, *clauses):
             id="kernel-r",
         ),
         pytest.param(
+            lambda: kernelize_rlin(LinearSystem(1), True, 2),
+            "arity bound r must be a positive integer, got True",
+            id="kernel-bool-r",
+        ),
+        pytest.param(
             lambda: decide_sat_aa(cnf(2, (1, 2)), 2, 0),
             "parameter k must be a positive integer, got 0",
             id="decide-k",
         ),
         pytest.param(
+            lambda: decide_sat_aa(cnf(2, (1, 2)), 2, True),
+            "parameter k must be a positive integer, got True",
+            id="decide-bool-k",
+        ),
+        pytest.param(
             lambda: decide_sat_aa(cnf(2, (1, 2)), "3", 1),
             "exact-r SAT requires an integer r >= 2, got '3'",
             id="decide-r-type",
+        ),
+        pytest.param(
+            lambda: decide_sat_aa(cnf(2, (1, 2)), True, 1),
+            "exact-r SAT requires an integer r >= 2, got True",
+            id="decide-bool-r",
         ),
         pytest.param(
             lambda: satisfied_clause_count(cnf(2, (1, 2)), (1,)),

@@ -140,6 +140,34 @@ def test_formats_reads_index_lists_through_one_helper():
     assert users == ["_index_values"]
 
 
+def test_no_module_imports_numpy_at_import_time():
+    # numpy is most of a cold start, and only the oracle needs it, so only
+    # function bodies (and `if TYPE_CHECKING:` blocks) may import it
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+
+    def run_at_import(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                yield from run_at_import(node.orelse)
+                continue
+            yield node
+            yield from run_at_import(ast.iter_child_nodes(node))
+
+    package = Path(maxlin.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in run_at_import(ast.parse(path.read_text(), filename=str(path)).body)
+        if imports_numpy(node)
+    ]
+    assert found == []
+
+
 def test_library_names_no_floating_dtype():
     # all arithmetic stays exact: no float or complex numpy type, whether
     # named, spelled as a builtin or as a string, and no

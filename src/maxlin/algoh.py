@@ -31,7 +31,7 @@ from .errors import (
     MaxlinError,
     NonIntegralWeightError,
 )
-from .f2core import Assignment, Equation, F2Vector, LinearSystem, parity
+from .f2core import Assignment, Equation, F2Vector, LinearSystem, _check_ints, _is_int, parity
 from .reduce import _FreshIds, _merge_rows, apply_rule2
 
 __all__ = [
@@ -46,12 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Certificate:
-    """An ordered sequence of equation ids to mark in turn."""
+    """An ordered sequence of distinct int equation ids to mark in turn."""
 
     equation_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equation_ids", tuple(self.equation_ids))
+        _check_ints("certificate id", self.equation_ids)
         if len(set(self.equation_ids)) != len(self.equation_ids):
             raise MaxlinError("certificate ids must be distinct")
 
@@ -186,8 +187,11 @@ def verify_certificate(sys: LinearSystem, cert: Certificate, k: int) -> bool:
 
     Accepts iff every listed id is still present at its turn, the marks go
     through in order, and the total marked weight reaches k.  Runs in time
-    polynomial in the system size.
+    polynomial in the system size.  A k that is not an int (or is a bool)
+    raises MaxlinError; a k <= 0 accepts only the empty certificate.
     """
+    if not _is_int(k):
+        raise MaxlinError(f"parameter k must be an integer, got {k!r}")
     if not sys.has_integral_weights():
         raise NonIntegralWeightError("certificate verification requires integral weights")
     ids = cert.equation_ids

@@ -8,21 +8,19 @@ Integers are ASCII decimal, with an optional sign: ``int`` alone would also
 take ``_`` between digits and non-ASCII digits such as ``٣``.
 
 Systems and expansions are read a line at a time, not a token at a time.
-A file with at least ``_TABLE_CUT`` times n index tokens, n at most
-``_TABLE_MAX_N``, builds one table from each index token ``str(i)`` to its
-value: ``1 << i`` for a system, so that a row is the sum of its values
-shifted down by one, and ``i - 1`` for an expansion.  A line's indices are then looked up, and
-strictly ascending values are the format's strictly ascending indices in
-1..n.  A sparser file's lines, and a line with a token not in the table
-(``+3``, ``03``), a wrong count or a failed order test, go through one
-``map(int, ...)`` that is checked for count, range and strict order in one
-pass, plus one ``_plain`` test of the joined tokens.  Only a line that fails
-that check is walked token by token, to raise the same ``ParseError`` (text
-and line number) that a token-at-a-time parser would raise first.  Each
-distinct weight, coefficient and size token of a file is parsed once.  A
+Each file reads its index tokens through one memo from token to value:
+``1 << i`` for a system, so that a row is the sum of its values shifted
+down by one, and ``i - 1`` for an expansion.  The memo converts each
+distinct token once, on its first lookup, and holds only tokens naming an
+index i in 1..n, so a file's cost follows its distinct tokens and not its
+n.  As the values grow with i, a line of the right count whose values
+strictly ascend holds strictly ascending indices in 1..n.  Any other line
+is walked token by token, to raise the same ``ParseError`` (text and line
+number) that a token-at-a-time parser would raise first.  Each distinct
+weight, coefficient and size token of a file is parsed once too.  A
 system's rows go straight into ``LinearSystem._from_rows`` and an
-expansion's terms into ``FourierExpansion._from_terms``, with no ``Equation``
-and no check but the parser's own.
+expansion's terms into ``FourierExpansion._from_terms``, with no
+``Equation`` and no check but the parser's own.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from operator import add, itemgetter, lshift, lt
+from operator import add, lshift, lt
 
 from .errors import ParseError
 from .f2core import LinearSystem, _support
@@ -56,16 +54,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _RHS = {"0": 0, "1": 1}
 _BIT = partial(lshift, 1)
 _ZERO_BASED = partial(add, -1)
-# a file builds its token table only when it holds at least _TABLE_CUT * n
-# index tokens (n the declared variable count): a sparser file converts its
-# tokens with int(), so that its cost follows its tokens and not its n.  On
-# rows of 1 to 3 indices the table breaks even between n and 1.5n tokens
-# and parses 6-11 % faster at 2n, so a file just over the cut gains and one
-# just under it pays what it did before the table existed.  And only for n
-# up to _TABLE_MAX_N, since a system's table of powers of two takes
-# n * n / 16 bytes (4 MiB at the limit)
-_TABLE_CUT = 2
-_TABLE_MAX_N = 1 << 13
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
@@ -124,56 +112,49 @@ def _check_count(rows, count: int, what: str, last_line: int) -> None:
         raise ParseError(where, f"header declares {count} {what}, found {len(rows)}")
 
 
-def _parse_index_list(tokens, line_no, n, count):
-    """The line's 1-based indices, checked to be count >= 1 integers strictly
-    increasing within 1..n."""
-    if len(tokens) == count:
-        try:
-            idx = list(map(int, tokens))
-        except ValueError:
-            pass
-        else:
-            if (idx[0] >= 1 and idx[-1] <= n and all(map(lt, idx, idx[1:]))
-                    and _plain("".join(tokens))):
-                return idx
-    _raise_index_error(tokens, line_no, n, count)
+class _IndexMemo(dict):
+    """value(i) for each index token of one file that names an index i in
+    1..n, converted on its first lookup; any other token raises KeyError."""
+
+    __slots__ = ("n", "value")
+
+    def __init__(self, n, value):
+        self.n, self.value = n, value
+
+    def __missing__(self, token):
+        if _plain(token):
+            try:
+                i = int(token)
+            except ValueError:
+                raise KeyError(token) from None
+            if 1 <= i <= self.n:
+                v = self[token] = self.value(i)
+                return v
+        raise KeyError(token)
 
 
-def _table_for(rows, lead, n, value):
-    """The file's token table, if n is at most _TABLE_MAX_N and the rows hold
-    at least _TABLE_CUT * n index tokens (those after each row's first lead
-    tokens), else None."""
-    if n > _TABLE_MAX_N:
-        return None
-    index_tokens = sum(map(len, map(itemgetter(1), rows))) - lead * len(rows)
-    return _index_table(n, value) if index_tokens >= _TABLE_CUT * n else None
+def _index_values(n, value):
+    """The file's index reader: read(tokens, line_no, count) is value(i) for
+    each of the line's indices, checked to be count integers strictly
+    increasing within 1..n, through one memo for the whole file."""
+    get = _IndexMemo(n, value).__getitem__
 
+    def read(tokens, line_no, count):
+        if len(tokens) == count:
+            try:
+                p = list(map(get, tokens))
+            except KeyError:
+                pass
+            else:
+                if all(map(lt, p, p[1:])):
+                    return p
+        _raise_index_error(tokens, line_no, n, count)
 
-def _index_table(n, value):
-    """value(i) for each index token str(i), i in 1..n."""
-    return dict(zip(map(str, range(1, n + 1)), map(value, range(1, n + 1))))
-
-
-def _index_values(tokens, line_no, n, count, table, value):
-    """value(i) for each of the line's indices, checked as _parse_index_list
-    checks them.  With the file's table, whose values grow with i, the
-    tokens are looked up: then strictly ascending values are strictly
-    ascending indices in 1..n.  A token not in the table, a wrong count or
-    a failed order test sends the line to _parse_index_list, which still
-    reads '+3' and '03' and raises the error a token-at-a-time reader would."""
-    if table is not None and len(tokens) == count:
-        try:
-            p = list(map(table.__getitem__, tokens))
-        except KeyError:
-            pass
-        else:
-            if all(map(lt, p, p[1:])):
-                return p
-    return map(value, _parse_index_list(tokens, line_no, n, count))
+    return read
 
 
 def _raise_index_error(tokens, line_no, n, count):
-    """Raise the first error of a line that failed _parse_index_list's check."""
+    """Raise the first error of a line that failed _index_values's check."""
     if len(tokens) != count:
         raise ParseError(line_no, f"expected {count} indices, got {len(tokens)}")
     previous = 0
@@ -192,7 +173,7 @@ def parse_system(text: str) -> LinearSystem:
     lines = _content_lines(text)
     n, m, rows = _parse_header(lines, "maxlin")
     _check_count(rows, m, "equations", 1)
-    table = _table_for(rows, 3, n, _BIT)
+    read_indices = _index_values(n, _BIT)
     weights: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
     built = []
@@ -217,7 +198,7 @@ def parse_system(text: str) -> LinearSystem:
                 raise ParseError(line_no, "equations must involve at least one variable")
             sizes[tokens[2]] = t
         # index i is bit i, shifted down to bit i - 1
-        bits = sum(_index_values(tokens[3:], line_no, n, t, table, _BIT)) >> 1
+        bits = sum(read_indices(tokens[3:], line_no, t)) >> 1
         built.append((bits, rhs, weight, len(built)))
     return LinearSystem._from_rows(n, built)
 
@@ -271,7 +252,7 @@ def parse_fourier(text: str) -> FourierExpansion:
     constant = parse_rational(const_tokens[1], const_no)
     rows = rows[1:]
     _check_count(rows, count, "terms", const_no)
-    table = _table_for(rows, 2, n, _ZERO_BASED)
+    read_indices = _index_values(n, _ZERO_BASED)
     coeffs: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
     terms: dict[frozenset[int], Fraction] = {}
@@ -290,7 +271,7 @@ def parse_fourier(text: str) -> FourierExpansion:
             if t < 1:
                 raise ParseError(line_no, "terms must involve at least one variable")
             sizes[tokens[1]] = t
-        subset = frozenset(_index_values(tokens[2:], line_no, n, t, table, _ZERO_BASED))
+        subset = frozenset(read_indices(tokens[2:], line_no, t))
         if subset in terms:
             raise ParseError(line_no, "duplicate term subset")
         terms[subset] = coeff

@@ -21,6 +21,7 @@ from maxlin import (
 from maxlin.f2core import Equation, F2Vector
 
 from helpers import (
+    assert_raises,
     certificate_from_assignment,
     enumerate_all_runs,
     max_marked_weight,
@@ -261,3 +262,30 @@ class TestVerifyCertificate:
             assert (found is not None) == is_yes
             if found is not None:
                 assert verify_certificate(sys, Certificate(found), k)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: Certificate(("1",)), "certificate id '1' is not an int",
+                     id="str-id"),
+        pytest.param(lambda: Certificate((True,)), "certificate id True is not an int",
+                     id="bool-id"),
+        pytest.param(lambda: Certificate((0, 1.0)), "certificate id 1.0 is not an int",
+                     id="float-id"),
+        pytest.param(lambda: verify_certificate(triple_system(), Certificate((0,)), 1.5),
+                     "parameter k must be an integer, got 1.5", id="float-k"),
+        pytest.param(lambda: verify_certificate(triple_system(), Certificate((0,)), True),
+                     "parameter k must be an integer, got True", id="bool-k"),
+        pytest.param(lambda: verify_certificate(triple_system(), Certificate((0,)), "1"),
+                     "parameter k must be an integer, got '1'", id="str-k"),
+    ],
+)
+def test_boundary_checks(call, fragment):
+    assert_raises(call, MaxlinError, fragment)
+
+
+def test_k_at_most_zero_accepts_only_the_empty_certificate():
+    for k in (0, -2):
+        assert verify_certificate(triple_system(), Certificate(()), k)
+        assert not verify_certificate(triple_system(), Certificate((0,)), k)

@@ -9,10 +9,9 @@ and bad weights, right-hand bits and headers.  A valid file must give an
 equal value (for systems also equal ids and ``next_id``); a broken one must
 raise a ``ParseError`` with equal text and line number.  The reference reads
 indices with ``int``, which also takes ``1_0`` and ``٣``; those spellings
-are errors here, and are tested on their own.  A file with at least
-``formats._TABLE_CUT`` times n index tokens reads them through a per-file
-token table; the comparison also runs with the cut forced both ways, and
-named lines reach the table and fall back to the token-by-token check.
+are errors here, and are tested on their own.  A file reads its index
+tokens through one memo that converts each distinct token once; named
+lines miss it or fail its checks and fall back to the token-by-token check.
 """
 import random
 from fractions import Fraction
@@ -219,37 +218,21 @@ class TestFourierParser:
         assert outcome(parse_fourier, text) == outcome(ref.parse_fourier, text)
 
 
-@pytest.mark.parametrize("parse, reference, files", [
-    (parse_system, ref.parse_system, system_files),
-    (parse_fourier, ref.parse_fourier, fourier_files),
-], ids=["system", "fourier"])
-@pytest.mark.parametrize("cut", [0, 10**9], ids=["table", "no-table"])
-@PROPERTY
-@given(data=st.data())
-def test_either_side_of_the_table_cut_matches_the_reference(cut, parse, reference, files, data):
-    # the drawn files are small, so the natural cut may fall either way for
-    # all of them: a cut of 0 gives every file a token table, 10**9 none
-    text = data.draw(files(broken=data.draw(st.booleans())))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_TABLE_CUT", cut)
-        assert outcome(parse, text) == outcome(reference, text)
+def counting_conversions(monkeypatch):
+    """Patch formats._IndexMemo.__missing__ to record each token it reads."""
+    converted = []
+    real = formats._IndexMemo.__missing__
 
+    def counting(self, token):
+        converted.append(token)
+        return real(self, token)
 
-def counting_index_table(monkeypatch):
-    """Patch formats._index_table to record the n of each table it builds."""
-    built = []
-    real = formats._index_table
-
-    def counting(n, value):
-        built.append(n)
-        return real(n, value)
-
-    monkeypatch.setattr(formats, "_index_table", counting)
-    return built
+    monkeypatch.setattr(formats._IndexMemo, "__missing__", counting)
+    return converted
 
 
 # (support size, index tokens, the error, or None for a valid line); each
-# line follows lines whose index tokens make its file build a token table
+# line follows lines that put the tokens 1, 2 and 3 in the file's memo
 TABLE_MISSES = [
     pytest.param("2", "2 2", "indices must be strictly increasing", id="repeated"),
     pytest.param("2", "3 2", "indices must be strictly increasing", id="swapped"),
@@ -264,8 +247,7 @@ TABLE_MISSES = [
 
 @pytest.mark.parametrize("size, indices, message", TABLE_MISSES)
 @pytest.mark.parametrize("kind", ["system", "fourier"])
-def test_lines_that_miss_the_table_fall_back(monkeypatch, kind, size, indices, message):
-    built = counting_index_table(monkeypatch)
+def test_lines_that_miss_the_table_fall_back(kind, size, indices, message):
     if kind == "system":
         parse, reference, line = parse_system, ref.parse_system, 4
         text = f"p maxlin 3 3\n1 0 3 1 2 3\n2 1 3 1 2 3\n1 1 {size} {indices}\n"
@@ -273,7 +255,6 @@ def test_lines_that_miss_the_table_fall_back(monkeypatch, kind, size, indices, m
         parse, reference, line = parse_fourier, ref.parse_fourier, 5
         text = f"p fourier 3 3\nconst 0\n1 3 1 2 3\n-2 2 1 2\n3/2 {size} {indices}\n"
     got = outcome(parse, text)
-    assert built == [3]
     if message is None:
         assert got[0] == "ok"
     else:
@@ -282,30 +263,39 @@ def test_lines_that_miss_the_table_fall_back(monkeypatch, kind, size, indices, m
         assert got == outcome(reference, text)
 
 
-def test_a_sparse_file_builds_no_table_whatever_its_declared_n(monkeypatch):
-    # the cost of a file with few index tokens must not grow with its n
-    built = counting_index_table(monkeypatch)
+def test_each_distinct_index_token_is_converted_once(monkeypatch):
+    # the cost of a file follows its distinct index tokens, not its n
+    converted = counting_conversions(monkeypatch)
     for n in (10**6, 1000):
-        system = f"p maxlin {n} 3\n1 0 1 1\n2 1 2 5 {n}\n1 0 3 7 8 {n - 1}\n"
-        fourier = f"p fourier {n} 2\nconst 1\n1 1 1\n-3/2 3 4 10 {n}\n"
-        assert outcome(parse_system, system) == outcome(ref.parse_system, system)
-        assert outcome(parse_fourier, fourier) == outcome(ref.parse_fourier, fourier)
-    assert built == []
-    parse_system("p maxlin 2 2\n1 0 2 1 2\n1 1 2 1 2\n")
-    parse_fourier("p fourier 2 3\nconst 0\n1 2 1 2\n2 1 1\n3 1 2\n")
-    assert built == [2, 2]
+        system = f"p maxlin {n} 4\n1 0 1 1\n2 1 2 5 {n}\n1 0 3 1 5 {n}\n3 1 2 7 {n - 1}\n"
+        fourier = f"p fourier {n} 3\nconst 1\n1 1 1\n-3/2 3 4 10 {n}\n2 2 4 {n}\n"
+        for parse, reference, text, lead, skip in [
+            (parse_system, ref.parse_system, system, 3, 1),
+            (parse_fourier, ref.parse_fourier, fourier, 2, 2),
+        ]:
+            converted.clear()
+            assert outcome(parse, text) == outcome(reference, text)
+            tokens = [tok for line in text.splitlines()[skip:] for tok in line.split()[lead:]]
+            assert len(tokens) > len(set(tokens))
+            assert sorted(converted) == sorted(set(tokens))
 
 
-def test_no_table_beyond_the_largest_n(monkeypatch):
-    # a system's table of powers of two takes about n * n / 16 bytes
-    assert formats._TABLE_MAX_N ** 2 // 16 <= 4 << 20
-    built = counting_index_table(monkeypatch)
-    monkeypatch.setattr(formats, "_TABLE_MAX_N", 4)
-    for n in (4, 5):
-        row = " ".join(map(str, range(1, n + 1)))
-        text = f"p maxlin {n} 3\n" + f"1 0 {n} {row}\n" * 3
-        assert outcome(parse_system, text) == outcome(ref.parse_system, text)
-    assert built == [4]
+def test_one_index_spelled_three_ways():
+    # '3', '+3' and '03' are three memo entries with one value, so '+3 3'
+    # is a repeated index
+    files = [
+        (parse_system, ref.parse_system, "p maxlin 5 {}\n1 0 2 1 3\n2 1 2 +3 4\n1 0 2 03 5\n",
+         "1 1 2 +3 3\n", 5),
+        (parse_fourier, ref.parse_fourier,
+         "p fourier 5 {}\nconst 0\n1 2 1 3\n2 2 +3 4\n-1 2 03 5\n", "3 2 +3 3\n", 6),
+    ]
+    for parse, reference, body, bad, line in files:
+        valid, broken = body.format(3), body.format(4) + bad
+        got = outcome(parse, valid)
+        assert got[0] == "ok" and got == outcome(reference, valid)
+        got = outcome(parse, broken)
+        assert got == outcome(reference, broken)
+        assert got == ("error", line, f"line {line}: indices must be strictly increasing")
 
 
 def test_parse_fourier_checks_each_term_once(monkeypatch):
@@ -362,9 +352,10 @@ def test_signs_and_leading_zeros_stay_accepted():
 
 
 def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
-    """A dense 420-row file over 140 variables builds its token table once:
-    _parse_int runs for the header and once per distinct support size, never
-    per row or per index, and no row goes through F2Vector.from_support."""
+    """A dense 420-row file over 140 variables converts at most n index
+    tokens: _parse_int runs for the header and once per distinct support
+    size, never per row or per index, and no row goes through
+    F2Vector.from_support."""
     rng = random.Random(6)
     n, m = 140, 420
     rows = [
@@ -390,14 +381,14 @@ def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
         calls["from_support"] += 1
         return real_from_support(cls, *args)
 
-    built = counting_index_table(monkeypatch)
+    converted = counting_conversions(monkeypatch)
     monkeypatch.setattr(formats, "_parse_int", counting_parse_int)
     monkeypatch.setattr(F2Vector, "from_support", classmethod(counting_from_support))
     got = parse_system(text)
 
     assert got == want and got.ids() == want.ids()
     assert calls["_parse_int"] == 2 + len({len(row[0]) for row in rows})
-    assert built == [n]
+    assert len(converted) <= n
     assert index_tokens > 20 * m
     assert calls["from_support"] == 0
 

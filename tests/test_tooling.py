@@ -129,15 +129,16 @@ def test_every_dimension_goes_through_the_one_check():
 
 def test_formats_reads_index_lists_through_one_helper():
     # parse_system and parse_fourier share one index-list path: only
-    # _index_values names _parse_index_list
+    # _index_values names the memo class and the token-by-token error walk
     tree = ast.parse((Path(maxlin.__file__).parent / "formats.py").read_text())
-    users = [
-        top.name if isinstance(top, ast.FunctionDef) else f"line {top.lineno}"
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id == "_parse_index_list"
-    ]
-    assert users == ["_index_values"]
+    for name in ("_IndexMemo", "_raise_index_error"):
+        users = [
+            top.name if isinstance(top, ast.FunctionDef) else f"line {top.lineno}"
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name
+        ]
+        assert users == ["_index_values"], name
 
 
 def test_no_module_imports_numpy_at_import_time():

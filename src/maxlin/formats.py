@@ -8,9 +8,9 @@ Integers are ASCII decimal, with an optional sign: ``int`` alone would also
 take ``_`` between digits and non-ASCII digits such as ``٣``.
 
 Systems and expansions are read a line at a time, not a token at a time.
-Each file reads its index tokens through one memo from token to value:
-``1 << i`` for a system, so that a row is the sum of its values shifted
-down by one, and ``i - 1`` for an expansion.  The memo converts each
+Each file reads its index tokens through one memo from a token naming
+index i to ``1 << i``, so that a row or a term is the sum of its values
+shifted down by one: bit i - 1 for index i.  The memo converts each
 distinct token once, on its first lookup, and holds only tokens naming an
 index i in 1..n, so a file's cost follows its distinct tokens and not its
 n.  As the values grow with i, a line of the right count whose values
@@ -19,19 +19,18 @@ is walked token by token, to raise the same ``ParseError`` (text and line
 number) that a token-at-a-time parser would raise first.  Each distinct
 weight, coefficient and size token of a file is parsed once too.  A
 system's rows go straight into ``LinearSystem._from_rows`` and an
-expansion's terms into ``FourierExpansion._from_terms``, with no
-``Equation`` and no check but the parser's own.
+expansion's term masks into ``FourierExpansion._from_masks``, with no
+``Equation``, no frozenset and no check but the parser's own.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import compress
-from operator import add, lshift, lt
+from operator import lt
 
 from .errors import ParseError
-from .f2core import LinearSystem, _support
+from .f2core import _BIT_BYTES, LinearSystem, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -50,10 +49,7 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _RHS = {"0": 0, "1": 1}
-_BIT = partial(lshift, 1)
-_ZERO_BASED = partial(add, -1)
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
@@ -113,13 +109,13 @@ def _check_count(rows, count: int, what: str, last_line: int) -> None:
 
 
 class _IndexMemo(dict):
-    """value(i) for each index token of one file that names an index i in
+    """1 << i for each index token of one file that names an index i in
     1..n, converted on its first lookup; any other token raises KeyError."""
 
-    __slots__ = ("n", "value")
+    __slots__ = ("n",)
 
-    def __init__(self, n, value):
-        self.n, self.value = n, value
+    def __init__(self, n):
+        self.n = n
 
     def __missing__(self, token):
         if _plain(token):
@@ -128,16 +124,16 @@ class _IndexMemo(dict):
             except ValueError:
                 raise KeyError(token) from None
             if 1 <= i <= self.n:
-                v = self[token] = self.value(i)
+                v = self[token] = 1 << i
                 return v
         raise KeyError(token)
 
 
-def _index_values(n, value):
-    """The file's index reader: read(tokens, line_no, count) is value(i) for
-    each of the line's indices, checked to be count integers strictly
+def _index_values(n):
+    """The file's index reader: read(tokens, line_no, count) is 1 << i for
+    each of the line's indices i, checked to be count integers strictly
     increasing within 1..n, through one memo for the whole file."""
-    get = _IndexMemo(n, value).__getitem__
+    get = _IndexMemo(n).__getitem__
 
     def read(tokens, line_no, count):
         if len(tokens) == count:
@@ -173,7 +169,7 @@ def parse_system(text: str) -> LinearSystem:
     lines = _content_lines(text)
     n, m, rows = _parse_header(lines, "maxlin")
     _check_count(rows, m, "equations", 1)
-    read_indices = _index_values(n, _BIT)
+    read_indices = _index_values(n)
     weights: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
     built = []
@@ -252,10 +248,10 @@ def parse_fourier(text: str) -> FourierExpansion:
     constant = parse_rational(const_tokens[1], const_no)
     rows = rows[1:]
     _check_count(rows, count, "terms", const_no)
-    read_indices = _index_values(n, _ZERO_BASED)
+    read_indices = _index_values(n)
     coeffs: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
-    terms: dict[frozenset[int], Fraction] = {}
+    masks: dict[int, Fraction] = {}
     for line_no, tokens in rows:
         if len(tokens) < 2:
             raise ParseError(line_no, "term lines need '<coefficient> <t> <indices>'")
@@ -271,18 +267,19 @@ def parse_fourier(text: str) -> FourierExpansion:
             if t < 1:
                 raise ParseError(line_no, "terms must involve at least one variable")
             sizes[tokens[1]] = t
-        subset = frozenset(read_indices(tokens[2:], line_no, t))
-        if subset in terms:
+        # index i is bit i, shifted down to bit i - 1
+        mask = sum(read_indices(tokens[2:], line_no, t)) >> 1
+        if mask in masks:
             raise ParseError(line_no, "duplicate term subset")
-        terms[subset] = coeff
-    return FourierExpansion._from_terms(n, constant, terms)
+        masks[mask] = coeff
+    return FourierExpansion._from_masks(n, constant, masks)
 
 
 def emit_fourier(f: FourierExpansion) -> str:
     lines = [f"p fourier {f.n} {f.term_count}", f"const {f.constant}"]
-    for subset, coeff in f.sorted_terms():
-        idx = " ".join(str(i + 1) for i in sorted(subset))
-        lines.append(f"{coeff} {len(subset)} {idx}")
+    for support, _, coeff in f.canonical_terms():
+        idx = " ".join(str(i + 1) for i in support)
+        lines.append(f"{coeff} {len(support)} {idx}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,14 +3,18 @@
 A multilinear (Fourier) expansion with constant term zero corresponds
 one-to-one with a weighted F2 system without repeated left-hand sides:
 monomial subset <-> equation support, |coefficient| <-> weight, sign <->
-right-hand bit.  Excess under an assignment z equals the expansion's value
-at x_i = (-1)^{z_i} minus the constant, which turns the constructive excess
+right-hand bit.  An expansion stores each subset packed as the int that is
+its equation's left-hand side, so the bijection moves masks, not index
+sets.  Excess under an assignment z equals the expansion's value at
+x_i = (-1)^{z_i} minus the constant, which turns the constructive excess
 bound into a lower bound on the maximum of the function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -27,64 +31,85 @@ __all__ = [
     "maxima_lower_bound",
 ]
 
+_NO_TERMS: Mapping = MappingProxyType({})
+_ONE = Fraction(1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FourierExpansion:
-    """Constant term plus a read-only map from nonempty index subsets to
-    nonzero rational coefficients."""
+    """Constant term plus a read-only map ``masks`` from the bit pattern of
+    each nonempty index subset (bit i for index i, as in
+    ``LinearSystem.rows``) to its nonzero rational coefficient.
+
+    ``terms`` is the same map keyed by frozensets of indices, built on first
+    use; the library reads ``masks``.  Equality and hashing are over
+    ``(n, constant, masks)``.
+    """
 
     n: int
-    constant: Fraction = Fraction(0)
-    terms: Mapping[frozenset[int], Fraction] = field(default_factory=dict)
+    constant: Fraction
+    masks: Mapping[int, Fraction]
 
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        object.__setattr__(self, "constant", as_weight(self.constant))
-        cleaned: dict[frozenset[int], Fraction] = {}
-        for subset, coeff in self.terms.items():
+    def __init__(self, n: int, constant=Fraction(0), terms: Mapping = _NO_TERMS):
+        _check_dimension(n)
+        constant = as_weight(constant)
+        masks: dict[int, Fraction] = {}
+        for subset, coeff in terms.items():
             subset = frozenset(subset)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
             _check_ints("term index", subset)
-            if min(subset) < 0 or max(subset) >= self.n:
-                raise MaxlinError(f"term {sorted(subset)} outside 0..{self.n - 1}")
+            if min(subset) < 0 or max(subset) >= n:
+                raise MaxlinError(f"term {sorted(subset)} outside 0..{n - 1}")
             coeff = as_weight(coeff)
             if coeff == 0:
                 raise MaxlinError("zero coefficients must not be stored")
-            cleaned[subset] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+            mask = _pack(subset)
+            if mask in masks:
+                raise MaxlinError(f"duplicate term subset {sorted(subset)}")
+            masks[mask] = coeff
+        vars(self).update(n=n, constant=constant, masks=MappingProxyType(masks))
 
     @classmethod
-    def _from_terms(cls, n: int, constant: Fraction,
-                    terms: dict[frozenset[int], Fraction]) -> FourierExpansion:
-        """The expansion of terms a parser has checked or a checked system has
+    def _from_masks(cls, n: int, constant: Fraction,
+                    masks: dict[int, Fraction]) -> FourierExpansion:
+        """The expansion of masks a parser has checked or a checked input has
         produced, which are not checked again; the dict is taken over, not
         copied."""
         self = cls.__new__(cls)
-        vars(self).update(n=n, constant=constant, terms=MappingProxyType(terms))
+        vars(self).update(n=n, constant=constant, masks=MappingProxyType(masks))
         return self
 
     def __hash__(self) -> int:
-        # the generated hash would hash the terms mapping, which has none
-        return hash((self.n, self.constant, frozenset(self.terms.items())))
+        # the generated hash would hash the masks mapping, which has none
+        return hash((self.n, self.constant, frozenset(self.masks.items())))
 
-    def sorted_terms(self) -> list[tuple[frozenset[int], Fraction]]:
-        """Terms in the canonical order: lexicographic on sorted index tuples."""
-        return sorted(self.terms.items(), key=lambda kv: tuple(sorted(kv[0])))
+    @cached_property
+    def terms(self) -> Mapping[frozenset[int], Fraction]:
+        """The masks as a read-only map keyed by frozensets of indices."""
+        return MappingProxyType({
+            frozenset(_support(mask)): coeff for mask, coeff in self.masks.items()
+        })
+
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], int, Fraction]]:
+        """(ascending indices, mask, coefficient) per term, in the canonical
+        order: lexicographic on the index tuples, which are distinct."""
+        return sorted((_support(mask), mask, coeff) for mask, coeff in self.masks.items())
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.masks)
 
 
 def eval_fourier(f: FourierExpansion, point: Sequence[int]) -> Fraction:
     """Value at a point of {-1,+1}^n, computed exactly.
 
     Each monomial contributes +-coefficient according to the parity of -1
-    entries inside its subset.
+    entries inside its subset.  An entry must be an int (not a bool).
     """
     if len(point) != f.n:
         raise DimensionMismatchError(f"point has {len(point)} entries, expected {f.n}")
+    _check_ints("point entry", point)
     negatives = 0
     for i, value in enumerate(point):
         if value == -1:
@@ -92,8 +117,8 @@ def eval_fourier(f: FourierExpansion, point: Sequence[int]) -> Fraction:
         elif value != 1:
             raise MaxlinError(f"point entries must be -1 or +1, got {value!r}")
     total = f.constant
-    for subset, coeff in f.terms.items():
-        if parity(_pack(subset) & negatives):
+    for mask, coeff in f.masks.items():
+        if parity(mask & negatives):
             total -= coeff
         else:
             total += coeff
@@ -101,13 +126,15 @@ def eval_fourier(f: FourierExpansion, point: Sequence[int]) -> Fraction:
 
 
 def fourier_to_system(f: FourierExpansion) -> tuple[LinearSystem, Fraction]:
-    """One equation per monomial: weight |c|, rhs 0 for positive c, 1 otherwise.
+    """One equation per monomial, in the canonical term order: weight |c|,
+    rhs 0 for positive c, 1 otherwise.
 
     The constant term has no equation and is returned separately.
     """
-    rows = []
-    for i, (subset, coeff) in enumerate(f.sorted_terms()):
-        rows.append((_pack(subset), 0 if coeff > 0 else 1, abs(coeff), i))
+    rows = [
+        (mask, 0 if coeff > 0 else 1, abs(coeff), i)
+        for i, (_, mask, coeff) in enumerate(f.canonical_terms())
+    ]
     return LinearSystem._from_rows(f.n, rows), f.constant
 
 
@@ -119,11 +146,8 @@ def system_to_fourier(sys: LinearSystem) -> FourierExpansion:
     """
     if sys.has_duplicate_lhs():
         raise MaxlinError("system has repeated left-hand sides; apply rule 2 first")
-    terms = {
-        frozenset(_support(bits)): weight if rhs == 0 else -weight
-        for bits, rhs, weight, _ in sys.rows
-    }
-    return FourierExpansion._from_terms(sys.n, Fraction(0), terms)
+    masks = {bits: weight if rhs == 0 else -weight for bits, rhs, weight, _ in sys.rows}
+    return FourierExpansion._from_masks(sys.n, Fraction(0), masks)
 
 
 def maxima_lower_bound(f: FourierExpansion) -> Fraction:
@@ -132,11 +156,17 @@ def maxima_lower_bound(f: FourierExpansion) -> Fraction:
     After projecting onto an independent column basis the variable count
     equals the rank of the system; with q the largest integer satisfying
     (|terms|+2)^q <= 2^rank (the exact form of the floored log ratio), the
-    bound is constant + (1+q) * min |coefficient|.
+    bound is constant + (1+q) * min |coefficient|.  The rank reads only the
+    masks, so the projected rows carry them in stored order with a
+    placeholder rhs and weight.
     """
-    if not f.terms:
+    masks = f.masks
+    if not masks:
         raise MaxlinError("the expansion has no monomials to bound with")
-    system, _constant = fourier_to_system(f)
+    system = LinearSystem._from_rows(f.n, zip(masks, repeat(0), repeat(_ONE), count()))
     projected, _transcript = apply_rule1(system)
-    q = regime_exponent(projected.m, projected.n)
-    return f.constant + (1 + q) * projected.min_weight
+    q = regime_exponent(len(masks), projected.n)
+    coeffs = masks.values()
+    # a parsed expansion shares one Fraction per distinct coefficient token,
+    # so each object is taken once before the Python-level abs and compare
+    return f.constant + (1 + q) * min(map(abs, dict(zip(map(id, coeffs), coeffs)).values()))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
-from .f2core import LinearSystem, _check_dimension, _is_int
+from .f2core import LinearSystem, _check_dimension, _check_ints, _is_int, as_weight
 from .fourier import FourierExpansion, eval_fourier, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
 
@@ -128,20 +128,22 @@ def _product_expansion(
     (variables, signs, factor) products, expanded term by term.
 
     Each product's constant term is factor * (1 - 1) = 0, so the sum's
-    constant is zero; terms whose coefficients cancel are dropped.
+    constant is zero; terms whose coefficients cancel are dropped.  The
+    variables come from a checked formula or instance: distinct within a
+    product and in 0..n-1, so the masks go in unchecked.
     """
-    coefficients: dict[frozenset[int], Fraction] = {}
+    coefficients: dict[int, int] = {}
     for variables, signs, factor in products:
         arity = len(variables)
         for size in range(1, arity + 1):
             for positions in combinations(range(arity), size):
-                product = factor
+                product, mask = factor, 0
                 for j in positions:
                     product *= signs[j]
-                subset = frozenset(variables[j] for j in positions)
-                coefficients[subset] = coefficients.get(subset, Fraction(0)) + product
-    terms = {s: c for s, c in coefficients.items() if c != 0}
-    return FourierExpansion(n, Fraction(0), terms)
+                    mask |= 1 << variables[j]
+                coefficients[mask] = coefficients.get(mask, 0) + product
+    masks = {mask: as_weight(c) for mask, c in coefficients.items() if c != 0}
+    return FourierExpansion._from_masks(n, Fraction(0), masks)
 
 
 def sat_to_fourier(formula: CnfFormula, r: int) -> FourierExpansion:
@@ -165,6 +167,7 @@ def satisfied_clause_count(formula: CnfFormula, point: Sequence[int]) -> int:
     """Clauses satisfied at a point of {-1,+1}^n (-1 means true)."""
     if len(point) != formula.n:
         raise MaxlinError(f"point has {len(point)} entries, expected {formula.n}")
+    _check_ints("point entry", point)
     if any(v not in (-1, 1) for v in point):
         raise MaxlinError("point entries must be -1 or +1")
     count = 0

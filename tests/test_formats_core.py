@@ -308,12 +308,16 @@ def test_parse_fourier_checks_each_term_once(monkeypatch):
     }))
     want = ref.parse_fourier(text)
     checks = []
-    real = FourierExpansion.__post_init__
-    monkeypatch.setattr(FourierExpansion, "__post_init__",
-                        lambda self: checks.append(self) or real(self))
+    real = FourierExpansion.__init__
+    monkeypatch.setattr(FourierExpansion, "__init__",
+                        lambda self, *args: checks.append(args) or real(self, *args))
+    FourierExpansion(2, 0, {(0,): 1})
+    assert len(checks) == 1  # the patch sees a constructor call
+    checks.clear()
     got = parse_fourier(text)
     assert checks == []
     assert got == want and hash(got) == hash(want)
+    assert type(got.masks) is type(want.masks)
     assert type(got.terms) is type(want.terms)
 
 

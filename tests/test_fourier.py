@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxlin import (
     Assignment,
@@ -17,6 +18,8 @@ from maxlin import (
     maxima_lower_bound,
     system_to_fourier,
 )
+from maxlin.excess import regime_exponent
+from maxlin.f2core import _pack, rank_and_basis
 
 from helpers import all_points, assert_raises, fourier_brute_max, fourier_values_vector, random_fourier, random_system
 
@@ -215,10 +218,28 @@ class TestMaximaLowerBound:
             id="zero-coefficient",
         ),
         pytest.param(
+            lambda: FourierExpansion(3, 0, {(0, 1): 1, (1, 0): 2}),
+            MaxlinError,
+            "duplicate term subset [0, 1]",
+            id="duplicate-subset",
+        ),
+        pytest.param(
             lambda: eval_fourier(FourierExpansion(2), (1,)),
             DimensionMismatchError,
             "point has 1 entries, expected 2",
             id="point-length",
+        ),
+        pytest.param(
+            lambda: eval_fourier(FourierExpansion(2), [True, -1]),
+            MaxlinError,
+            "point entry True is not an int",
+            id="point-bool-entry",
+        ),
+        pytest.param(
+            lambda: eval_fourier(FourierExpansion(2), [1.0, -1]),
+            MaxlinError,
+            "point entry 1.0 is not an int",
+            id="point-float-entry",
         ),
     ],
 )
@@ -233,6 +254,8 @@ def test_terms_are_read_only():
         f.terms[frozenset({1})] = Fraction(0)
     with pytest.raises(TypeError):
         del f.terms[frozenset({0})]
+    with pytest.raises(TypeError):
+        f.masks[0b10] = Fraction(1)
     source[frozenset({1})] = Fraction(0)  # the caller's dict is not the stored map
     assert f.terms == {frozenset({0}): Fraction(1)}
     assert fourier_to_system(f)[0].rows == ((0b01, 0, Fraction(1), 0),)
@@ -261,3 +284,33 @@ def test_an_int_subclass_index_is_an_int():
 
     f = FourierExpansion(3, 0, {frozenset({Index(2), 0}): 1})
     assert fourier_to_system(f)[0].rows == ((0b101, 0, Fraction(1), 0),)
+
+
+@st.composite
+def expansions(draw):
+    """Random expansions whose masks all lie within a drawn set of columns,
+    so that many have rank below n, or more terms than their rank."""
+    n = draw(st.integers(1, 10))
+    columns = draw(st.integers(1, 2**n - 1))
+    masks = draw(st.sets(st.integers(1, 2**n - 1).map(lambda x: x & columns).filter(bool),
+                         min_size=1, max_size=16))
+    coeffs = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    terms = {frozenset(i for i in range(n) if mask >> i & 1): draw(coeffs) for mask in masks}
+    return FourierExpansion(n, draw(st.fractions(-5, 5, max_denominator=3)), terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expansions())
+def test_masks_are_the_packed_terms(f):
+    assert f.masks == {_pack(s): c for s, c in f.terms.items()}
+    again = FourierExpansion(f.n, f.constant, f.terms)
+    assert again == f and hash(again) == hash(f)
+    # the bound from the system in canonical order, ranked by rank_and_basis
+    ordered = sorted(f.terms.items(), key=lambda kv: tuple(sorted(kv[0])))
+    system = LinearSystem._from_rows(f.n, [
+        (_pack(s), 0 if c > 0 else 1, abs(c), i) for i, (s, c) in enumerate(ordered)
+    ])
+    assert system.rows == fourier_to_system(f)[0].rows
+    rank, _basis = rank_and_basis(system)
+    q = regime_exponent(system.m, rank)
+    assert maxima_lower_bound(f) == f.constant + (1 + q) * system.min_weight

@@ -374,6 +374,16 @@ def cnf(n, *clauses):
             id="count-point-entry",
         ),
         pytest.param(
+            lambda: satisfied_clause_count(cnf(2, (1, 2)), (True, 1)),
+            "point entry True is not an int",
+            id="count-point-bool-entry",
+        ),
+        pytest.param(
+            lambda: satisfied_clause_count(cnf(2, (1, 2)), (1.0, -1)),
+            "point entry 1.0 is not an int",
+            id="count-point-float-entry",
+        ),
+        pytest.param(
             lambda: sat_satisfied_count_identity(cnf(2, (1,), (1, 2)), (1, 1)),
             "clauses have mixed arities [1, 2]",
             id="identity-mixed-arities",

@@ -98,6 +98,20 @@ def test_only_f2core_reads_equations():
     assert found == []
 
 
+def test_only_fourier_reads_terms():
+    # the library reads FourierExpansion.masks; the frozenset-keyed terms
+    # view is for callers
+    package = Path(maxlin.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "fourier.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert found == []
+
+
 def test_every_dimension_goes_through_the_one_check():
     # a class with a dimension field checks it with f2core._check_dimension
     # in one of its methods, and no other module defines that check

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import lshift
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -69,24 +69,13 @@ def reverse_bits(x: int, n: int) -> int:
     return int(format(x & ((1 << n) - 1), f"0{n}b")[::-1], 2)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 def _pack(indices: Iterable[int]) -> int:
     """The bits of distinct indices: the sum of 1 << i, which is their OR."""
     return sum(map(lshift, repeat(1), indices))
 
 
 def _support(bits: int) -> tuple[int, ...]:
-    """The set bits' indices, ascending.
-
-    A pattern with at least 1 in 16 of its bits set reads them from its
-    reversed bin() digits, as 0/1 bytes selecting from the indices, in C; a
-    sparser one walks its set bits, so the cost follows the set bits and
-    not the width.
-    """
-    if bits.bit_count() * 16 >= bits.bit_length():
-        return tuple(compress(count(), bin(bits)[:1:-1].encode().translate(_BIT_BYTES)))
+    """The set bits' indices, ascending."""
     out = []
     while bits:
         out.append((low := bits & -bits).bit_length() - 1)

@@ -30,7 +30,7 @@ from itertools import compress
 from operator import lt
 
 from .errors import ParseError
-from .f2core import _BIT_BYTES, LinearSystem, _support
+from .f2core import LinearSystem, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _RHS = {"0": 0, "1": 1}
 
 

@@ -166,7 +166,4 @@ def maxima_lower_bound(f: FourierExpansion) -> Fraction:
     system = LinearSystem._from_rows(f.n, zip(masks, repeat(0), repeat(_ONE), count()))
     projected, _transcript = apply_rule1(system)
     q = regime_exponent(len(masks), projected.n)
-    coeffs = masks.values()
-    # a parsed expansion shares one Fraction per distinct coefficient token,
-    # so each object is taken once before the Python-level abs and compare
-    return f.constant + (1 + q) * min(map(abs, dict(zip(map(id, coeffs), coeffs)).values()))
+    return f.constant + (1 + q) * min(map(abs, masks.values()))

@@ -40,17 +40,6 @@ class TestF2Vector:
         assert v.values() == (1, 0, 0, 1, 0, 1)
         assert v.bits == 0b101001
 
-    def test_support_at_every_density(self):
-        # a pattern denser than 1 bit in 16 reads its bin() digits, a
-        # sparser one walks its set bits; both list the set bits ascending
-        rng = random.Random(56)
-        for _ in range(300):
-            n = rng.randint(1, 400)
-            bits = 0
-            for j in rng.sample(range(n), rng.randint(0, min(n, rng.choice((3, 40, 400))))):
-                bits |= 1 << j
-            assert F2Vector(n, bits).support() == tuple(j for j in range(n) if bits >> j & 1)
-
     def test_lex_key_orders_variable_one_first(self):
         # (0,1) < (1,0) as coordinate tuples: bit j is coordinate j + 1
         low = F2Vector(2, 0b10)

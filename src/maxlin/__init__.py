@@ -40,7 +40,6 @@ from .f2core import (
     F2Vector,
     LinearSystem,
     evaluate,
-    rank_and_basis,
 )
 from .fourier import (
     FourierExpansion,
@@ -55,10 +54,8 @@ from .reduce import (
     ReductionTranscript,
     apply_rule1,
     apply_rule2,
-    is_irreducible,
     lift_assignment,
     make_irreducible,
-    replay_transcript,
 )
 from .reductions import (
     CnfFormula,
@@ -68,7 +65,6 @@ from .reductions import (
     csp_to_fourier,
     decide_sat_aa,
     kernelize_rlin,
-    sat_satisfied_count_identity,
     sat_to_fourier,
     satisfied_clause_count,
 )

@@ -32,7 +32,6 @@ __all__ = [
     "Assignment",
     "Evaluation",
     "evaluate",
-    "rank_and_basis",
     "rref",
     "as_weight",
     "parity",
@@ -152,11 +151,8 @@ class F2Vector:
         return cls(n, _pack(support))
 
     def to01(self) -> str:
-        return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
-
-    def values(self) -> tuple[int, ...]:
-        """The coordinates as 0/1 ints, in order."""
-        return tuple(self.bits >> j & 1 for j in range(self.n))
+        # "0b" and the marker bit 1 << n keep the leading zeros; bit 0 goes first
+        return bin(self.bits | 1 << self.n)[3:][::-1]
 
     def support(self) -> tuple[int, ...]:
         return _support(self.bits)
@@ -286,10 +282,6 @@ class LinearSystem:
     def has_integral_weights(self) -> bool:
         return all(row[2].denominator == 1 for row in self.rows)
 
-    def content(self) -> tuple:
-        """Id-insensitive view: (n, ordered (lhs bits, rhs, weight) triples)."""
-        return (self.n, tuple(row[:3] for row in self.rows))
-
 
 class Evaluation(NamedTuple):
     satisfied_weight: Fraction
@@ -368,9 +360,3 @@ def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
         reduced[low] = row
     return [low.bit_length() - 1 for low in lows], [reduced[low] for low in lows]
 
-
-def rank_and_basis(sys: LinearSystem) -> tuple[int, tuple[int, ...]]:
-    """F2 rank of the lhs matrix and the lexicographically smallest
-    independent column set (the leftmost pivots)."""
-    lows = sorted(_pivot_basis((row[0] for row in sys.rows), sys.n))
-    return len(lows), tuple(low.bit_length() - 1 for low in lows)

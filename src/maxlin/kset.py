@@ -186,17 +186,9 @@ def verify_kset(members: VectorSet, candidate: Iterable[int]) -> bool:
         return False
     if len(vectors) < 2:
         return True
-    basis: dict[int, int] = {}  # lowest set bit -> basis row
-    for row in vectors:
-        while row:
-            low = row & -row
-            pivot = basis.get(low)
-            if pivot is None:
-                basis[low] = row
-                break
-            row ^= pivot
-        else:
-            return False
+    basis = _pivot_basis(vectors, members.n)
+    if len(basis) != len(vectors):
+        return False
     for x in members.vectors - {0, *vectors}:
         while x:
             pivot = basis.get(x & -x)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, LinearSystem, _check_dimension, _check_ints, _pivot_basis, _Row, rref
+from .f2core import Assignment, LinearSystem, _check_dimension, _check_ints, _Row, rref
 
 __all__ = [
     "MergeEvent",
@@ -32,8 +32,6 @@ __all__ = [
     "apply_rule2",
     "make_irreducible",
     "lift_assignment",
-    "replay_transcript",
-    "is_irreducible",
 ]
 
 
@@ -59,7 +57,7 @@ def _check_range(what: str, indices: Collection[int], n: int) -> None:
 
 @dataclass(frozen=True)
 class ReductionTranscript:
-    """Everything needed to replay a reduction or lift an assignment back.
+    """The record of a reduction, which lifts a reduced assignment back.
 
     Variable indices are original (0-based).  ``kept_variables[i]`` is the
     original index of reduced variable i; ``deleted_variables`` lists, in
@@ -118,13 +116,6 @@ class ReductionTranscript:
             merge_log=tuple(merge_log),
         )
         return tr
-
-    def is_identity(self) -> bool:
-        return (
-            self.original_n == self.reduced_n
-            and not self.deleted_variables
-            and not self.merge_log
-        )
 
 
 def _identity_transcript(n: int) -> ReductionTranscript:
@@ -266,11 +257,12 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
 
     The reduction is deterministic (groups fold in order of appearance,
     merged rows take fresh ids from ``sys.next_id``, the kept columns are
-    the leftmost pivots), which replay_transcript relies on.  Both rules
-    run on the system's rows and the result is built once.  Cost: O(m * rank)
-    big-int XORs for the elimination (see rref), one pass over the rows'
-    set bits for the projection and O(n) transcript entries; nothing walks
-    every declared column per row.
+    the leftmost pivots), so one system always gives the same result and
+    transcript; the tests' frozen reference replay checks that transcript.
+    Both rules run on the system's rows and the result is built once.
+    Cost: O(m * rank) big-int XORs for the elimination (see rref), one pass
+    over the rows' set bits for the projection and O(n) transcript entries;
+    nothing walks every declared column per row.
     """
     fresh = _FreshIds(sys.next_id)
     rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
@@ -296,32 +288,3 @@ def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:
         if reduced.bits >> i & 1:
             bits |= 1 << orig
     return Assignment(tr.original_n, bits)
-
-
-def replay_transcript(tr: ReductionTranscript, original: LinearSystem) -> LinearSystem:
-    """Re-derive the reduced system from the original plus the transcript.
-
-    make_irreducible is deterministic, so the replay reruns it on the
-    original and accepts exactly the transcript that run returns: the same
-    kept and deleted columns and the same merge log, every surviving id and
-    weight included.  Any other transcript raises MaxlinError.  The result
-    is that run's reduced system, bit-identical to the reduction's output.
-    (Restricting every row to the final kept columns first is not a replay:
-    when a cancellation lowers the rank, that restriction merges rows the
-    reduction kept apart.)
-    """
-    if original.n != tr.original_n:
-        raise DimensionMismatchError(
-            f"system has {original.n} variables, transcript expects {tr.original_n}"
-        )
-    reduced, expected = make_irreducible(original)
-    if expected != tr:
-        raise MaxlinError("transcript differs from the reduction of the system")
-    return reduced
-
-
-def is_irreducible(sys: LinearSystem) -> bool:
-    """True when rule 2 has nothing to merge and the lhs matrix has full rank."""
-    if sys.has_duplicate_lhs():
-        return False
-    return len(_pivot_basis((row[0] for row in sys.rows), sys.n)) == sys.n

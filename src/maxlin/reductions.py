@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
 from .f2core import LinearSystem, _check_dimension, _check_ints, _is_int, as_weight
-from .fourier import FourierExpansion, eval_fourier, fourier_to_system
+from .fourier import FourierExpansion, fourier_to_system
 from .reduce import ReductionTranscript, make_irreducible
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "KernelOutcome",
     "sat_to_fourier",
     "satisfied_clause_count",
-    "sat_satisfied_count_identity",
     "decide_sat_aa",
     "csp_to_fourier",
     "kernelize_rlin",
@@ -82,6 +81,7 @@ class CspConstraint:
         if not self.satisfying:
             raise MaxlinError("constraints must have at least one satisfying point")
         for point in self.satisfying:
+            _check_ints("satisfying point entry", point)
             if len(point) != arity or any(v not in (-1, 1) for v in point):
                 raise MaxlinError(f"satisfying point {point} must be a +-1 tuple of arity {arity}")
 
@@ -180,23 +180,6 @@ def satisfied_clause_count(formula: CnfFormula, point: Sequence[int]) -> int:
     return count
 
 
-def sat_satisfied_count_identity(formula: CnfFormula, point: Sequence[int]) -> tuple[int, Fraction]:
-    """Satisfied-clause count s and the expansion's value g at the point.
-
-    Checks the bridge identity g = m - (m - s) * 2^r, which ties clause
-    counting to the polynomial exactly, and raises MaxlinError if it fails.
-    """
-    arities = {len(c) for c in formula.clauses}
-    if len(arities) > 1:
-        raise MaxlinError(f"clauses have mixed arities {sorted(arities)}")
-    r = arities.pop() if arities else 1
-    s = satisfied_clause_count(formula, point)
-    g = eval_fourier(sat_to_fourier(formula, r), point)
-    if g != formula.m - (formula.m - s) * 2**r:
-        raise MaxlinError(f"bridge identity fails: g = {g}, m = {formula.m}, s = {s}, r = {r}")
-    return s, g
-
-
 def decide_sat_aa(
     formula: CnfFormula,
     r: int,
@@ -217,7 +200,7 @@ def decide_sat_aa(
     expansion = sat_to_fourier(formula, r)
     system, _constant = fourier_to_system(expansion)
     answer, witness = decide_aa(AaInstance(system, k), oracle_cap=oracle_cap)
-    point = tuple(-1 if bit else 1 for bit in witness.assignment.values())
+    point = tuple(-1 if bit == "1" else 1 for bit in witness.assignment.to01())
     s = satisfied_clause_count(formula, point)
     reaches = 2**r * s >= (2**r - 1) * formula.m + k
     if reaches != answer:

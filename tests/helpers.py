@@ -173,6 +173,29 @@ def enumerate_max_excess(sys: LinearSystem) -> tuple[Fraction, str]:
     return best
 
 
+def lhs_rank(sys: LinearSystem) -> int:
+    """F2 rank of the left-hand sides, eliminating on each row's highest set
+    bit (the library eliminates on the lowest)."""
+    basis: list[int] = []  # distinct highest bits, largest first
+    for bits, *_ in sys.rows:
+        for row in basis:
+            bits = min(bits, bits ^ row)
+        if bits:
+            basis.append(bits)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def is_irreducible(sys: LinearSystem) -> bool:
+    """No repeated left-hand side, and the lhs matrix has full column rank."""
+    return not sys.has_duplicate_lhs() and lhs_rank(sys) == sys.n
+
+
+def content(sys: LinearSystem) -> tuple:
+    """Id-insensitive view: n and the ordered (lhs bits, rhs, weight) rows."""
+    return sys.n, tuple(row[:3] for row in sys.rows)
+
+
 def fourier_values_vector(f: FourierExpansion) -> tuple[np.ndarray, int]:
     """Exact scaled values of f at all points, in the all_points order.
 
@@ -233,7 +256,7 @@ def max_marked_weight(sys: LinearSystem) -> Fraction:
     def rec(cur) -> Fraction:
         if cur.m == 0:
             return Fraction(0)
-        key = cur.content()
+        key = content(cur)
         if key in memo:
             return memo[key]
         best = Fraction(0)
@@ -264,7 +287,7 @@ def search_accepting_sequence(sys: LinearSystem, k: int):
             return tuple(path)
         if cur.m == 0 or acc + sum(eq.weight for eq in cur.equations) < k:
             return None
-        key = (cur.content(), min(acc, k))
+        key = (content(cur), min(acc, k))
         if key in seen:
             return None
         seen.add(key)

@@ -20,13 +20,12 @@ from maxlin import (
     decide_aa,
     evaluate,
     lower_bound_assignment,
-    is_irreducible,
     make_irreducible,
 )
-from maxlin import f2core, kset, reduce
+from maxlin import f2core, kset
 from maxlin.excess import _reversed_masks, regime_exponent
 
-from helpers import assert_raises, enumerate_max_excess, random_regime_system, random_system
+from helpers import assert_raises, enumerate_max_excess, is_irreducible, random_regime_system, random_system
 from reference_oracle import reference_max_excess
 
 
@@ -300,15 +299,17 @@ def dense_irreducible_system(rng: random.Random, n: int, m: int) -> LinearSystem
 
 
 def count_pivot_basis(monkeypatch) -> list[int]:
-    """Count _pivot_basis calls through every module that holds it."""
+    """Record the number of rows each _pivot_basis call is given, through
+    every module that holds it."""
     calls = []
     original = f2core._pivot_basis
 
     def counting(rows, n):
-        calls.append(n)
+        rows = list(rows)
+        calls.append(len(rows))
         return original(rows, n)
 
-    for module in (f2core, kset, reduce):
+    for module in (f2core, kset):
         monkeypatch.setattr(module, "_pivot_basis", counting)
     return calls
 
@@ -329,15 +330,18 @@ class TestLowerBoundCost:
         sys = dense_irreducible_system(random.Random(46), 40, 120)
         calls = count_pivot_basis(monkeypatch)
         lower_bound_assignment(sys, 4)
-        assert len(calls) == 1
+        # one rank test over the rows and 0, then verify_kset's independence
+        # test of the 4 chosen rows
+        assert calls == [121, 4]
 
     def test_decide_aa_eliminates_at_most_twice(self, monkeypatch):
         sys = dense_irreducible_system(random.Random(47), 40, 120)
         calls = count_pivot_basis(monkeypatch)
         answer, witness = decide_aa(AaInstance(sys, 4))
         assert answer is True and witness.method == "marking"
-        # make_irreducible's rref, then the lower bound's one rank test
-        assert len(calls) <= 2
+        # make_irreducible's rref, then the lower bound's one rank test, then
+        # verify_kset's independence test of the 4 chosen rows
+        assert len(calls) <= 3 and calls[-1] == 4
 
 
 class TestDecideAa:

@@ -18,14 +18,13 @@ from maxlin import (
     fourier_to_system,
     h_step,
     make_irreducible,
-    rank_and_basis,
     run_h,
     system_to_fourier,
 )
 from maxlin.f2core import _pivot_basis, parity, reverse_bits, rref
 from maxlin.formats import emit_system, parse_system
 
-from helpers import assert_raises, random_system
+from helpers import assert_raises, lhs_rank, random_system
 
 
 def eqn(n, support, rhs, weight, eq_id=0):
@@ -37,8 +36,11 @@ class TestF2Vector:
         v = F2Vector.from_support(6, [0, 3, 5])
         assert v.support() == (0, 3, 5)
         assert v.to01() == "100101"
-        assert v.values() == (1, 0, 0, 1, 0, 1)
         assert v.bits == 0b101001
+        assert F2Vector(0).to01() == ""
+        n = 10**4 + 3
+        bits = random.Random(8).getrandbits(n) | 1 << (n - 1)
+        assert F2Vector(n, bits).to01() == "".join(str(bits >> j & 1) for j in range(n))
 
     def test_lex_key_orders_variable_one_first(self):
         # (0,1) < (1,0) as coordinate tuples: bit j is coordinate j + 1
@@ -118,35 +120,36 @@ class TestEvaluate:
             evaluate(sys, Assignment(3, 0))
 
 
+def pivots(sys):
+    return rref([row[0] for row in sys.rows], sys.n)[0]
+
+
 class TestRankAndBasis:
     def test_unit_columns(self):
         sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 1), ([0, 1], 1, 1)])
-        assert rank_and_basis(sys) == (2, (0, 1))
+        assert pivots(sys) == [0, 1]
 
     def test_single_equation(self):
         sys = LinearSystem.build(2, [([0, 1], 0, 1)])
-        assert rank_and_basis(sys) == (1, (0,))
+        assert pivots(sys) == [0]
 
     def test_dependent_rows(self):
         sys = LinearSystem.build(3, [([0, 1], 0, 1), ([1, 2], 0, 1), ([0, 2], 0, 1)])
-        rank, cols = rank_and_basis(sys)
-        assert rank == 2
-        assert cols == (0, 1)
+        assert pivots(sys) == [0, 1]
 
     def test_basis_columns_invertible_at_full_rank(self):
         rng = random.Random(9)
         tried = 0
         while tried < 15:
             sys = random_system(rng, n_min=2, n_max=6, m_min=6, m_max=12)
-            rank, cols = rank_and_basis(sys)
-            if rank != sys.n:
+            cols, reduced = rref([row[0] for row in sys.rows], sys.n)
+            assert len(cols) == lhs_rank(sys)
+            if len(cols) != sys.n:
                 continue
             tried += 1
-            assert cols == tuple(range(sys.n))
-            # rows restricted to the basis columns still have full rank
-            rows = [eq.lhs.bits for eq in sys.equations]
-            pivots, _ = rref(rows, sys.n)
-            assert len(pivots) == sys.n
+            assert cols == list(range(sys.n))
+            # at full rank the reduced rows are the unit rows
+            assert reduced == [1 << j for j in range(sys.n)]
 
 
 def full_pivot_basis(rows, n):

@@ -17,7 +17,7 @@ from maxlin.formats import (
 )
 from maxlin.fourier import FourierExpansion
 
-from helpers import assert_raises, random_fourier, random_system
+from helpers import assert_raises, content, random_fourier, random_system
 
 
 class TestRational:
@@ -77,7 +77,7 @@ class TestSystemFormat:
         sys = parse_system("p maxlin 2 2\n1 0 1 1\n1 0 1 1\n")
         reduced, tr = make_irreducible(sys)
         text = emit_system(reduced) + emit_transcript_comments(tr)
-        assert parse_system(text).content() == reduced.content()
+        assert content(parse_system(text)) == content(reduced)
 
 
 class TestFourierFormat:

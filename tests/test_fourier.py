@@ -19,9 +19,12 @@ from maxlin import (
     system_to_fourier,
 )
 from maxlin.excess import regime_exponent
-from maxlin.f2core import _pack, rank_and_basis
+from maxlin.f2core import _pack
 
-from helpers import all_points, assert_raises, fourier_brute_max, fourier_values_vector, random_fourier, random_system
+from helpers import (
+    all_points, assert_raises, content, fourier_brute_max, fourier_values_vector, lhs_rank,
+    random_fourier, random_system,
+)
 
 
 def negated_elementary(n):
@@ -108,8 +111,8 @@ class TestBijection:
         for _ in range(20):
             sys = apply_rule2(random_system(rng, rational_weights=True))
             back, _ = fourier_to_system(system_to_fourier(sys))
-            assert back.content()[0] == sys.content()[0]
-            assert sorted(back.content()[1]) == sorted(sys.content()[1])
+            assert content(back)[0] == content(sys)[0]
+            assert sorted(content(back)[1]) == sorted(content(sys)[1])
 
     def test_excess_equals_shifted_value(self):
         rng = random.Random(54)
@@ -118,7 +121,7 @@ class TestBijection:
             sys, constant = fourier_to_system(f)
             for bits in range(2**f.n):
                 z = Assignment(f.n, bits)
-                point = tuple(-1 if b else 1 for b in z.values())
+                point = tuple(-1 if b == "1" else 1 for b in z.to01())
                 assert eval_fourier(f, point) - constant == evaluate(sys, z).excess
 
 
@@ -305,12 +308,11 @@ def test_masks_are_the_packed_terms(f):
     assert f.masks == {_pack(s): c for s, c in f.terms.items()}
     again = FourierExpansion(f.n, f.constant, f.terms)
     assert again == f and hash(again) == hash(f)
-    # the bound from the system in canonical order, ranked by rank_and_basis
+    # the bound from the system in canonical order, ranked by lhs_rank
     ordered = sorted(f.terms.items(), key=lambda kv: tuple(sorted(kv[0])))
     system = LinearSystem._from_rows(f.n, [
         (_pack(s), 0 if c > 0 else 1, abs(c), i) for i, (s, c) in enumerate(ordered)
     ])
     assert system.rows == fourier_to_system(f)[0].rows
-    rank, _basis = rank_and_basis(system)
-    q = regime_exponent(system.m, rank)
+    q = regime_exponent(system.m, lhs_rank(system))
     assert maxima_lower_bound(f) == f.constant + (1 + q) * system.min_weight

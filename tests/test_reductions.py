@@ -16,7 +16,6 @@ from maxlin import (
     decide_sat_aa,
     eval_fourier,
     kernelize_rlin,
-    sat_satisfied_count_identity,
     sat_to_fourier,
     satisfied_clause_count,
 )
@@ -60,18 +59,24 @@ class TestSatToFourier:
             assert all(len(s) <= r for s in g.terms)
 
 
+def count_and_value(formula, r, point):
+    """The satisfied count s and the expansion's value g at the point, which
+    meet the bridge identity g = m - (m - s) * 2^r."""
+    s = satisfied_clause_count(formula, point)
+    g = eval_fourier(sat_to_fourier(formula, r), point)
+    assert g == formula.m - (formula.m - s) * 2**r
+    return s, g
+
+
 class TestSatIdentity:
     def test_satisfied_clause(self):
-        s, g = sat_satisfied_count_identity(CnfFormula(2, ((1, 2),)), (-1, -1))
-        assert (s, g) == (1, 1)
+        assert count_and_value(CnfFormula(2, ((1, 2),)), 2, (-1, -1)) == (1, 1)
 
     def test_falsified_clause(self):
-        s, g = sat_satisfied_count_identity(CnfFormula(2, ((1, 2),)), (1, 1))
-        assert (s, g) == (0, -3)
+        assert count_and_value(CnfFormula(2, ((1, 2),)), 2, (1, 1)) == (0, -3)
 
     def test_empty_formula(self):
-        s, g = sat_satisfied_count_identity(CnfFormula(2, ()), (1, -1))
-        assert (s, g) == (0, 0)
+        assert count_and_value(CnfFormula(2, ()), 2, (1, -1)) == (0, 0)
 
     def test_identity_at_every_point(self):
         rng = random.Random(62)
@@ -384,9 +389,14 @@ def cnf(n, *clauses):
             id="count-point-float-entry",
         ),
         pytest.param(
-            lambda: sat_satisfied_count_identity(cnf(2, (1,), (1, 2)), (1, 1)),
-            "clauses have mixed arities [1, 2]",
-            id="identity-mixed-arities",
+            lambda: CspConstraint((0, 1), {(True, -1)}),
+            "satisfying point entry True is not an int",
+            id="constraint-point-bool-entry",
+        ),
+        pytest.param(
+            lambda: CspConstraint((0, 1), {(1.0, -1)}),
+            "satisfying point entry 1.0 is not an int",
+            id="constraint-point-float-entry",
         ),
     ],
 )

@@ -66,6 +66,39 @@ def test_every_exported_name_is_defined_in_its_module():
     assert undefined == []
 
 
+def test_every_exported_function_has_a_src_caller():
+    # an exported name that only tests call is surface to delete; these are
+    # the paper's SAT/CSP and Fourier entry points, which nothing in the
+    # package calls: the SAT decision, the CSP file and its expansion, the
+    # system-to-expansion direction of the bijection, and the value of an
+    # expansion at a point
+    entry_points = {"decide_sat_aa", "csp_to_fourier", "parse_csp", "system_to_fourier",
+                    "eval_fourier"}
+    package = Path(maxlin.__file__).parent
+    exported, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported += [(path.stem, name) for name in ast.literal_eval(node.value)]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    uncalled = [
+        f"{module}.{name}" for module, name in exported
+        if name not in referenced and name not in entry_points
+    ]
+    assert uncalled == []
+
+
 def test_library_has_no_mutable_default_arguments():
     # a mutable default is shared by every call; a read-only mapping or None
     # is safe

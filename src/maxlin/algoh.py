@@ -200,8 +200,9 @@ def verify_certificate(sys: LinearSystem, cert: Certificate, k: int) -> bool:
     cur = apply_rule2(sys)
     total = Fraction(0)
     for eq_id in ids:
-        if not cur.has_equation(eq_id):
+        try:
+            cur, marked = h_step(cur, eq_id)
+        except EquationNotFoundError:
             return False
-        cur, marked = h_step(cur, eq_id)
         total += marked.weight
     return total >= k

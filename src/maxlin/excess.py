@@ -218,6 +218,8 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     replaces the best so far only if strictly greater, which keeps the
     lexicographically smallest maximizer.
     """
+    if not _is_int(cap):
+        raise MaxlinError(f"oracle cap must be an int, got {cap!r}")
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")

@@ -5,6 +5,8 @@ dimension works and XOR/equality are single integer operations.  Weights are
 exact ``fractions.Fraction`` values and must stay positive.  A
 ``LinearSystem`` stores ``(lhs bits, rhs, weight, eq_id)`` rows, which the
 whole package reads, and builds its ``Equation`` objects only on request.
+It keeps no id index: an id is ``row[3]``, and the one library path that
+looks an id up, the certificate check, finds it in the marking step.
 A row is checked once, where it enters the library (as an ``Equation``, by
 a parser or by ``FourierExpansion``); a system derived from a checked one is
 built by ``LinearSystem._from_rows`` without checking its rows again.
@@ -23,7 +25,7 @@ from itertools import repeat
 from operator import lshift
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, EquationNotFoundError, MaxlinError
+from .errors import DimensionMismatchError, MaxlinError
 
 __all__ = [
     "F2Vector",
@@ -228,17 +230,17 @@ class LinearSystem:
     def _store(self, n: int, rows: Iterable[_Row], next_id: int) -> LinearSystem:
         """Check n and each row's lhs and id in turn, and fill in the fields."""
         _check_dimension(n)
-        index: dict[int, int] = {}
+        ids: set[int] = set()
         kept = []
         for row in rows:
             if not row[0]:
                 raise MaxlinError(f"equation {row[3]} has an empty left-hand side")
-            if row[3] in index:
+            if row[3] in ids:
                 raise MaxlinError(f"duplicate equation id {row[3]}")
-            index[row[3]] = len(kept)
+            ids.add(row[3])
             kept.append(row)
-        next_id = max(next_id, max(index, default=-1) + 1)
-        vars(self).update(n=n, rows=tuple(kept), next_id=next_id, _index=index)
+        next_id = max(next_id, max(ids, default=-1) + 1)
+        vars(self).update(n=n, rows=tuple(kept), next_id=next_id)
         return self
 
     @cached_property
@@ -263,21 +265,6 @@ class LinearSystem:
         if not self.rows:
             raise MaxlinError("empty system has no minimum weight")
         return min(row[2] for row in self.rows)
-
-    def equation(self, eq_id: int) -> Equation:
-        try:
-            return self.equations[self._index[eq_id]]
-        except KeyError:
-            raise EquationNotFoundError(f"no equation with id {eq_id}") from None
-
-    def has_equation(self, eq_id: int) -> bool:
-        return eq_id in self._index
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self._index)
-
-    def has_duplicate_lhs(self) -> bool:
-        return len({row[0] for row in self.rows}) != len(self.rows)
 
     def has_integral_weights(self) -> bool:
         return all(row[2].denominator == 1 for row in self.rows)

@@ -54,13 +54,17 @@ class FourierExpansion:
         _check_dimension(n)
         constant = as_weight(constant)
         masks: dict[int, Fraction] = {}
-        for subset, coeff in terms.items():
-            subset = frozenset(subset)
+        for key, coeff in terms.items():
+            indices = tuple(key)
+            subset = frozenset(indices)
             if not subset:
                 raise MaxlinError("terms must be nonempty subsets; use the constant instead")
             _check_ints("term index", subset)
             if min(subset) < 0 or max(subset) >= n:
                 raise MaxlinError(f"term {sorted(subset)} outside 0..{n - 1}")
+            if len(subset) != len(indices):
+                # x_i * x_i = 1 on +-1 points, so a repeat is not the term x_i
+                raise MaxlinError(f"term {list(indices)} repeats an index")
             coeff = as_weight(coeff)
             if coeff == 0:
                 raise MaxlinError("zero coefficients must not be stored")
@@ -144,9 +148,9 @@ def system_to_fourier(sys: LinearSystem) -> FourierExpansion:
     Requires distinct left-hand sides (apply rule 2 first); coefficient is
     +weight for rhs 0 and -weight for rhs 1.
     """
-    if sys.has_duplicate_lhs():
-        raise MaxlinError("system has repeated left-hand sides; apply rule 2 first")
     masks = {bits: weight if rhs == 0 else -weight for bits, rhs, weight, _ in sys.rows}
+    if len(masks) < sys.m:
+        raise MaxlinError("system has repeated left-hand sides; apply rule 2 first")
     return FourierExpansion._from_masks(sys.n, Fraction(0), masks)
 
 

@@ -17,7 +17,7 @@ from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
 from .f2core import LinearSystem, _check_dimension, _check_ints, _is_int, as_weight
 from .fourier import FourierExpansion, fourier_to_system
-from .reduce import ReductionTranscript, make_irreducible
+from .reduce import make_irreducible
 
 __all__ = [
     "CnfFormula",
@@ -105,16 +105,10 @@ class CspInstance:
 
 @dataclass(frozen=True)
 class KernelOutcome:
-    """Either an immediate yes or the reduced system as the kernel.
-
-    The reduced system and transcript are always carried so a witness can
-    be produced (marking lower bound on the yes branch) and lifted back.
-    """
+    """Either an immediate yes or the reduced system as the kernel."""
 
     is_yes: bool
     reduced_system: LinearSystem
-    transcript: ReductionTranscript
-    k: int
 
     @property
     def kernel(self) -> LinearSystem | None:
@@ -246,5 +240,5 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
     oversized = [eq_id for bits, _, _, eq_id in sys.rows if bits.bit_count() > r]
     if oversized:
         raise MaxlinError(f"equations {oversized} have more than {r} variables")
-    reduced, transcript = make_irreducible(sys)
-    return KernelOutcome(_in_marking_regime(reduced, k), reduced, transcript, k)
+    reduced, _transcript = make_irreducible(sys)
+    return KernelOutcome(_in_marking_regime(reduced, k), reduced)

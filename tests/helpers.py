@@ -21,6 +21,7 @@ from maxlin import (
     LinearSystem,
     VectorSet,
 )
+from maxlin.reduce import ReductionTranscript
 
 
 def random_system(
@@ -188,12 +189,68 @@ def lhs_rank(sys: LinearSystem) -> int:
 
 def is_irreducible(sys: LinearSystem) -> bool:
     """No repeated left-hand side, and the lhs matrix has full column rank."""
-    return not sys.has_duplicate_lhs() and lhs_rank(sys) == sys.n
+    return len({row[0] for row in sys.rows}) == sys.m and lhs_rank(sys) == sys.n
 
 
 def content(sys: LinearSystem) -> tuple:
     """Id-insensitive view: n and the ordered (lhs bits, rhs, weight) rows."""
     return sys.n, tuple(row[:3] for row in sys.rows)
+
+
+def check_transcript(original: LinearSystem, reduced: LinearSystem, tr: ReductionTranscript) -> None:
+    """Check that ``tr`` takes ``original`` to ``reduced``; raise
+    AssertionError naming the first mismatch.
+
+    The merge log is replayed by id on ``original``'s rows, before any
+    projection: both ids are live and share a left-hand side, a pair cancels
+    only for equal weights and opposite right-hand sides, and every other
+    merge gives the next fresh id from ``original.next_id`` the rhs and
+    weight of rule 2.  The kept and deleted columns partition the original
+    columns, and on every surviving row each deleted column's bit is the
+    parity of its listed kept columns.  Then ``reduced`` is the survivors,
+    in the order their left-hand sides first appear in ``original``,
+    projected onto the kept columns with ids, rhs and weights unchanged.
+    """
+    assert tr.original_n == original.n, f"transcript is over {tr.original_n} columns"
+    live = {eq_id: (bits, rhs, weight) for bits, rhs, weight, eq_id in original.rows}
+    fresh = original.next_id
+    for event in tr.merge_log:
+        pair = event.merged_ids
+        assert all(eq_id in live for eq_id in pair), f"merge {pair} names a row that is not live"
+        (bits, rhs_a, w_a), (other, rhs_b, w_b) = map(live.pop, pair)
+        assert bits == other, f"merge {pair} joins different left-hand sides"
+        cancels = rhs_a != rhs_b and w_a == w_b
+        assert cancels == (event.surviving_id is None), f"merge {pair} has the wrong outcome"
+        if cancels:
+            assert event.weight == 0, f"cancelled merge {pair} records weight {event.weight}"
+            continue
+        if rhs_a == rhs_b:
+            rhs, weight = rhs_a, w_a + w_b
+        else:
+            rhs, weight = (rhs_a, w_a - w_b) if w_a > w_b else (rhs_b, w_b - w_a)
+        assert event.surviving_id == fresh, f"survivor {event.surviving_id} is not fresh id {fresh}"
+        assert event.weight == weight, f"merge {pair} records weight {event.weight}, not {weight}"
+        live[fresh] = (bits, rhs, weight)
+        fresh += 1
+    kept, deleted = tr.kept_variables, dict(tr.deleted_variables)
+    assert sorted([*kept, *deleted]) == list(range(original.n)), (
+        "kept and deleted columns do not partition the columns")
+    for j, deps in deleted.items():
+        assert deps.issubset(kept), f"column {j} is recorded over a deleted column"
+        mask = sum(1 << i for i in deps)
+        for bits, *_ in live.values():
+            assert (bits >> j & 1) == (bits & mask).bit_count() & 1, (
+                f"column {j} is not the sum of columns {sorted(deps)} on row {bits:#b}")
+    first = {}
+    for pos, row in enumerate(original.rows):
+        first.setdefault(row[0], pos)
+    projected = tuple(
+        (sum(1 << i for i, col in enumerate(kept) if bits >> col & 1), rhs, weight, eq_id)
+        for eq_id, (bits, rhs, weight) in sorted(live.items(), key=lambda item: first[item[1][0]])
+    )
+    assert (reduced.n, reduced.rows) == (len(kept), projected), (
+        "the reduced system is not the projected survivors")
+    assert reduced.next_id == fresh, f"reduced next_id {reduced.next_id}, expected {fresh}"
 
 
 def fourier_values_vector(f: FourierExpansion) -> tuple[np.ndarray, int]:

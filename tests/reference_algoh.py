@@ -61,6 +61,14 @@ class MarkRecord:
             raise MaxlinError("marked variable must be the equation's lowest support index")
 
 
+def _has_equation(sys: LinearSystem, eq_id: int) -> bool:
+    return eq_id in {row[3] for row in sys.rows}
+
+
+def _equation(sys: LinearSystem, eq_id: int) -> Equation:
+    return next(eq for eq in sys.equations if eq.eq_id == eq_id)
+
+
 def add_lhs(e1: Equation, e2: Equation) -> Equation:
     """Replace e2 by the sum of both equations.
 
@@ -73,9 +81,9 @@ def add_lhs(e1: Equation, e2: Equation) -> Equation:
 
 
 def h_step(sys: LinearSystem, eq_id: int, iteration: int = 0) -> tuple[LinearSystem, MarkRecord]:
-    if not sys.has_equation(eq_id):
+    if not _has_equation(sys, eq_id):
         raise EquationNotFoundError(f"no equation with id {eq_id}")
-    marked = sys.equation(eq_id)
+    marked = _equation(sys, eq_id)
     var = _min_var(marked.lhs)
     out = []
     for eq in sys.equations:
@@ -112,7 +120,7 @@ def sequence_chooser(
     def choose(sys: LinearSystem) -> int:
         while remaining:
             candidate = remaining.popleft()
-            if sys.has_equation(candidate):
+            if _has_equation(sys, candidate):
                 return candidate
             if require_present:
                 raise MaxlinError(f"equation {candidate} vanished before its marking turn")
@@ -146,7 +154,7 @@ def verify_certificate(sys: LinearSystem, cert: Certificate, k: int) -> bool:
     cur = apply_rule2(sys)
     total = Fraction(0)
     for i, eq_id in enumerate(ids):
-        if not cur.has_equation(eq_id):
+        if not _has_equation(cur, eq_id):
             return False
         cur, record = h_step(cur, eq_id, i)
         total += record.marked_equation.weight

@@ -183,7 +183,7 @@ def test_criterion_06_certificate_verifier(decision_suite):
             # spot sample: random sequences must reject on no-instances
             for _ in range(5):
                 size = rng.randint(1, min(k, sys.m))
-                cert = Certificate(tuple(rng.sample(sys.ids(), size)))
+                cert = Certificate(tuple(rng.sample([row[3] for row in sys.rows], size)))
                 assert not verify_certificate(sys, cert, k)
     report(6, "certificate verifier", started)
 

@@ -44,7 +44,7 @@ class TestHStep:
         sys = triple_system()
         nxt, record = h_step(sys, 0)
         assert nxt.m == 0  # z2=0 and z2=1 merge away
-        assert record == sys.equation(0)
+        assert record == sys.equations[0]
         assert lowest_var(record) == 0
 
     def test_single_equation(self):
@@ -67,7 +67,7 @@ class TestHStep:
             sys = apply_rule2(sys)
             if sys.m == 0:
                 continue
-            eq_id = rng.choice(sys.ids())
+            eq_id = rng.choice([row[3] for row in sys.rows])
             nxt, record = h_step(sys, eq_id)
             for eq in nxt.equations:
                 assert not eq.lhs.bits >> lowest_var(record) & 1
@@ -233,7 +233,7 @@ class TestVerifyCertificate:
             if sys.m == 0:
                 continue
             k = rng.randint(1, 4)
-            ids = rng.sample(sys.ids(), rng.randint(1, min(k, sys.m)))
+            ids = rng.sample([row[3] for row in sys.rows], rng.randint(1, min(k, sys.m)))
             if verify_certificate(sys, Certificate(tuple(ids)), k):
                 assert brute_force_max_excess(sys).excess >= k
             checked += 1

@@ -82,6 +82,8 @@ class TestBruteForce:
         sys = LinearSystem.build(5, [([0], 0, 1)])
         with pytest.raises(OracleCapError):
             brute_force_max_excess(sys, cap=4)
+        assert_raises(lambda: brute_force_max_excess(LinearSystem(0), cap=-1), OracleCapError,
+                      "0 variables exceed the oracle cap of -1")
 
     def test_hard_ceiling_overrides_larger_cap(self):
         sys = LinearSystem.build(MAX_ORACLE_N + 1, [([0], 0, 1)])
@@ -89,6 +91,12 @@ class TestBruteForce:
             brute_force_max_excess(sys, cap=60)
         small = LinearSystem.build(3, [([0, 2], 1, 1)])
         assert brute_force_max_excess(small, cap=60) == brute_force_max_excess(small)
+
+    @pytest.mark.parametrize("cap", ["24", None, True, 2.5])
+    def test_cap_must_be_an_int(self, cap):
+        sys = LinearSystem.build(3, [([0, 2], 1, 1)])
+        assert_raises(lambda: brute_force_max_excess(sys, cap=cap), MaxlinError,
+                      f"oracle cap must be an int, got {cap!r}")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(oracle_systems())

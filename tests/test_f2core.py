@@ -8,7 +8,6 @@ from maxlin import (
     Assignment,
     DimensionMismatchError,
     Equation,
-    EquationNotFoundError,
     F2Vector,
     LinearSystem,
     MaxlinError,
@@ -311,7 +310,7 @@ class TestFromRows:
                 want = LinearSystem(sys.n, sys.equations, next_id)
                 assert got == want and hash(got) == hash(want)
                 assert got.equations == want.equations
-                assert got.ids() == want.ids()
+                assert [row[3] for row in got.rows] == [row[3] for row in want.rows]
                 assert got.next_id == want.next_id
                 assert got.rows == want.rows == tuple(rows)
                 assert all(a is b for a, b in zip(got.rows, rows))
@@ -328,7 +327,6 @@ class TestFromRows:
         eqs = (eqn(2, [0], 0, 1, eq_id=0), eqn(2, [1], 1, 2, eq_id=4))
         sys = LinearSystem(2, eqs)
         assert sys.equations is eqs
-        assert sys.equation(4) is eqs[1]
         assert sys.rows == ((0b01, 0, Fraction(1), 0), (0b10, 1, Fraction(2), 4))
         assert sys == LinearSystem._from_rows(2, sys.rows)
 
@@ -381,7 +379,7 @@ def test_derived_systems_build_no_equation(monkeypatch):
     assert count(make_irreducible, sys) == (0, (reduced, transcript))
     assert count(apply_rule1, merged)[0] == 0
     assert count(fourier_to_system, expansion)[0] == 0
-    assert count(h_step, reduced, reduced.ids()[0])[0] == 1
+    assert count(h_step, reduced, reduced.rows[0][3])[0] == 1
     steps, run = count(run_h, sys)
     assert steps == len(run.records) > 1
 
@@ -400,12 +398,6 @@ def test_derived_systems_build_no_equation(monkeypatch):
             MaxlinError,
             "empty system has no minimum weight",
             id="empty-min-weight",
-        ),
-        pytest.param(
-            lambda: LinearSystem(2, [eqn(2, [0], 0, 1)]).equation(5),
-            EquationNotFoundError,
-            "no equation with id 5",
-            id="missing-id",
         ),
         pytest.param(
             lambda: Equation(0b01, 0, 1, 0),

@@ -215,6 +215,12 @@ class TestMaximaLowerBound:
             id="term-bool-index",
         ),
         pytest.param(
+            lambda: FourierExpansion(2, 0, {(0, 0): 3}),
+            MaxlinError,
+            "term [0, 0] repeats an index",
+            id="term-repeated-index",
+        ),
+        pytest.param(
             lambda: FourierExpansion(2, 0, {frozenset({0}): Fraction(0)}),
             MaxlinError,
             "zero coefficients must not be stored",

@@ -25,6 +25,7 @@ from maxlin.f2core import reverse_bits, rref
 from maxlin.reduce import MergeEvent, ReductionTranscript
 
 import reference_reduce as ref
+from helpers import check_transcript
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -55,7 +56,7 @@ def sparse_systems(draw):
 
 def assert_same_system(got: LinearSystem, want: LinearSystem) -> None:
     assert got == want
-    assert got.ids() == want.ids()
+    assert [row[3] for row in got.rows] == [row[3] for row in want.rows]
     assert got.next_id == want.next_id
 
 
@@ -85,6 +86,7 @@ def test_make_irreducible_matches_reference(sys):
     want, want_tr = ref.make_irreducible(sys)
     assert_same_system(got, want)
     assert got_tr == want_tr
+    check_transcript(sys, got, got_tr)
     # the reference replay projects before it merges, which rebuilds the
     # reduction's rows whenever no cancellation lowered the rank
     if len(ref.rref([row[0] for row in sys.rows], sys.n)[0]) == got.n:
@@ -103,6 +105,8 @@ def test_replay_after_a_cancellation_lowers_the_rank():
     assert tr.merge_log == (MergeEvent((0, 2), None, Fraction(0)),)
     with pytest.raises(MaxlinError):
         ref.replay_transcript(tr, sys)
+    # the helper merges by id before it projects
+    check_transcript(sys, out, tr)
 
 
 @PROPERTY
@@ -146,6 +150,25 @@ def test_replay_rejects_a_relabeled_surviving_id():
         ref.replay_transcript(broken, sys)
     # the last survivor relabelled: the replay keeps the other id
     assert ref.replay_transcript(_relabel(tr, 5, 9), sys) != out
+    check_transcript(sys, out, tr)
+
+
+def test_check_transcript_rejects_what_the_reference_replay_misses():
+    # column 2 is the sum of columns 0 and 1; recorded as column 1 alone
+    sys = LinearSystem.build(3, [([0, 1], 0, 1), ([1, 2], 1, 1)])
+    out, tr = make_irreducible(sys)
+    assert tr.deleted_variables == ((2, frozenset({0, 1})),)
+    broken = replace(tr, deleted_variables=((2, frozenset({1})),))
+    assert ref.replay_transcript(broken, sys) == out
+    with pytest.raises(AssertionError, match=r"column 2 is not the sum of columns \[1\]"):
+        check_transcript(sys, out, broken)
+    # survivor 4 relabelled to 9 in every event that names it
+    sys = LinearSystem.build(2, [([0], 0, 1), ([0], 0, 2), ([1], 0, 1), ([0], 1, 1)])
+    out, tr = make_irreducible(sys)
+    broken = _relabel(tr, 4, 9)
+    assert ref.replay_transcript(broken, sys) == out
+    with pytest.raises(AssertionError, match="survivor 9 is not fresh id 4"):
+        check_transcript(sys, out, broken)
 
 
 def test_replay_of_an_identity_reduction_returns_the_input():

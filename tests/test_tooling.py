@@ -99,6 +99,36 @@ def test_every_exported_function_has_a_src_caller():
     assert uncalled == []
 
 
+def test_every_public_member_has_a_src_reader():
+    # the member-level twin of the check above: a public method or property
+    # of a public class is read as an attribute somewhere in the package,
+    # or is one of the few the README lists as only for callers.  Only
+    # attribute nodes count, so a local variable named like a member is no
+    # reader
+    boundary = {"F2Vector.support", "LinearSystem.build", "LinearSystem.equations",
+                "FourierExpansion.terms"}
+    package = Path(maxlin.__file__).parent
+    members, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        members += [
+            (node.name, item.name)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        ]
+        if path.name != "__init__.py":
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{cls}.{name}" for cls, name in members
+        if name not in read and f"{cls}.{name}" not in boundary
+    ]
+    assert unread == []
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [name for name in sorted(boundary) if f"`{name}`" not in readme] == []
+
+
 def test_library_has_no_mutable_default_arguments():
     # a mutable default is shared by every call; a read-only mapping or None
     # is safe

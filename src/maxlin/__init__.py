@@ -36,7 +36,6 @@ from .excess import (
 from .f2core import (
     Assignment,
     Equation,
-    Evaluation,
     F2Vector,
     LinearSystem,
     evaluate,

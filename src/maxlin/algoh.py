@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -68,24 +69,22 @@ class HRun(NamedTuple):
 class _Marking:
     """Working state of a marking run.
 
-    ``rows`` are the live rows in order and ``live`` is the set of their
-    ids.  One merge recorder hands out fresh ids for the whole run.
+    ``rows`` are the live rows in order: an id is live while a row holds
+    it.  One merge recorder hands out fresh ids for the whole run.
     """
 
     def __init__(self, sys: LinearSystem):
         self.n = sys.n
         self.rows = sys.rows
-        self.live = {row[3] for row in sys.rows}
         self.fresh = _FreshIds(sys.next_id)
 
     def step(self, eq_id: int) -> Equation:
         """Mark one row, add it into every row holding its lowest bit, and
         re-merge equal left-hand sides (see h_step)."""
-        live = self.live
-        if eq_id not in live:
+        marked = next((row for row in self.rows if row[3] == eq_id), None)
+        if marked is None:
             raise EquationNotFoundError(f"no equation with id {eq_id}")
-        live.remove(eq_id)
-        bits, rhs, weight, _ = next(row for row in self.rows if row[3] == eq_id)
+        bits, rhs, weight, _ = marked
         low = bits & -bits
         out = []
         for row in self.rows:
@@ -100,14 +99,11 @@ class _Marking:
                         f"equations {eq_id} and {row[3]} share a left-hand side with "
                         "opposite right-hand sides; apply rule 2 first"
                     )
-                else:
-                    live.remove(row[3])
         # after a step, repeated left-hand sides are rare (14 of 140 steps
         # on 420 dense rows over 140 variables), and a set is cheaper than
         # rule 2's grouping pass
         if len({row[0] for row in out}) != len(out):
             out = _merge_rows(out, self.fresh)
-            self.live = {row[3] for row in out}
         self.rows = out
         return Equation(F2Vector(self.n, bits), rhs, weight, eq_id)
 
@@ -132,9 +128,9 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     """Run the marking loop until the system is empty.
 
-    The ids of ``first`` are marked in order, each of which must still be
-    live at its turn (else MaxlinError); after them every step marks the
-    lowest live id.  Ids still listed when the system empties are ignored.
+    The ids of ``first`` are marked in order, each still held by a row at its
+    turn (else MaxlinError); after them every step marks the lowest id a row
+    holds.  Ids still listed when the system empties are ignored.
     The input is first re-merged (rule 2) so repeated left-hand sides never
     reach a marking step; that merge preserves the excess of every
     assignment, so marked-weight guarantees carry back to the input system.
@@ -147,10 +143,11 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     while state.rows:
         eq_id = next(order, None)
         if eq_id is None:
-            eq_id = min(state.live)
-        elif eq_id not in state.live:
-            raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
-        records.append(state.step(eq_id))
+            eq_id = min(map(itemgetter(3), state.rows))
+        try:
+            records.append(state.step(eq_id))
+        except EquationNotFoundError:
+            raise MaxlinError(f"equation {eq_id} vanished before its marking turn") from None
     return HRun(tuple(records), sum((eq.weight for eq in records), Fraction(0)))
 
 

@@ -146,7 +146,7 @@ def _cmd_kernel(config: CommandConfig, out: IO[str]) -> int:
     outcome = kernelize_rlin(system, config.r, config.k)
     _write_fields(config, out, [("answer", "yes" if outcome.is_yes else "kernel")])
     if not outcome.is_yes:
-        out.write(emit_system(outcome.kernel))
+        out.write(emit_system(outcome.reduced_system))
     return 0
 
 

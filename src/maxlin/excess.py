@@ -107,7 +107,7 @@ def _marking_witness(
     the transcript; returns the witness and the total marked weight."""
     run = run_h(sys, first)
     assignment = reconstruct(run.records, sys.n)
-    witness = ExcessWitness(assignment, evaluate(sys, assignment).excess, "marking")
+    witness = ExcessWitness(assignment, evaluate(sys, assignment), "marking")
     return witness, run.total_marked_weight
 
 
@@ -198,6 +198,12 @@ def _reversed_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return masks >> (32 - n)
 
 
+def _check_cap(cap) -> None:
+    """Raise unless the oracle cap is an int; a bool is refused."""
+    if not _is_int(cap):
+        raise MaxlinError(f"oracle cap must be an int, got {cap!r}")
+
+
 def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) -> ExcessWitness:
     """Exact maximum excess with the lexicographically smallest maximizer.
 
@@ -218,8 +224,7 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     replaces the best so far only if strictly greater, which keeps the
     lexicographically smallest maximizer.
     """
-    if not _is_int(cap):
-        raise MaxlinError(f"oracle cap must be an int, got {cap!r}")
+    _check_cap(cap)
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
@@ -265,14 +270,17 @@ def decide_aa(
     n <= m holds after reduction, the exponent is small, and exhaustive
     search settles it.  Yes-witnesses achieve excess >= k; no-witnesses are
     exact maximizers.  Everything is lifted back to the original variables.
+    The oracle cap is checked on every route, as brute_force_max_excess
+    checks it.
     """
+    _check_cap(oracle_cap)
     original = inst.system
     k = inst.k
     reduced, transcript = make_irreducible(original)
 
     def lifted(witness: ExcessWitness) -> ExcessWitness:
         assignment = lift_assignment(transcript, witness.assignment)
-        excess = evaluate(original, assignment).excess
+        excess = evaluate(original, assignment)
         if excess != witness.excess:
             raise MaxlinError("internal error: lifting changed the excess")
         return ExcessWitness(assignment, excess, witness.method)

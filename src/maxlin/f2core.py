@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import lshift
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 
@@ -32,7 +32,6 @@ __all__ = [
     "Equation",
     "LinearSystem",
     "Assignment",
-    "Evaluation",
     "evaluate",
     "rref",
     "as_weight",
@@ -45,13 +44,18 @@ def as_weight(value) -> Fraction:
     """Coerce an int/str/Fraction to an exact Fraction; floats are rejected.
 
     A Fraction is returned as it is: it is immutable, so there is nothing
-    to copy.
+    to copy.  A bool, or anything Fraction cannot read, raises MaxlinError.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise MaxlinError("floating-point weights are not supported; use int, str or Fraction")
-    return Fraction(value)
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise MaxlinError(f"{value!r} is not an exact rational number")
 
 
 def parity(x: int) -> int:
@@ -270,24 +274,20 @@ class LinearSystem:
         return all(row[2].denominator == 1 for row in self.rows)
 
 
-class Evaluation(NamedTuple):
-    satisfied_weight: Fraction
-    falsified_weight: Fraction
-    excess: Fraction
+def evaluate(sys: LinearSystem, assignment: Assignment) -> Fraction:
+    """The exact excess: satisfied weight minus falsified weight.
 
-
-def evaluate(sys: LinearSystem, assignment: Assignment) -> Evaluation:
-    """Exact satisfied/falsified weights and their difference (the excess)."""
+    The satisfied weight is (total weight + excess) / 2.
+    """
     if assignment.n != sys.n:
         raise DimensionMismatchError(f"dimensions differ: {sys.n} vs {assignment.n}")
-    sat = Fraction(0)
-    fals = Fraction(0)
+    excess = Fraction(0)
     for bits, rhs, weight, _ in sys.rows:
         if parity(bits & assignment.bits) == rhs:
-            sat += weight
+            excess += weight
         else:
-            fals += weight
-    return Evaluation(sat, fals, sat - fals)
+            excess -= weight
+    return excess
 
 
 def _pivot_basis(rows: Iterable[int], n: int) -> dict[int, int]:

@@ -277,7 +277,7 @@ def parse_fourier(text: str) -> FourierExpansion:
 
 
 def emit_fourier(f: FourierExpansion) -> str:
-    lines = [f"p fourier {f.n} {f.term_count}", f"const {f.constant}"]
+    lines = [f"p fourier {f.n} {len(f.masks)}", f"const {f.constant}"]
     for support, _, coeff in f.canonical_terms():
         idx = " ".join(str(i + 1) for i in support)
         lines.append(f"{coeff} {len(support)} {idx}")

@@ -100,10 +100,6 @@ class FourierExpansion:
         order: lexicographic on the index tuples, which are distinct."""
         return sorted((_support(mask), mask, coeff) for mask, coeff in self.masks.items())
 
-    @property
-    def term_count(self) -> int:
-        return len(self.masks)
-
 
 def eval_fourier(f: FourierExpansion, point: Sequence[int]) -> Fraction:
     """Value at a point of {-1,+1}^n, computed exactly.

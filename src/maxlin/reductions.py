@@ -105,14 +105,10 @@ class CspInstance:
 
 @dataclass(frozen=True)
 class KernelOutcome:
-    """Either an immediate yes or the reduced system as the kernel."""
+    """Either an immediate yes or the kernel, which is the reduced system."""
 
     is_yes: bool
     reduced_system: LinearSystem
-
-    @property
-    def kernel(self) -> LinearSystem | None:
-        return None if self.is_yes else self.reduced_system
 
 
 def _product_expansion(

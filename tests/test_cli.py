@@ -92,7 +92,7 @@ class TestSubcommands:
         code, text = invoke(CommandConfig("from-cnf", files["clause"], r=2))
         assert code == 0
         f = parse_fourier(text)
-        assert f.term_count == 3
+        assert len(f.masks) == 3
 
     def test_from_fourier(self, files):
         code, text = invoke(CommandConfig("from-fourier", files["tight2"]))

@@ -172,7 +172,7 @@ class TestBruteForce:
             (F2Vector(n, mask), (mask & z0).bit_count() % 2 ^ (sign < 0), w)
             for mask, w in zip(masks, weights)
         ])
-        assert evaluate(sys, Assignment(n, z0)).excess == sign * total
+        assert evaluate(sys, Assignment(n, z0)) == sign * total
         witness = brute_force_max_excess(sys)
         assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
         if sign == 1:
@@ -194,7 +194,7 @@ class TestBruteForce:
         for _ in range(15):
             sys = random_system(rng, n_max=6, rational_weights=True)
             best = max(
-                evaluate(sys, Assignment(sys.n, bits)).excess for bits in range(2**sys.n)
+                evaluate(sys, Assignment(sys.n, bits)) for bits in range(2**sys.n)
             )
             assert brute_force_max_excess(sys).excess == best
 
@@ -218,7 +218,7 @@ class TestLowerBound:
         witness = lower_bound_assignment(sys, 2)
         assert witness.method == "marking"
         assert witness.excess >= 2
-        assert evaluate(sys, witness.assignment).excess == witness.excess
+        assert evaluate(sys, witness.assignment) == witness.excess
 
     def test_weighted_pair(self):
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 3)])
@@ -268,7 +268,7 @@ class TestLowerBound:
             sys = random_regime_system(rng, k)
             witness = lower_bound_assignment(sys, k)
             assert witness.excess >= k * sys.min_weight
-            assert evaluate(sys, witness.assignment).excess == witness.excess
+            assert evaluate(sys, witness.assignment) == witness.excess
             assert witness.excess <= brute_force_max_excess(sys).excess
 
     def test_works_with_rational_weights(self):
@@ -380,6 +380,18 @@ class TestDecideAa:
         assert witness.method == "marking"
         assert witness.excess >= 2
 
+    @pytest.mark.parametrize("cap", ["24", None, True, 2.5])
+    @pytest.mark.parametrize("n, rows, k", [
+        pytest.param(2, [([0, 1], 0, 1), ([0, 1], 1, 1)], 1, id="empty"),
+        pytest.param(1, [([0], 0, 1)], 1, id="k1-marking"),
+        pytest.param(4, [([i], 0, 1) for i in range(4)], 2, id="lower-bound"),
+        pytest.param(2, [([0], 0, 2), ([1], 0, 3)], 4, id="oracle"),
+    ])
+    def test_cap_must_be_an_int_on_every_route(self, n, rows, k, cap):
+        sys = LinearSystem.build(n, rows)
+        assert_raises(lambda: decide_aa(AaInstance(sys, k), oracle_cap=cap), MaxlinError,
+                      f"oracle cap must be an int, got {cap!r}")
+
     def test_rejects_fractional_weights(self):
         sys = LinearSystem.build(1, [([0], 0, Fraction(1, 2))])
         with pytest.raises(NonIntegralWeightError):
@@ -402,7 +414,7 @@ class TestDecideAa:
         sys = LinearSystem.build(3, [([0, 1], 0, 1), ([1, 2], 0, 1), ([0, 2], 1, 5)])
         answer, witness = decide_aa(AaInstance(sys, 3))
         assert witness.assignment.n == 3
-        assert evaluate(sys, witness.assignment).excess == witness.excess
+        assert evaluate(sys, witness.assignment) == witness.excess
 
     def test_agrees_with_oracle(self):
         rng = random.Random(44)

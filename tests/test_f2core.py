@@ -79,26 +79,30 @@ class TestEvaluate:
     def test_cancelling_pair_has_zero_excess_everywhere(self):
         sys = LinearSystem.build(3, [([0, 2], 0, 1), ([0, 2], 1, 1)])
         for bits in range(8):
-            assert evaluate(sys, Assignment(3, bits)).excess == 0
+            assert evaluate(sys, Assignment(3, bits)) == 0
 
     def test_empty_system(self):
         sys = LinearSystem(2)
-        assert evaluate(sys, Assignment(2, 0)) == (0, 0, 0)
+        result = evaluate(sys, Assignment(2, 0))
+        assert result == 0 and type(result) is Fraction
 
     def test_three_equation_example(self):
+        # satisfied weight 3, falsified weight 1
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
         result = evaluate(sys, Assignment(2, 0))
-        assert result == (3, 1, 2)
+        assert result == 2 and type(result) is Fraction
 
-    def test_weights_partition_total(self):
+    def test_equals_a_signed_sum_of_the_rows(self):
         rng = random.Random(7)
         for _ in range(30):
             sys = random_system(rng, rational_weights=True)
             a = Assignment(sys.n, rng.randrange(2**sys.n))
-            result = evaluate(sys, a)
-            total = sum((eq.weight for eq in sys.equations), Fraction(0))
-            assert result.satisfied_weight + result.falsified_weight == total
-            assert result.excess == result.satisfied_weight - result.falsified_weight
+            values = a.to01()
+            expected = Fraction(0)
+            for bits, rhs, weight, _ in sys.rows:
+                ones = sum(values[j] == "1" for j in range(sys.n) if bits >> j & 1)
+                expected += weight if ones % 2 == rhs else -weight
+            assert evaluate(sys, a) == expected
 
     def test_flip_changes_only_touching_equations(self):
         rng = random.Random(8)
@@ -253,7 +257,7 @@ MALFORMED_ROWS = [
     (2, [(0b01, 0, Fraction(-1, 2), 0)], MaxlinError, "weights must be positive"),
     (2, [(0b01, 0, 1.5, 0)], MaxlinError,
      "floating-point weights are not supported; use int, str or Fraction"),
-    (2, [(0b01, 0, "x", 0)], ValueError, "Invalid literal for Fraction: 'x'"),
+    (2, [(0b01, 0, "x", 0)], MaxlinError, "'x' is not an exact rational number"),
     (2, [(0b01, 0, Fraction(1), -1)], MaxlinError, "equation ids must be non-negative integers"),
     (2, [(0b01, 0, Fraction(1), 3), (0b10, 0, Fraction(1), 3)], MaxlinError,
      "duplicate equation id 3"),
@@ -471,6 +475,37 @@ def test_derived_systems_build_no_equation(monkeypatch):
             MaxlinError,
             "equation ids must be non-negative integers",
             id="equation-bool-id",
+        ),
+        pytest.param(
+            # True is an int in Python, but never the weight 1
+            lambda: Equation(F2Vector(2, 1), 0, True, 0),
+            MaxlinError,
+            "True is not an exact rational number",
+            id="equation-bool-weight",
+        ),
+        pytest.param(
+            lambda: Equation(F2Vector(2, 1), 0, "x", 0),
+            MaxlinError,
+            "'x' is not an exact rational number",
+            id="equation-str-weight",
+        ),
+        pytest.param(
+            lambda: Equation(F2Vector(2, 1), 0, "1/0", 0),
+            MaxlinError,
+            "'1/0' is not an exact rational number",
+            id="equation-zero-denominator-weight",
+        ),
+        pytest.param(
+            lambda: Equation(F2Vector(2, 1), 0, None, 0),
+            MaxlinError,
+            "None is not an exact rational number",
+            id="equation-none-weight",
+        ),
+        pytest.param(
+            lambda: LinearSystem.build(2, [([0], 0, "x")]),
+            MaxlinError,
+            "'x' is not an exact rational number",
+            id="build-str-weight",
         ),
     ],
 )

@@ -122,7 +122,7 @@ class TestBijection:
             for bits in range(2**f.n):
                 z = Assignment(f.n, bits)
                 point = tuple(-1 if b == "1" else 1 for b in z.to01())
-                assert eval_fourier(f, point) - constant == evaluate(sys, z).excess
+                assert eval_fourier(f, point) - constant == evaluate(sys, z)
 
 
 class TestMaximaLowerBound:
@@ -225,6 +225,30 @@ class TestMaximaLowerBound:
             MaxlinError,
             "zero coefficients must not be stored",
             id="zero-coefficient",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0}): "1/0"}),
+            MaxlinError,
+            "'1/0' is not an exact rational number",
+            id="coefficient-zero-denominator",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, 0, {frozenset({0}): True}),
+            MaxlinError,
+            "True is not an exact rational number",
+            id="coefficient-bool",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, None),
+            MaxlinError,
+            "None is not an exact rational number",
+            id="constant-none",
+        ),
+        pytest.param(
+            lambda: FourierExpansion(2, "x"),
+            MaxlinError,
+            "'x' is not an exact rational number",
+            id="constant-str",
         ),
         pytest.param(
             lambda: FourierExpansion(3, 0, {(0, 1): 1, (1, 0): 2}),

@@ -99,34 +99,54 @@ def test_every_exported_function_has_a_src_caller():
     assert uncalled == []
 
 
-def test_every_public_member_has_a_src_reader():
-    # the member-level twin of the check above: a public method or property
-    # of a public class is read as an attribute somewhere in the package,
-    # or is one of the few the README lists as only for callers.  Only
-    # attribute nodes count, so a local variable named like a member is no
-    # reader
-    boundary = {"F2Vector.support", "LinearSystem.build", "LinearSystem.equations",
-                "FourierExpansion.terms"}
+# the members the README lists as only for callers
+BOUNDARY = {"F2Vector.support", "LinearSystem.build", "LinearSystem.equations",
+            "FourierExpansion.terms"}
+
+
+def unread_public_names(name_of):
+    """``Class.name`` for each item of a public class's body that
+    ``name_of`` names (it returns None for other items), unless the package
+    reads it as an attribute outside ``__init__.py`` or it is on the
+    boundary list.  Only attribute nodes count, so a local variable named
+    like a member is no reader."""
     package = Path(maxlin.__file__).parent
     members, read = [], set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         members += [
-            (node.name, item.name)
+            (node.name, name)
             for node in tree.body
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
             for item in node.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            if (name := name_of(item)) and not name.startswith("_")
         ]
         if path.name != "__init__.py":
             read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    unread = [
+    return [
         f"{cls}.{name}" for cls, name in members
-        if name not in read and f"{cls}.{name}" not in boundary
+        if name not in read and f"{cls}.{name}" not in BOUNDARY
     ]
-    assert unread == []
+
+
+def test_every_public_member_has_a_src_reader():
+    # the member-level twin of the check above: a public method or property
+    # of a public class is read somewhere in the package, or is one of the
+    # few the README lists as only for callers
+    assert unread_public_names(
+        lambda item: item.name if isinstance(item, ast.FunctionDef) else None
+    ) == []
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    assert [name for name in sorted(boundary) if f"`{name}`" not in readme] == []
+    assert [name for name in sorted(BOUNDARY) if f"`{name}`" not in readme] == []
+
+
+def test_every_public_field_has_a_src_reader():
+    # the field-level twin: an annotated field of a public class that the
+    # package only fills in is a second copy of a value nothing reads
+    assert unread_public_names(
+        lambda item: item.target.id
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) else None
+    ) == []
 
 
 def test_library_has_no_mutable_default_arguments():

@@ -8,19 +8,30 @@ excess is at least the total marked weight.  The same machinery powers a
 polynomial-time certificate verifier for the above-average question.
 
 A marking run works on ``LinearSystem.rows``: rule 2 merges the input once,
-and every later step is one bit test per live row, one XOR per row
-containing the marked variable, and one set of the left-hand sides, with
-rule 2's grouping pass only when two are equal.  So a step costs O(m) int
-operations plus one XOR per touched row, and builds no ``LinearSystem``,
-only the ``Equation`` of its marked row.  That equation is the step's whole
-record, since the marked variable is its lowest one.  No occurrence index
-is kept, because the rows are dense: about half of them hold the marked
-variable, and updating an index would cost one entry per changed bit.  The
-paper marks "an arbitrary equation" at each step; a run marks a given
-sequence of ids first and then the lowest live id.
+and a single step is one bit test per live row, one XOR per row containing
+the marked variable, and one set of the left-hand sides, with rule 2's
+grouping pass only when two are equal.  So a step costs O(m) int operations
+plus one XOR per touched row, and builds no ``LinearSystem``, only the
+``Equation`` of its marked row.  That equation is the step's whole record,
+since the marked variable is its lowest one.  No occurrence index is kept,
+because the rows are dense: about half of them hold the marked variable,
+and updating an index would cost one entry per changed bit.
+
+Once a run has made a few marks in a row without a merge, it marks B rows
+as one block, with B about log2(m) - 2 (the Four Russians method of M4RI,
+Albrecht, Bard & Hart, ACM TOMS 2010).  The B lowest ids are reduced
+against each other into the block's records, a table of the XORs of all
+2^B subsets of them is built, and every other row is updated with one
+lookup.  A block costs O(m + 2^B), so O(m/B + 2^B/B) per mark where single
+steps cost O(m).  When the single steps would merge inside the block, the
+block is dropped and its first mark is made as a single step, so records,
+merge ids and row order are those of single steps.  The paper marks "an
+arbitrary equation" at each step; a run marks a given sequence of ids first
+and then the lowest live id.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -33,7 +44,7 @@ from .errors import (
     NonIntegralWeightError,
 )
 from .f2core import Assignment, Equation, F2Vector, LinearSystem, _check_ints, _is_int, parity
-from .reduce import _FreshIds, _merge_rows, apply_rule2
+from .reduce import _merge_rows, apply_rule2
 
 __all__ = [
     "Certificate",
@@ -66,17 +77,29 @@ class HRun(NamedTuple):
     total_marked_weight: Fraction
 
 
+# merge-free marks in a row after which run_h marks in blocks
+_BLOCK_STREAK = 4
+
+
 class _Marking:
     """Working state of a marking run.
 
     ``rows`` are the live rows in order: an id is live while a row holds
-    it.  One merge recorder hands out fresh ids for the whole run.
+    it.  ``next_id`` is the fresh id the run's next rule-2 survivor gets.
     """
 
     def __init__(self, sys: LinearSystem):
         self.n = sys.n
         self.rows = sys.rows
-        self.fresh = _FreshIds(sys.next_id)
+        self.next_id = sys.next_id
+
+    def _fresh_id(self, a_id: int, b_id: int, weight: Fraction | None) -> int | None:
+        """Rule 2's recorder: the next fresh id for a survivor, none for a
+        cancellation.  The run reads only the ids, so no event is kept."""
+        if weight is None:
+            return None
+        self.next_id += 1
+        return self.next_id - 1
 
     def step(self, eq_id: int) -> Equation:
         """Mark one row, add it into every row holding its lowest bit, and
@@ -103,9 +126,61 @@ class _Marking:
         # on 420 dense rows over 140 variables), and a set is cheaper than
         # rule 2's grouping pass
         if len({row[0] for row in out}) != len(out):
-            out = _merge_rows(out, self.fresh)
+            out = _merge_rows(out, self._fresh_id)
         self.rows = out
         return Equation(F2Vector(self.n, bits), rhs, weight, eq_id)
+
+    def block(self, size: int) -> list[Equation] | None:
+        """Mark the ``size`` lowest live ids in turn, as ``size`` steps would,
+        with one pass over the rows; or change nothing and return None when
+        those steps would merge rows.
+
+        Without a merge ids do not change, so the steps would mark exactly
+        these ids in increasing order.  Each pick is reduced by the block's
+        earlier marks, which gives it as it stands at its turn: its record.
+        The marks are kept mutually reduced, each zero on the others' lowest
+        bits, so a row's state after all of them is the row XOR the marks
+        whose lowest bits it holds, one lookup in a table of all 2^size
+        subsets.  Rows that become equal at some mark stay equal, and a row
+        equal to a later pick cancels to zero, so the steps merge nowhere in
+        the block exactly when the picks reduce to nonzero rows and the
+        other rows to distinct nonzero ones.
+        """
+        picks = heapq.nsmallest(size, self.rows, key=itemgetter(3))
+        marks: list[tuple[int, int, int]] = []
+        records = []
+        for bits, rhs, weight, eq_id in picks:
+            for low, mark, mark_rhs in marks:
+                if bits & low:
+                    bits ^= mark
+                    rhs ^= mark_rhs
+            if not bits:
+                return None
+            new_low = bits & -bits
+            marks = [
+                (low, mark ^ bits, mark_rhs ^ rhs) if mark & new_low else (low, mark, mark_rhs)
+                for low, mark, mark_rhs in marks
+            ]
+            marks.append((new_low, bits, rhs))
+            records.append(Equation(F2Vector(self.n, bits), rhs, weight, eq_id))
+        table = {0: (0, 0)}
+        for low, mark, mark_rhs in marks:
+            table.update([(key | low, (b ^ mark, r ^ mark_rhs)) for key, (b, r) in table.items()])
+        pivots = sum(low for low, _, _ in marks)
+        out = []
+        for row in self.rows:
+            key = row[0] & pivots
+            if not key:
+                out.append(row)
+                continue
+            mark, mark_rhs = table[key]
+            summed = row[0] ^ mark
+            if summed:  # the picks themselves sum to zero
+                out.append((summed, row[1] ^ mark_rhs, row[2], row[3]))
+        if len(out) != len(self.rows) - len(records) or len({row[0] for row in out}) != len(out):
+            return None
+        self.rows = out
+        return records
 
 
 def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
@@ -122,7 +197,7 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     """
     state = _Marking(sys)
     marked = state.step(eq_id)
-    return LinearSystem._from_rows(sys.n, state.rows, state.fresh.next_id), marked
+    return LinearSystem._from_rows(sys.n, state.rows, state.next_id), marked
 
 
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
@@ -134,20 +209,31 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     The input is first re-merged (rule 2) so repeated left-hand sides never
     reach a marking step; that merge preserves the excess of every
     assignment, so marked-weight guarantees carry back to the input system.
-    The loop then steps on the system's rows (see the module docstring), so
-    a whole run builds at most the one system of the entry merge.
+    The loop then marks on the system's rows, in single steps or, on
+    merge-free stretches, in blocks (see the module docstring), so a whole
+    run builds at most the one system of the entry merge.
     """
     state = _Marking(apply_rule2(sys))
     order = iter(first)
     records: list[Equation] = []
-    while state.rows:
-        eq_id = next(order, None)
-        if eq_id is None:
-            eq_id = min(map(itemgetter(3), state.rows))
+    while state.rows and (eq_id := next(order, None)) is not None:
         try:
             records.append(state.step(eq_id))
         except EquationNotFoundError:
             raise MaxlinError(f"equation {eq_id} vanished before its marking turn") from None
+    streak = 0  # marks since the last merge
+    while state.rows:
+        m = len(state.rows)
+        if streak >= _BLOCK_STREAK:
+            block = state.block(max(2, min(streak, m.bit_length() - 2)))
+            if block is not None:
+                records += block
+                streak += len(block)
+                continue
+            streak = 0
+        records.append(state.step(min(map(itemgetter(3), state.rows))))
+        # a merge drops at least one row besides the marked one
+        streak = streak + 1 if len(state.rows) == m - 1 else 0
     return HRun(tuple(records), sum((eq.weight for eq in records), Fraction(0)))
 
 

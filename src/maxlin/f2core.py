@@ -18,6 +18,7 @@ All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -277,17 +278,20 @@ class LinearSystem:
 def evaluate(sys: LinearSystem, assignment: Assignment) -> Fraction:
     """The exact excess: satisfied weight minus falsified weight.
 
-    The satisfied weight is (total weight + excess) / 2.
+    The satisfied weight is (total weight + excess) / 2.  The weights are
+    scaled once to integers by the lcm of their denominators, as the oracle
+    does, so the signed sum is an integer sum and one ``Fraction`` at the end.
     """
     if assignment.n != sys.n:
         raise DimensionMismatchError(f"dimensions differ: {sys.n} vs {assignment.n}")
-    excess = Fraction(0)
-    for bits, rhs, weight, _ in sys.rows:
-        if parity(bits & assignment.bits) == rhs:
-            excess += weight
-        else:
-            excess -= weight
-    return excess
+    rows = sys.rows
+    scale = math.lcm(*(w.denominator for _, _, w, _ in rows), 1)
+    point = assignment.bits
+    excess = 0
+    for bits, rhs, weight, _ in rows:
+        term = weight.numerator * (scale // weight.denominator)
+        excess += term if parity(bits & point) == rhs else -term
+    return Fraction(excess, scale)
 
 
 def _pivot_basis(rows: Iterable[int], n: int) -> dict[int, int]:

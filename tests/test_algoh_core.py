@@ -10,9 +10,14 @@ and certificate verdicts must match the reference exactly.  The reference's
 records also carry the marked variable and the step number; every case
 checks that these are the equation's lowest variable and the record's
 position, so a marked equation alone is a full record.
+
+The block pass of ``run_h`` is checked the same way, with the streak
+threshold forced to 0 (a block wherever one can be tried) and forced off,
+on these systems and on denser ones over 8-20 used columns.
 """
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +31,7 @@ from maxlin import (
     run_h,
     verify_certificate,
 )
+from maxlin import algoh
 
 import reference_algoh as ref
 
@@ -56,8 +62,28 @@ def marking_systems(draw, weight_kinds=(UNIT, INTEGER, RATIONAL)):
     return LinearSystem.build(n, [(F2Vector(n, rows[i][0]), *rows[i][1:]) for i in order])
 
 
+@st.composite
+def dense_marking_systems(draw):
+    """Dense rows over 8-20 used columns, 1 to 3 per used column, with
+    rational weights and some rows repeated with either right-hand side."""
+    used = draw(st.integers(8, 20))
+    n = draw(st.integers(used, used + 3))
+    cols = draw(st.permutations(range(n)))[:used]
+    masks = st.integers(1, 2**used - 1).map(
+        lambda x: sum(1 << c for i, c in enumerate(cols) if x >> i & 1)
+    )
+    rows = draw(st.lists(st.tuples(masks, st.integers(0, 1), RATIONAL), min_size=used,
+                         max_size=3 * used))
+    for mask, rhs, _ in draw(st.lists(st.sampled_from(rows), max_size=6)):
+        rows.append((mask, rhs ^ draw(st.integers(0, 1)), draw(RATIONAL)))
+    order = draw(st.permutations(range(len(rows))))
+    return LinearSystem.build(n, [(F2Vector(n, rows[i][0]), *rows[i][1:]) for i in order])
+
+
 # distinct ids; those past the input's m exist only once a merge makes them
 ORDERS = st.lists(st.integers(0, 22), unique=True, max_size=8)
+# the same for the dense systems, whose ids reach about 70
+DENSE_ORDERS = st.lists(st.integers(0, 80), unique=True, max_size=6)
 
 
 def outcome(fn, *args):
@@ -98,6 +124,31 @@ def test_run_h_matches_reference(sys, order):
     assert outcome(run_h, sys) == reference_run(sys)
     assert outcome(run_h, sys, order) == reference_run(sys, order)
     assert outcome(run_h, sys, iter(order)) == reference_run(sys, order)
+
+
+def test_block_pass_matches_reference_both_ways():
+    accepted = []
+    block = algoh._Marking.block
+
+    def counting(state, size):
+        got = block(state, size)
+        accepted.append(got is not None)
+        return got
+
+    @PROPERTY
+    @given(st.one_of(st.tuples(marking_systems(), ORDERS),
+                     st.tuples(dense_marking_systems(), DENSE_ORDERS)))
+    def check(case):
+        sys, order = case
+        want, want_first = reference_run(sys), reference_run(sys, order)
+        for streak in (0, float("inf")):
+            with mock.patch.object(algoh, "_BLOCK_STREAK", streak):
+                assert outcome(run_h, sys) == want
+                assert outcome(run_h, sys, order) == want_first
+
+    with mock.patch.object(algoh._Marking, "block", counting):
+        check()
+    assert any(accepted)  # so the blocks were not all dropped
 
 
 @PROPERTY
@@ -155,14 +206,20 @@ def test_an_id_gone_before_its_turn_raises_the_reference_error():
         assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
 
 
-def test_run_h_builds_no_system_per_step(monkeypatch):
-    # the cost shape: rule 2 may build one system on entry, the steps none
+def dense_60_by_180():
+    """180 random dense rows of full rank over 60 variables, plus one
+    repeated row, so the entry merge builds a system."""
     rng = random.Random(60)
     n, m = 60, 180
     rows = [(F2Vector(n, rng.getrandbits(n) or 1), rng.randint(0, 1), rng.randint(1, 5))
             for _ in range(m)]
-    rows.append(rows[0])  # one repeated row, so the entry merge builds a system
-    sys = LinearSystem.build(n, rows)
+    rows.append(rows[0])
+    return LinearSystem.build(n, rows)
+
+
+def test_run_h_builds_no_system_per_step(monkeypatch):
+    # the cost shape: rule 2 may build one system on entry, the steps none
+    sys = dense_60_by_180()
     built = []
     from_rows = LinearSystem._from_rows
 
@@ -172,5 +229,28 @@ def test_run_h_builds_no_system_per_step(monkeypatch):
 
     monkeypatch.setattr(LinearSystem, "_from_rows", counting)
     run = run_h(sys)
-    assert len(run.records) == n  # full rank: one mark per variable
+    assert len(run.records) == sys.n  # full rank: one mark per variable
     assert 1 <= len(built) <= 2
+
+
+def test_run_h_passes_over_the_rows_once_per_block(monkeypatch):
+    # the cost shape: once marks stop merging, one pass over the rows marks
+    # a block of them, so on this dense system a run makes at most n/2
+    # passes (single steps plus blocks), not one per mark
+    sys = dense_60_by_180()
+    passes = []
+
+    def counted(name):
+        method = getattr(algoh._Marking, name)
+
+        def counting(state, arg):
+            passes.append(name)
+            return method(state, arg)
+
+        return counting
+
+    for name in ("step", "block"):
+        monkeypatch.setattr(algoh._Marking, name, counted(name))
+    run = run_h(sys)
+    assert len(run.records) == sys.n
+    assert "block" in passes and len(passes) <= sys.n // 2

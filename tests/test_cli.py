@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import maxlin
+from maxlin import F2Vector, LinearSystem
 from maxlin.cli import CommandConfig, _build_parser, main, run
 from maxlin.formats import emit_fourier, emit_system, parse_fourier, parse_system
 
@@ -234,8 +235,11 @@ print(json.dumps(results))
 
 
 def test_only_the_oracle_loads_numpy(tmp_path, capsys):
+    rng = random.Random(60)
+    dense = LinearSystem.build(60, [(F2Vector(60, rng.getrandbits(60) or 1), rng.randint(0, 1),
+                                     rng.randint(1, 5)) for _ in range(180)])
     inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE,
-              "fourier": RATIONAL_FOURIER, "rational": RATIONAL}
+              "fourier": RATIONAL_FOURIER, "rational": RATIONAL, "dense": emit_system(dense)}
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
     path = {name: str(tmp_path / name) for name in inputs}
@@ -246,6 +250,7 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
         ["kernel", "--r", "2", "--k", "4", path["triple"]],
         ["bound", path["fourier"]],
         ["solve", "--k", "1", path["triple"]],  # the plain marking run
+        ["solve", "--k", "1", path["dense"]],  # a marking run that takes blocks
         ["solve", "--k", "2", path["wide"]],  # the marking lower bound
     ]
     oracle = ["excess", "--oracle", path["rational"]]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,8 +95,13 @@ class TestEvaluate:
 
     def test_equals_a_signed_sum_of_the_rows(self):
         rng = random.Random(7)
-        for _ in range(30):
-            sys = random_system(rng, rational_weights=True)
+        # evaluate scales by the lcm of the denominators; the last system's
+        # include a 21-digit one, so that scale is far from each weight's own
+        wide = LinearSystem.build(3, [
+            ([0], 0, Fraction(1, 7)), ([1], 1, Fraction(3, 14)), ([0, 2], 0, Fraction(5, 4)),
+            ([2], 1, Fraction(2, 10**20 + 39)), ([0, 1, 2], 1, Fraction(9, 11)), ([1, 2], 0, 6),
+        ])
+        for sys in chain((random_system(rng, rational_weights=True) for _ in range(30)), [wide]):
             a = Assignment(sys.n, rng.randrange(2**sys.n))
             values = a.to01()
             expected = Fraction(0)

@@ -122,7 +122,9 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
 
     Irreducibility is tested as distinct left-hand sides plus
     ``members.spans()`` (0 adds nothing to the span), and find_kset reuses
-    that one rank test, so a call eliminates over the rows once.  Every step
+    that one rank test, so a call eliminates over the rows once.  A system
+    that make_irreducible returned is known to pass, and is not tested
+    again, so a solve eliminates over its rows once in all.  Every step
     is polynomial in n, m and k: each greedy level of the search is one pass
     over the m + 1 vectors, checking its answer costs O(m k) XORs (see
     verify_kset), and the marking run costs what run_h costs.
@@ -130,9 +132,12 @@ def lower_bound_assignment(sys: LinearSystem, k: int) -> ExcessWitness:
     if not _is_int(k) or k < 2:
         raise PreconditionError("k_too_small", f"k must be an integer >= 2, got {k!r}")
     by_bits = {row[0]: row[3] for row in sys.rows}
-    members = VectorSet(sys.n, [*by_bits, 0])
-    if len(by_bits) != sys.m or not members.spans():
-        raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
+    if sys._irreducible:
+        members = VectorSet._spanning(sys.n, [*by_bits, 0])
+    else:
+        members = VectorSet(sys.n, [*by_bits, 0])
+        if len(by_bits) != sys.m or not members.spans():
+            raise PreconditionError("not_irreducible", "system must be irreducible (rules 1-2)")
     m = sys.m
     if k > m:
         raise PreconditionError("m_less_than_k", f"need k <= m, got k={k}, m={m}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import lshift
+from operator import attrgetter, floordiv, itemgetter, lshift, mul
 from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
@@ -59,8 +59,22 @@ def as_weight(value) -> Fraction:
     raise MaxlinError(f"{value!r} is not an exact rational number")
 
 
+def _min_magnitude(values: Collection[Fraction]) -> Fraction:
+    """The least |v| over nonempty exact values, found as one lcm of the
+    denominators and a min over scaled integers, with no Fraction compared;
+    it is the same exact Fraction."""
+    denominators = list(map(attrgetter("denominator"), values))
+    scale = math.lcm(*denominators)
+    numerators = map(abs, map(attrgetter("numerator"), values))
+    return Fraction(min(map(mul, numerators, map(floordiv, repeat(scale), denominators))), scale)
+
+
 def parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+# each byte with its 8 bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def reverse_bits(x: int, n: int) -> int:
@@ -72,7 +86,10 @@ def reverse_bits(x: int, n: int) -> int:
     """
     if n <= 0:
         return 0
-    return int(format(x & ((1 << n) - 1), f"0{n}b")[::-1], 2)
+    # read the little-endian bytes, each bit-reversed, as a big-endian int
+    size = (n + 7) >> 3
+    data = (x & ((1 << n) - 1)).to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(data, "big") >> (size * 8 - n)
 
 
 def _pack(indices: Iterable[int]) -> int:
@@ -220,6 +237,9 @@ class LinearSystem:
     n: int
     rows: tuple[_Row, ...]
     next_id: int = field(compare=False)
+    # set on make_irreducible's results, whose rows are distinct and of rank
+    # n, so the lower bound does not test them again
+    _irreducible = False
 
     def __init__(self, n: int, equations: Iterable[Equation] = (), next_id: int = -1):
         equations = tuple(equations)
@@ -269,7 +289,7 @@ class LinearSystem:
     def min_weight(self) -> Fraction:
         if not self.rows:
             raise MaxlinError("empty system has no minimum weight")
-        return min(row[2] for row in self.rows)
+        return _min_magnitude(list(map(itemgetter(2), self.rows)))
 
     def has_integral_weights(self) -> bool:
         return all(row[2].denominator == 1 for row in self.rows)

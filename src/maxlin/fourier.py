@@ -20,7 +20,16 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
 from .excess import regime_exponent
-from .f2core import LinearSystem, _check_dimension, _check_ints, _pack, _support, as_weight, parity
+from .f2core import (
+    LinearSystem,
+    _check_dimension,
+    _check_ints,
+    _min_magnitude,
+    _pack,
+    _support,
+    as_weight,
+    parity,
+)
 from .reduce import apply_rule1
 
 __all__ = [
@@ -156,7 +165,8 @@ def maxima_lower_bound(f: FourierExpansion) -> Fraction:
     After projecting onto an independent column basis the variable count
     equals the rank of the system; with q the largest integer satisfying
     (|terms|+2)^q <= 2^rank (the exact form of the floored log ratio), the
-    bound is constant + (1+q) * min |coefficient|.  The rank reads only the
+    bound is constant + (1+q) * min |coefficient|, that minimum taken over
+    the coefficients scaled to integers by one lcm.  The rank reads only the
     masks, so the projected rows carry them in stored order with a
     placeholder rhs and weight.
     """
@@ -166,4 +176,4 @@ def maxima_lower_bound(f: FourierExpansion) -> Fraction:
     system = LinearSystem._from_rows(f.n, zip(masks, repeat(0), repeat(_ONE), count()))
     projected, _transcript = apply_rule1(system)
     q = regime_exponent(len(masks), projected.n)
-    return f.constant + (1 + q) * min(map(abs, masks.values()))
+    return f.constant + (1 + q) * _min_magnitude(masks.values())

@@ -9,16 +9,21 @@ the partial answer, halving the set each time.
 
 A vector is a packed int, bit j holding coordinate j, as in
 ``LinearSystem.rows``: members, the search's coordinates and its answer are
-all ints.  Every step costs a polynomial in n, |M| and k: a greedy level is
-one pass over the set, and checking an answer is one elimination over its
-k+1 vectors plus one reduction of each member against them, O(|M| (k+1))
-big-int XORs, never a walk over the 2^(k+1) subsets.
+all ints.  The search keeps its coordinates bit-reversed, so that the
+order of the ints is the lexicographic order it picks by, and a greedy
+level is a few C-level maps over the set and one ``min``.  Every step costs
+a polynomial in n, |M| and k: a greedy level is one pass over the set, and
+checking an answer is one elimination over its k+1 vectors plus one
+reduction of each member against them, O(|M| (k+1)) big-int XORs, never a
+walk over the 2^(k+1) subsets.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import xor
 from typing import Iterable
 
 from .errors import MaxlinError, PreconditionError
@@ -41,6 +46,14 @@ class VectorSet:
         for v in self.vectors:
             _check_packed(self.n, v)
 
+    @classmethod
+    def _spanning(cls, n: int, vectors: Iterable[int]) -> VectorSet:
+        """The set of vectors that the caller knows fit n bits and span F2^n,
+        neither of which is checked again."""
+        members = cls.__new__(cls)
+        vars(members).update(n=n, vectors=frozenset(vectors), _spans=True)
+        return members
+
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -56,55 +69,59 @@ class VectorSet:
         return len(_pivot_basis(self.vectors, self.n)) == self.n
 
 
-def _search(elements: list[tuple[int, int]], n: int, k: int, top_n: int) -> list[int]:
+def _search(elements: list[tuple[int, int]], n: int, k: int) -> list[int]:
     """One recursion level of the greedy-plus-quotient search.
 
-    The state is the list ``cur`` of coordinates, indexed like ``elements``
-    (coordinates, top-level vector), and ``chosen``, the picked indices:
-    chosen element i is unit vector i.  The zero vector is always an
-    element, so the elements alone in their residue class (coordinates from
-    ``level`` up) with a nonzero one are exactly the unchosen nonzero ones
-    the greedy phase may take.  The pick is the one whose coordinates come
-    first lexicographically (coordinate 0 most significant): coordinates
-    stay distinct, so it is unique, and x beats the current pick p exactly
-    when x has a 0 at the lowest bit of x ^ p.  A pick becomes unit vector
+    Coordinates are kept bit-reversed: coordinate j is bit n - 1 - j, so
+    the coordinates from ``level`` up are the low n - level bits, and the
+    order of coordinate tuples (coordinate 0 most significant) is the order
+    of the ints.  The state is the list ``cur`` of coordinates, indexed like
+    ``elements`` (coordinates, key: the top-level vector bit-reversed), and
+    ``chosen``, the picked indices: chosen element i is unit vector i.  The
+    zero vector is always an element, so the elements alone in their residue
+    class (coordinates from ``level`` up) with a nonzero one are exactly the
+    unchosen nonzero ones the greedy phase may take.  The pick is the one
+    whose coordinates come first, which is one ``min`` over them:
+    coordinates stay distinct, so it is unique.  A pick becomes unit vector
     ``level`` by a coordinate swap and coordinate additions, fixing the
     units below ``level``.  A stalled phase recurses on the quotient, whose
-    representatives come first lexicographically in the top-level ``top_n``.
+    representatives come first in the top-level coordinates: the least
+    top-level key of each class.
     """
     cur = [bits for bits, _ in elements]
     chosen: list[int] = []
     while len(chosen) < k + 1:
         level = len(chosen)
-        counts = Counter(x >> level for x in cur)
-        pick = None
-        for i, x in enumerate(cur):
-            residue = x >> level
-            if residue and counts[residue] == 1:
-                if pick is None:
-                    pick = i
-                else:
-                    diff = x ^ cur[pick]
-                    if not x & diff & -diff:
-                        pick = i
-        if pick is None:
+        unit = 1 << (n - 1 - level)
+        rest = (unit << 1) - 1  # coordinates level..n-1
+        residues = list(map(rest.__and__, cur))
+        counts = Counter(residues)
+        counts[0] = 0  # the zero residue is never a pick's
+        singles = compress(cur, map((1).__eq__, map(counts.__getitem__, residues)))
+        best = min(singles, default=None)
+        if best is None:
             break
-        tail = cur[pick] >> level
-        pivot = level + (tail & -tail).bit_length() - 1
-        if pivot != level:
-            swap = 1 << pivot | 1 << level
-            cur = [x ^ swap if (x >> pivot ^ x >> level) & 1 else x for x in cur]
-        clear = cur[pick] & ~(1 << level)
-        if clear:
-            cur = [x ^ clear if x >> level & 1 else x for x in cur]
+        pick = cur.index(best)
+        # swap coordinate level with the pick's lowest coordinate from level
+        # up, then add coordinate level into the pick's other coordinates:
+        # the change of each element depends on those two coordinates only
+        pivot = 1 << (cur[pick] & rest).bit_length() - 1
+        clear = cur[pick] ^ pivot
+        both = pivot | unit
+        if pivot == unit:
+            change = {0: 0, unit: clear}
+        else:
+            change = {0: 0, both: clear, pivot: both ^ clear, unit: both}
+        cur = list(map(xor, cur, map(change.__getitem__, map(both.__and__, cur))))
         chosen.append(pick)
     if len(chosen) == k + 1:
         return [elements[i][1] for i in chosen]
 
     level = len(chosen)
+    rest = (1 << (n - level)) - 1
     groups: dict[int, list[int]] = {}
-    for x, (_, orig) in zip(cur, elements):
-        groups.setdefault(x >> level, []).append(orig)
+    for x, (_, key) in zip(cur, elements):
+        groups.setdefault(x & rest, []).append(key)
     # A stalled phase leaves no singleton class with a nonzero residue, and
     # the zero class holds the zero element and every chosen one, so each
     # class has two or more elements and the quotient at most halves the
@@ -114,11 +131,8 @@ def _search(elements: list[tuple[int, int]], n: int, k: int, top_n: int) -> list
         raise MaxlinError(
             f"internal error: greedy phase stalled at level {level} in dimension {n} for k={k}"
         )
-    quotient = [
-        (suffix, min(group, key=lambda v: reverse_bits(v, top_n)))
-        for suffix, group in sorted(groups.items())
-    ]
-    return _search(quotient, quotient_n, k, top_n)
+    quotient = [(suffix, min(group)) for suffix, group in sorted(groups.items())]
+    return _search(quotient, quotient_n, k)
 
 
 def _pair_scan(members: VectorSet) -> list[int]:
@@ -160,7 +174,8 @@ def find_kset(members: VectorSet, k: int) -> list[int]:
     if k == 1:
         result = _pair_scan(members)
     else:
-        result = _search([(v, v) for v in members.vectors], n, k, n)
+        keys = [reverse_bits(v, n) for v in members.vectors]
+        result = [reverse_bits(key, n) for key in _search(list(zip(keys, keys)), n, k)]
     if not verify_kset(members, result):
         raise MaxlinError("internal error: constructed set failed verification")
     return result

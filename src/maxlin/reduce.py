@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
@@ -162,24 +163,31 @@ def _merge_pair(a: _Row, b: _Row, record: _FreshIds) -> _Row | None:
 def _merge_rows(rows: Sequence[_Row], record: _FreshIds) -> Sequence[_Row]:
     """Rule 2: fold each equal-lhs group pairwise in order of appearance.
 
-    Rows that share their lhs with no other row come back as they are, and
-    when no two rows share one the input sequence itself comes back.
+    Only the repeated left-hand sides are regrouped: one set finds whether
+    any lhs repeats, and only then one pass maps each lhs to its first place
+    and collects the places of the repeats.  The groups fold one after
+    another in the order of their first places, which fixes the order of the
+    fresh ids, and each survivor takes its group's first place.  Every other
+    row keeps its place and its tuple, and when no two rows share an lhs the
+    input sequence itself comes back.
     """
-    groups: dict[int, list[_Row]] = {}
-    for row in rows:
-        groups.setdefault(row[0], []).append(row)
-    if len(groups) == len(rows):
+    keys = list(map(itemgetter(0), rows))
+    if len(set(keys)) == len(keys):
         return rows
-    out = []
-    for group in groups.values():
-        cur: _Row | None = group[0]
-        if len(group) > 1:
-            for nxt in group[1:]:
-                cur = nxt if cur is None else _merge_pair(cur, nxt, record)
-            if cur is None:
-                continue
-        out.append(cur)
-    return out
+    first: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for i, bits in enumerate(keys):
+        j = first.setdefault(bits, i)
+        if j != i:
+            groups.setdefault(j, [j]).append(i)
+    out: list[_Row | None] = list(rows)
+    for j in sorted(groups):
+        cur = out[j]
+        for i in groups[j][1:]:
+            cur = out[i] if cur is None else _merge_pair(cur, out[i], record)
+            out[i] = None
+        out[j] = cur
+    return list(filter(None, out))
 
 
 def _project(bits: int, new_bit: dict[int, int]) -> int:
@@ -259,7 +267,9 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     merged rows take fresh ids from ``sys.next_id``, the kept columns are
     the leftmost pivots), so one system always gives the same result and
     transcript; the tests' frozen reference replay checks that transcript.
-    Both rules run on the system's rows and the result is built once.
+    Both rules run on the system's rows and the result is built once, and
+    it records privately that it is irreducible, so the lower bound runs no
+    second rank test on it.
     Cost: O(m * rank) big-int XORs for the elimination (see rref), one pass
     over the rows' set bits for the projection and O(n) transcript entries;
     nothing walks every declared column per row.
@@ -267,9 +277,12 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     fresh = _FreshIds(sys.next_id)
     rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
     if not fresh.events and not deleted:
-        return sys, _identity_transcript(sys.n)
-    transcript = ReductionTranscript._from_parts(sys.n, len(kept), kept, deleted, fresh.events)
-    return LinearSystem._from_rows(len(kept), rows, fresh.next_id), transcript
+        reduced, transcript = sys, _identity_transcript(sys.n)
+    else:
+        reduced = LinearSystem._from_rows(len(kept), rows, fresh.next_id)
+        transcript = ReductionTranscript._from_parts(sys.n, len(kept), kept, deleted, fresh.events)
+    vars(reduced)["_irreducible"] = True
+    return reduced, transcript
 
 
 def lift_assignment(tr: ReductionTranscript, reduced: Assignment) -> Assignment:

@@ -15,9 +15,12 @@ The block pass of ``run_h`` is checked the same way, with the streak
 threshold forced to 0 (a block wherever one can be tried) and forced off,
 on these systems and on denser ones over 8-20 used columns.
 """
+import math
 import random
 from fractions import Fraction
 from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,13 +30,18 @@ from maxlin import (
     HRun,
     LinearSystem,
     MaxlinError,
+    VectorSet,
+    apply_rule2,
+    find_kset,
     h_step,
+    make_irreducible,
     run_h,
     verify_certificate,
 )
-from maxlin import algoh
+from maxlin import algoh, reduce
 
 import reference_algoh as ref
+import reference_reduce
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -151,6 +159,51 @@ def test_block_pass_matches_reference_both_ways():
     assert any(accepted)  # so the blocks were not all dropped
 
 
+# left-hand sides over variables 1-3, none holding variable 0
+A, B, C, D = 0b0010, 0b0100, 0b1000, 0b1110
+
+
+@pytest.mark.parametrize("last_rhs", [0, 1])
+def test_repeat_only_regrouping_on_interleaved_groups(last_rhs):
+    # groups A, B, B, A interleaved, and a group of four C rows whose first
+    # pair cancels (equal weights, opposite rhs), so the third row starts
+    # the fold again; the single D row sits between them
+    rows = [(A, 0, 1), (B, 1, 2), (B, 1, 3), (A, 1, 4), (C, 0, 2), (D, 0, 1), (C, 1, 2),
+            (C, last_rhs, 5), (C, 1, 1)]
+    sys = LinearSystem.build(4, [(F2Vector(4, bits), rhs, w) for bits, rhs, w in rows])
+    merged, want = apply_rule2(sys), reference_reduce.apply_rule2(sys)
+    assert_same_system(merged, want)
+    # the groups fold in the order of their first rows, and every survivor
+    # takes its group's first place: A as id 9, B as id 10, and C, whose
+    # first pair cancels and whose third row folds with the fourth, as id 11
+    c_rhs, c_weight = (1, 6) if last_rhs else (0, 4)
+    assert merged.rows == (
+        (A, 1, Fraction(3), 9), (B, 1, Fraction(5), 10), (C, c_rhs, Fraction(c_weight), 11),
+        (D, 0, Fraction(1), 5),
+    )
+    # the step's merge regroups them the same way: mark z0 = 0 (id 9), which
+    # touches no other row
+    marked = LinearSystem.build(4, [([0], 0, 1)] + [
+        (F2Vector(4, bits), rhs, w) for bits, rhs, w in rows
+    ])
+    got, want = outcome(h_step, marked, 0), outcome(ref.h_step, marked, 0)
+    assert got[0] == want[0] == "ok"
+    assert_same_system(got[1][0], want[1][0])
+    assert outcome(run_h, marked) == reference_run(marked)
+
+
+def test_repeat_only_regrouping_after_a_mark():
+    # marking z0 = 0 turns rows 1 and 3 into A and B: the left-hand sides
+    # then run A, B, B, A, and both groups merge into fresh ids 5 and 6
+    sys = LinearSystem.build(4, [([0], 0, 1), (F2Vector(4, A | 1), 1, 2), (F2Vector(4, B), 0, 3),
+                                 (F2Vector(4, B | 1), 1, 1), (F2Vector(4, A), 0, 5)])
+    stepped, marked = h_step(sys, 0)
+    assert_same_system(stepped, ref.h_step(sys, 0)[0])
+    assert stepped.rows == ((A, 0, Fraction(3), 5), (B, 0, Fraction(2), 6))
+    for order in ([0], [0, 5, 6], [0, 6]):
+        assert outcome(run_h, sys, order) == reference_run(sys, order)
+
+
 @PROPERTY
 @given(marking_systems(), st.data())
 def test_h_step_matches_reference(sys, data):
@@ -204,6 +257,17 @@ def test_an_id_gone_before_its_turn_raises_the_reference_error():
         got = outcome(run_h, sys, order)
         assert got == reference_run(sys, order)
         assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
+    # the ids are marked in chunks of two here, and the second id of the
+    # chunk is missing from the start (99), or vanishes at the chunk's first
+    # mark: marking 0 cancels row 1 against row 3, and marking 1 merges row 4
+    # with row 2 into a fresh id
+    sys = LinearSystem.build(3, [([0], 0, 2), ([1], 0, 1), ([2], 0, 1), ([0, 1], 1, 1),
+                                 ([1, 2], 0, 1)])
+    assert algoh._block_size(sys.m) == 2
+    for order in ([1, 99], [0, 1], [1, 4]):
+        got = outcome(run_h, sys, order)
+        assert got == reference_run(sys, order)
+        assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
 
 
 def dense_60_by_180():
@@ -254,3 +318,72 @@ def test_run_h_passes_over_the_rows_once_per_block(monkeypatch):
     run = run_h(sys)
     assert len(run.records) == sys.n
     assert "block" in passes and len(passes) <= sys.n // 2
+
+
+def test_kset_ids_are_marked_in_blocks():
+    # the lower bound's first ids: a sum-independent set of rows, marked in
+    # chunks of B = max(2, bit_length(m) - 2) ids, one pass over the rows each
+    sys = dense_60_by_180()
+    reduced, _ = make_irreducible(sys)
+    by_bits = {row[0]: row[3] for row in reduced.rows}
+    members = VectorSet(reduced.n, [*by_bits, 0])
+    k = max(k for k in range(1, reduced.n) if len(members) ** k <= 2**reduced.n)
+    first = [by_bits[bits] for bits in find_kset(members, k)]
+    assert len(first) == k + 1 == 9
+    want = reference_run(reduced, first)
+    for streak in (0, float("inf")):
+        with mock.patch.object(algoh, "_BLOCK_STREAK", streak):
+            assert outcome(run_h, reduced, first) == want
+
+    passes = []
+    for name in ("step", "block"):
+        method = getattr(algoh._Marking, name)
+
+        def counting(state, arg, method=method, name=name):
+            # a step gets one row, a block a list of them
+            passes.append([arg[3]] if name == "step" else [row[3] for row in arg])
+            return method(state, arg)
+
+        mock.patch.object(algoh._Marking, name, counting).start()
+    try:
+        run = run_h(reduced, first)
+    finally:
+        mock.patch.stopall()
+    assert [eq.eq_id for eq in run.records[: len(first)]] == first
+    size = max(2, reduced.m.bit_length() - 2)
+    marking_first = [ids for ids in passes if set(ids) & set(first)]
+    assert sum(marking_first, []) == first
+    assert len(marking_first) <= math.ceil(len(first) / size) == 2
+
+
+def test_integral_run_adds_no_fraction_per_mark_or_merge(monkeypatch):
+    # a run scales the weights to ints once: the marks, the merges and the
+    # total add ints, and only the entry merge (rule 2 on the input's
+    # Fractions) adds Fractions, once for the repeated row
+    sys = dense_60_by_180()
+    merges = []
+    merge_pair = reduce._merge_pair
+
+    def counting_merge(a, b, record):
+        merges.append(type(a[2]))
+        return merge_pair(a, b, record)
+
+    additions = []
+    add, radd = Fraction.__add__, Fraction.__radd__
+
+    def counting_add(a, b):
+        additions.append((a, b))
+        return add(a, b)
+
+    def counting_radd(a, b):
+        additions.append((b, a))
+        return radd(a, b)
+
+    monkeypatch.setattr(reduce, "_merge_pair", counting_merge)
+    monkeypatch.setattr(Fraction, "__add__", counting_add)
+    monkeypatch.setattr(Fraction, "__radd__", counting_radd)
+    run = run_h(sys)
+    monkeypatch.undo()
+    assert len(run.records) == sys.n and run == reference_run(sys)[1]
+    assert merges.count(int) >= 1  # the run itself merges
+    assert merges.count(Fraction) == 1 and len(additions) == 1

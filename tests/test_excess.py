@@ -290,6 +290,13 @@ class TestLowerBound:
             lower_bound_assignment(sys, k)
         assert err.value.condition == "not_irreducible"
 
+    def test_distinct_rows_of_rank_below_n_are_not_irreducible(self):
+        # k = 2 meets every other condition: k <= m = 3 and (3+2)^1 <= 2^3
+        sys = LinearSystem.build(3, [([0], 0, 1), ([1], 0, 1), ([0, 1], 1, 2)])
+        with pytest.raises(PreconditionError) as err:
+            lower_bound_assignment(sys, 2)
+        assert err.value.condition == "not_irreducible"
+
     def test_k_too_small_comes_before_irreducibility(self):
         sys = LinearSystem.build(2, [([0], 0, 1), ([0], 1, 1)])
         with pytest.raises(PreconditionError) as err:
@@ -350,6 +357,27 @@ class TestLowerBoundCost:
         # make_irreducible's rref, then the lower bound's one rank test, then
         # verify_kset's independence test of the 4 chosen rows
         assert len(calls) <= 3 and calls[-1] == 4
+
+
+    def test_a_lower_bound_solve_eliminates_over_its_rows_once(self, monkeypatch):
+        sys = dense_irreducible_system(random.Random(47), 40, 120)
+        calls = count_pivot_basis(monkeypatch)
+        answer, witness = decide_aa(AaInstance(sys, 4))
+        assert answer is True and witness.method == "marking"
+        # make_irreducible's rref is the only elimination over more than k
+        # vectors; the lower bound trusts its result, and verify_kset tests
+        # the independence of the 4 chosen rows
+        assert [size for size in calls if size > 4] == [120]
+        assert calls[-1] == 4
+
+    def test_a_system_the_caller_builds_is_tested_in_full(self, monkeypatch):
+        reduced, _ = make_irreducible(dense_irreducible_system(random.Random(48), 40, 120))
+        rebuilt = LinearSystem(reduced.n, reduced.equations)
+        assert rebuilt == reduced
+        calls = count_pivot_basis(monkeypatch)
+        assert lower_bound_assignment(rebuilt, 4) == lower_bound_assignment(reduced, 4)
+        # the rank test over the rebuilt rows and 0, then each verify_kset
+        assert calls == [121, 4, 4]
 
 
 class TestDecideAa:

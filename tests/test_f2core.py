@@ -244,6 +244,25 @@ class TestSystemInvariants:
         assert reverse_bits(0b101, 3) == 0b101
         assert reverse_bits(0, 0) == 0
 
+    def test_reverse_bits_reverses_the_binary_digits(self):
+        rng = random.Random(49)
+        for n in [*range(1, 18), 31, 32, 33, 64, 110, 140, 1000]:
+            for _ in range(20):
+                x = rng.getrandbits(n + 5)  # the bits from n up are ignored
+                digits = format(x & ((1 << n) - 1), f"0{n}b")
+                assert reverse_bits(x, n) == int(digits[::-1], 2)
+
+    def test_min_weight_is_the_least_weight_exactly(self):
+        rng = random.Random(50)
+        for _ in range(30):
+            sys = random_system(rng, n_max=6, m_max=12, rational_weights=True)
+            if sys.m:
+                least = sys.min_weight
+                assert type(least) is Fraction
+                assert least == min(row[2] for row in sys.rows)
+        sys = LinearSystem.build(1, [([0], 0, Fraction(10**20 + 39, 7)), ([0], 1, Fraction(3, 14))])
+        assert sys.min_weight == Fraction(3, 14)
+
 
 def raised(build):
     try:

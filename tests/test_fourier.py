@@ -148,6 +148,17 @@ class TestMaximaLowerBound:
         f = FourierExpansion(1, Fraction(10), {frozenset([0]): Fraction(2)})
         assert maxima_lower_bound(f) == 12
 
+    def test_least_coefficient_is_exact_with_mixed_signs_and_denominators(self):
+        # the least |coefficient| is -3/14, below 1/4 and 10^20 / 7
+        f = FourierExpansion(3, Fraction(1, 3), {
+            frozenset([0]): Fraction(10**20 + 39, 7), frozenset([1]): Fraction(-3, 14),
+            frozenset([2]): Fraction(1, 4), frozenset([0, 1]): Fraction(-5),
+        })
+        q = regime_exponent(4, 3)
+        bound = maxima_lower_bound(f)
+        assert type(bound) is Fraction
+        assert bound == Fraction(1, 3) + (1 + q) * Fraction(3, 14)
+
     def test_sound_on_random_expansions(self):
         rng = random.Random(55)
         for _ in range(40):
@@ -346,3 +357,4 @@ def test_masks_are_the_packed_terms(f):
     assert system.rows == fourier_to_system(f)[0].rows
     q = regime_exponent(system.m, lhs_rank(system))
     assert maxima_lower_bound(f) == f.constant + (1 + q) * system.min_weight
+    assert system.min_weight == min(map(abs, f.masks.values()))

@@ -9,28 +9,55 @@ polynomial-time certificate verifier for the above-average question.
 
 A marking run works on ``LinearSystem.rows``: rule 2 merges the input once,
 the weights are scaled once to integers by the lcm of their denominators,
-and a single step is one bit test per live row, one XOR per row containing
-the marked variable, and one set of the left-hand sides; rule 2 regroups
-only the repeated ones.  So a step costs O(m) int operations plus one XOR
-per touched row, and builds no ``LinearSystem`` and no ``Equation``: the
-marked row is the step's whole record, since the marked variable is its
-lowest one.  The run turns the records into ``Equation``s once at the end,
-each weight back as an exact ``Fraction``, and adds the weights as ints.
-No occurrence index is kept, because the rows are dense: about half of
-them hold the marked variable, and updating an index would cost one entry
-per changed bit.
+and the run marks in one of two working states.  Neither builds a
+``LinearSystem`` or an ``Equation`` per mark: the marked row is the mark's
+whole record, since the marked variable is its lowest one.  The run turns
+the records into ``Equation``s once at the end, through f2core's unchecked
+builder (the rows derive from checked input), each weight back as an exact
+``Fraction``, and adds the weights as ints.
 
-A block marks B rows with one pass over the rows, B about log2(m) - 2 (the
-Four Russians method of M4RI, Albrecht, Bard & Hart, ACM TOMS 2010).  The
-picks are reduced against each other into the block's records, a table of
-the XORs of all 2^B subsets of them is built, and every other row is
-updated with one lookup.  A block costs O(m + 2^B), so O(m/B + 2^B/B) per
-mark where single steps cost O(m).  When the single steps would merge
-inside the block, the block is dropped and changes nothing, so records,
-merge ids and row order are those of single steps.  The paper marks "an
-arbitrary equation" at each step; a run marks a given sequence of ids
-first, in blocks of B ids, and then the lowest live id, in blocks once a
-few marks in a row have not merged.
+The list state (``_Marking``) keeps the rows in order.  A single step is
+one bit test per live row, one XOR per row containing the marked variable,
+and one set of the left-hand sides; rule 2 regroups only the repeated ones.
+So a step costs O(m) int operations plus one XOR per touched row.  A block
+marks B rows with one pass over the rows, B about log2(m) - 2 (the Four
+Russians method of M4RI, Albrecht, Bard & Hart, ACM TOMS 2010).  The picks
+are reduced against each other into the block's records, a table of the
+XORs of all 2^B subsets of them is built, and every other row is updated
+with one lookup.  A block costs O(m + 2^B), so O(m/B + 2^B/B) per mark
+where single steps cost O(m).  When the single steps would merge inside
+the block, the block is dropped and changes nothing, so records, merge ids
+and row order are those of single steps.
+
+The sparse state (``_SparseMarking``) keeps the per-column row lists of
+structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990): an
+id -> row map with each row's list position as its order key, an lhs -> id
+map, the ids of the rows holding each variable, and a heap of live ids.  A
+step reads only the t rows holding the marked variable and updates each of
+the marked row's w columns with one set operation, so it costs O(t) Python
+work plus O(t * w) set work, whatever m is.  It folds the repeats it makes
+as the list state does, each survivor at its group's first position and the
+fresh ids in that order, so records and merge ids do not depend on the
+state.  A run enters it when the merged rows hold at most
+``_SPARSE_ROW_WEIGHT`` = 4 variables on average, and leaves it for good at
+the first step whose t * w would exceed ``_SPARSE_EXIT`` = 4 times the live
+rows, converting the rows in order to the list state: fill-in can make
+sparse rows dense, and then the blocks are cheaper.  Both constants come
+from run_h timings on random rows of 1 to a variables with m about 2n
+(2-core Xeon, Python 3.11).  At n = 200 the sparse state took 0.18, 0.31,
+0.54, 0.83 and 1.07 of the list state's time at mean row weights 2.2, 2.5,
+3.1, 3.6 and 4.7 (and 1.20 at n = 100, weight 4.6), while dense rows, which
+hold about half the variables, never enter.  An exit ratio of 0.5 to 2
+left good runs too early (n = 1000, weight 2.1: 0.15 s at 0.5, 0.034 s at
+4, 0.61 s on the list), and 8 was no faster than 4.  On that n = 1000
+system, and on the exact-3-SAT systems of the paper's second result, a
+run costs what its marks touch; see the README's "Marking cost" for the
+scale cases.
+
+The paper marks "an arbitrary equation" at each step; a run marks a given
+sequence of ids first and then the lowest live id: on the list state the
+given ids in blocks of B, and the lowest ids in blocks once a few marks in
+a row have not merged.
 """
 from __future__ import annotations
 
@@ -38,9 +65,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -51,14 +78,14 @@ from .errors import (
 from .f2core import (
     Assignment,
     Equation,
-    F2Vector,
     LinearSystem,
     _check_ints,
+    _equation,
     _is_int,
     _Row,
     parity,
 )
-from .reduce import _merge_rows, apply_rule2
+from .reduce import _merge_pair, _merge_rows, apply_rule2
 
 __all__ = [
     "Certificate",
@@ -93,6 +120,12 @@ class HRun(NamedTuple):
 
 # merge-free marks in a row after which run_h marks in blocks
 _BLOCK_STREAK = 4
+# run_h marks on the column index when its rows hold at most
+# _SPARSE_ROW_WEIGHT variables on average, and leaves it for good at the
+# first step whose rows touched times marked variables exceed _SPARSE_EXIT
+# times the live rows (see the module docstring for the measurements)
+_SPARSE_ROW_WEIGHT = 4
+_SPARSE_EXIT = 4
 
 
 def _block_size(m: int) -> int:
@@ -109,7 +142,7 @@ def _live_row(rows: Sequence[_Row], eq_id: int) -> _Row:
 
 
 class _Marking:
-    """Working state of a marking run.
+    """List working state of a marking run.
 
     ``rows`` are the live rows in order: an id is live while a row holds
     it.  Their weights are all Fractions or all ints; the marks only add,
@@ -203,6 +236,132 @@ class _Marking:
         return records
 
 
+class _SparseMarking:
+    """Column-indexed working state of a marking run on sparse rows.
+
+    ``rows`` maps each live id to its row and ``place`` maps it to its order
+    key, its position in the list of rows; ``lhs`` maps each left-hand side
+    to the id holding it, ``columns`` each variable (as its bit) to the ids
+    of the rows holding it, and ``heap`` holds the live ids, dead ones being
+    skipped when they come to the top.  A step visits only the rows holding
+    the marked variable.  The left-hand sides are distinct (run_h merges on
+    entry, and so does every step), and a step XORs the same row into every
+    row it touches, so no touched row becomes zero and a repeat pairs one
+    touched row with one untouched row.
+    """
+
+    _fresh_id = _Marking._fresh_id
+
+    def __init__(self, rows: Sequence[_Row], next_id: int):
+        self.rows = {row[3]: row for row in rows}
+        self.place = {row[3]: i for i, row in enumerate(rows)}
+        self.lhs = {row[0]: row[3] for row in rows}
+        self.columns: dict[int, set[int]] = {}
+        for bits, _, _, eq_id in rows:
+            while bits:
+                low = bits & -bits
+                self.columns.setdefault(low, set()).add(eq_id)
+                bits ^= low
+        self.heap = sorted(self.rows)
+        self.next_id = next_id
+
+    def run(self, order: Iterator[int], marked: list[_Row]) -> tuple[_Marking, Iterator[int]]:
+        """Mark the ids of ``order``, then the lowest live ids, appending each
+        record to ``marked``, until the system is empty or a step would cost
+        more than a scan of the rows; returns the list state of the rows
+        left, in order, and the ids of ``order`` not yet marked."""
+        rows, heap = self.rows, self.heap
+        for eq_id in order:
+            if not rows:
+                break
+            row = rows.get(eq_id)
+            if row is None:
+                raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
+            if self.step(row) is None:
+                return self.as_list(), chain((eq_id,), order)
+            marked.append(row)
+        while rows:
+            while heap[0] not in rows:
+                heapq.heappop(heap)
+            row = rows[heap[0]]
+            if self.step(row) is None:
+                break
+            marked.append(row)
+        return self.as_list(), order
+
+    def as_list(self) -> _Marking:
+        """The list state of the live rows, in order."""
+        place = self.place
+        return _Marking(sorted(self.rows.values(), key=lambda row: place[row[3]]), self.next_id)
+
+    def step(self, marked: _Row) -> _Row | None:
+        """Mark one live row as _Marking.step does, visiting only the rows
+        holding its lowest bit, and return it; or change nothing and return
+        None when the index work, the rows touched times the marked row's
+        variables, exceeds _SPARSE_EXIT times the live rows."""
+        bits, rhs, _, eq_id = marked
+        rows, lhs, columns = self.rows, self.lhs, self.columns
+        low = bits & -bits
+        touched = columns[low]
+        if (len(touched) - 1) * bits.bit_count() > _SPARSE_EXIT * len(rows):
+            return None
+        # once the marked row is gone no row holds the marked variable; each
+        # other variable of it changes in the touched rows and leaves the
+        # marked row, which touched holds too
+        del columns[low], rows[eq_id], lhs[bits], self.place[eq_id]
+        rest = bits ^ low
+        while rest:
+            bit = rest & -rest
+            columns[bit] ^= touched
+            rest ^= bit
+        touched.discard(eq_id)
+        # every old lhs leaves before a new one enters: a touched row's new
+        # lhs may be another touched row's old one
+        changed = []
+        for row_id in touched:
+            row_bits, row_rhs, weight, _ = rows[row_id]
+            del lhs[row_bits]
+            changed.append((row_bits ^ bits, row_rhs ^ rhs, weight, row_id))
+        repeats = []
+        for row in changed:
+            rows[row[3]] = row
+            held = lhs.setdefault(row[0], row[3])
+            if held != row[3]:
+                repeats.append((held, row[3]))
+        if repeats:
+            self._merge(repeats)
+        return marked
+
+    def _merge(self, pairs: list[tuple[int, int]]) -> None:
+        """Rule 2 on pairs of ids sharing a left-hand side, folded as
+        _merge_rows folds them on the list: each pair in list order, the
+        pairs in order of their first places, and each survivor at its
+        pair's first place under a fresh id."""
+        rows, place, lhs, columns = self.rows, self.place, self.lhs, self.columns
+        ordered = [(a, b) if place[a] < place[b] else (b, a) for a, b in pairs]
+        ordered.sort(key=lambda pair: place[pair[0]])
+        for a, b in ordered:
+            row = rows.pop(a)
+            merged = _merge_pair(row, rows.pop(b), self._fresh_id)
+            first = place.pop(a)
+            del place[b]
+            bits = rest = row[0]
+            ids = {a, b}
+            while rest:
+                bit = rest & -rest
+                column = columns[bit]
+                column -= ids
+                if merged is not None:
+                    column.add(merged[3])
+                rest ^= bit
+            if merged is None:
+                del lhs[bits]
+            else:
+                new_id = merged[3]
+                rows[new_id], place[new_id], lhs[bits] = merged, first, new_id
+                heapq.heappush(self.heap, new_id)
+
+
 def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     """Mark one equation and eliminate its lowest variable from the system;
     returns the new system and the marked equation.
@@ -218,36 +377,14 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     """
     state = _Marking(sys.rows, sys.next_id)
     bits, rhs, weight, _ = state.step(_live_row(sys.rows, eq_id))
-    marked = Equation(F2Vector(sys.n, bits), rhs, weight, eq_id)
+    marked = _equation(sys.n, bits, rhs, weight, eq_id)
     return LinearSystem._from_rows(sys.n, state.rows, state.next_id), marked
 
 
-def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
-    """Run the marking loop until the system is empty.
-
-    The ids of ``first`` are marked in order, each still held by a row at its
-    turn (else MaxlinError); after them every step marks the lowest id a row
-    holds.  Ids still listed when the system empties are ignored.
-    The input is first re-merged (rule 2) so repeated left-hand sides never
-    reach a marking step; that merge preserves the excess of every
-    assignment, so marked-weight guarantees carry back to the input system.
-    The weights are then scaled once to integers by the lcm of their
-    denominators, as ``evaluate`` and the oracle do, so merges and the total
-    are integer work, and each record's ``Equation`` takes its weight back
-    as ``Fraction(w, scale)``.  The loop marks on the system's rows, in
-    single steps or in blocks (see the module docstring): the ids of
-    ``first`` in chunks of about log2(m) - 2, and the lowest ids on
-    merge-free stretches.  A whole run builds at most the one system of the
-    entry merge.
-    """
-    merged = apply_rule2(sys)
-    scale = math.lcm(*(w.denominator for _, _, w, _ in merged.rows), 1)
-    state = _Marking([
-        (bits, rhs, w.numerator * (scale // w.denominator), eq_id)
-        for bits, rhs, w, eq_id in merged.rows
-    ], merged.next_id)
-    order = iter(first)
-    marked: list[_Row] = []
+def _mark_list(state: _Marking, order: Iterator[int], marked: list[_Row]) -> None:
+    """Mark on the list state, appending each record to ``marked``: the ids
+    of ``order`` in chunks of about log2(m) - 2, then the lowest live ids,
+    in blocks on merge-free stretches (see the module docstring)."""
     while state.rows and (chunk := list(islice(order, _block_size(len(state.rows))))):
         by_id = dict(zip(map(itemgetter(3), state.rows), state.rows))
         picks = [by_id.get(eq_id) for eq_id in chunk]
@@ -276,10 +413,44 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
         marked.append(state.step(min(state.rows, key=itemgetter(3))))
         # a merge drops at least one row besides the marked one
         streak = streak + 1 if len(state.rows) == m - 1 else 0
+
+
+def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
+    """Run the marking loop until the system is empty.
+
+    The ids of ``first`` are marked in order, each still held by a row at its
+    turn (else MaxlinError); after them every step marks the lowest id a row
+    holds.  Ids still listed when the system empties are ignored.
+    The input is first re-merged (rule 2) so repeated left-hand sides never
+    reach a marking step; that merge preserves the excess of every
+    assignment, so marked-weight guarantees carry back to the input system.
+    The weights are then scaled once to integers by the lcm of their
+    denominators, as ``evaluate`` and the oracle do, so merges and the total
+    are integer work, and each record's ``Equation`` takes its weight back
+    as ``Fraction(w, scale)``.  Rows that hold at most
+    ``_SPARSE_ROW_WEIGHT`` variables on average are marked on the
+    column-indexed state until a step would cost more there than a scan;
+    all other marks run on the list of rows, in single steps or in blocks
+    (see the module docstring).  The two states make the same marks, so the
+    records and the merge ids do not depend on where the run switches.  A
+    whole run builds at most the one system of the entry merge.
+    """
+    merged = apply_rule2(sys)
+    scale = math.lcm(*(w.denominator for _, _, w, _ in merged.rows), 1)
+    rows = [
+        (bits, rhs, w.numerator * (scale // w.denominator), eq_id)
+        for bits, rhs, w, eq_id in merged.rows
+    ]
+    order = iter(first)
+    marked: list[_Row] = []
+    if sum(bits.bit_count() for bits, _, _, _ in rows) <= _SPARSE_ROW_WEIGHT * len(rows):
+        state, order = _SparseMarking(rows, merged.next_id).run(order, marked)
+    else:
+        state = _Marking(rows, merged.next_id)
+    _mark_list(state, order, marked)
     n = merged.n
     records = tuple(
-        Equation(F2Vector(n, bits), rhs, Fraction(w, scale), eq_id)
-        for bits, rhs, w, eq_id in marked
+        _equation(n, bits, rhs, Fraction(w, scale), eq_id) for bits, rhs, w, eq_id in marked
     )
     return HRun(records, Fraction(sum(map(itemgetter(2), marked)), scale))
 

@@ -1,7 +1,8 @@
 """Command-line front end with stable, scriptable output.
 
 Exit codes: 0 for yes/accept/success, 1 for no/reject, 2 for usage,
-parse or input-file errors.  Witness assignments print as one 0/1 string
+parse or input-file errors, for running out of memory and for any other
+exception.  Witness assignments print as one 0/1 string
 over the original variables; rationals print in lowest terms.  With
 ``--output machine`` results come as one key=value line each.
 """
@@ -170,6 +171,15 @@ def run(config: CommandConfig, out: IO[str] | None = None) -> int:
         return _HANDLERS[config.subcommand](config, stream)
     except (MaxlinError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception:  # a bug; exit 1 would read as "no"
+        import traceback  # only here, to keep it out of every start-up
+
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,8 @@ It keeps no id index: an id is ``row[3]``, and the one library path that
 looks an id up, the certificate check, finds it in the marking step.
 A row is checked once, where it enters the library (as an ``Equation``, by
 a parser or by ``FourierExpansion``); a system derived from a checked one is
-built by ``LinearSystem._from_rows`` without checking its rows again.
+built by ``LinearSystem._from_rows`` without checking its rows again, and an
+``Equation`` of a derived row by ``_equation``.
 Every public constructor shares two checks: ``_check_dimension`` (n is an
 int >= 0) and ``_check_packed`` (a bit pattern is an int that fits n bits);
 both refuse a bool, as ``_is_int`` does.  A collection of indices is
@@ -218,6 +219,16 @@ class Equation:
         return self.lhs.n
 
 
+def _equation(n: int, bits: int, rhs: int, weight: Fraction, eq_id: int) -> Equation:
+    """The Equation of a row the library derived from checked input, stored
+    as the constructors store it but without their checks."""
+    lhs = F2Vector.__new__(F2Vector)
+    vars(lhs).update(n=n, bits=bits)
+    eq = Equation.__new__(Equation)
+    vars(eq).update(lhs=lhs, rhs=rhs, weight=weight, eq_id=eq_id)
+    return eq
+
+
 def _equation_row(n: int, eq: Equation) -> _Row:
     if eq.n != n:
         raise DimensionMismatchError(f"equation {eq.eq_id} has dimension {eq.n}, system has {n}")
@@ -271,7 +282,7 @@ class LinearSystem:
     @cached_property
     def equations(self) -> tuple[Equation, ...]:
         """The rows as Equations; a system built from Equations keeps them."""
-        return tuple(Equation(F2Vector(self.n, row[0]), *row[1:]) for row in self.rows)
+        return tuple(_equation(self.n, *row) for row in self.rows)
 
     @classmethod
     def build(cls, n: int, rows: Iterable[tuple]) -> LinearSystem:

@@ -5,7 +5,9 @@ are written in lowest terms as ``p`` or ``p/q``; floating-point notation is
 rejected.  Comment lines start with ``c`` and are ignored everywhere.
 
 Integers are ASCII decimal, with an optional sign: ``int`` alone would also
-take ``_`` between digits and non-ASCII digits such as ``٣``.
+take ``_`` between digits and non-ASCII digits such as ``٣``.  Every header
+declares at most ``MAX_DECLARED_N`` variables, checked before any index is
+shifted or anything of size n is built.
 
 Systems and expansions are read a line at a time, not a token at a time.
 Each file reads its index tokens through one memo from a token naming
@@ -46,7 +48,13 @@ __all__ = [
     "parse_vectorset",
     "parse_cnf",
     "parse_csp",
+    "MAX_DECLARED_N",
 ]
+
+# the most variables a file may declare: a row or a term is an int of up to
+# n bits and a reduction lists every column, so the header refuses a larger
+# n before anything of size n is built
+MAX_DECLARED_N = 1 << 22
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -98,6 +106,8 @@ def _parse_header(lines, expected: str):
     count = _parse_int(tokens[3], line_no, "entry count")
     if n < 0 or count < 0:
         raise ParseError(line_no, "header counts must be non-negative")
+    if n > MAX_DECLARED_N:
+        raise ParseError(line_no, f"variable count {n} exceeds the limit of {MAX_DECLARED_N}")
     return n, count, lines[1:]
 
 

@@ -387,3 +387,168 @@ def test_integral_run_adds_no_fraction_per_mark_or_merge(monkeypatch):
     assert len(run.records) == sys.n and run == reference_run(sys)[1]
     assert merges.count(int) >= 1  # the run itself merges
     assert merges.count(Fraction) == 1 and len(additions) == 1
+
+
+# the column-indexed state of sparse runs, against the same reference
+
+# forcing run_h into the sparse state or keeping it on the list
+ENTRY = {"sparse": float("inf"), "list": -1}
+
+
+@st.composite
+def sparse_marking_systems(draw):
+    """Rows of 1-3 variables over up to 12 columns, with some rows repeated
+    at either right-hand side and at equal or other weights, so the entry
+    merge sums and cancels and the marks merge rows."""
+    n = draw(st.integers(1, 12))
+    supports = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    rows = draw(st.lists(st.tuples(supports, st.integers(0, 1), INTEGER), max_size=16))
+    for support, rhs, weight in draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else ():
+        same = draw(st.booleans())
+        rows.append((support, rhs ^ draw(st.integers(0, 1)), weight if same else draw(INTEGER)))
+    order = draw(st.permutations(range(len(rows))))
+    return LinearSystem.build(n, [rows[i] for i in order])
+
+
+def sparse_outcome(sys, order, entry, leave_at=None):
+    """run_h's outcome with the entry forced; with ``leave_at``, the sparse
+    state declines its step number ``leave_at`` (0-based), as when that step
+    would cost more than a scan, and the run goes on on the list."""
+    step = algoh._SparseMarking.step
+    calls = []
+
+    def leaving(state, row):
+        calls.append(row)
+        return None if len(calls) == leave_at + 1 else step(state, row)
+
+    with mock.patch.object(algoh, "_SPARSE_ROW_WEIGHT", ENTRY[entry]):
+        if leave_at is None:
+            return outcome(run_h, sys, order)
+        with mock.patch.object(algoh._SparseMarking, "step", leaving):
+            return outcome(run_h, sys, order)
+
+
+@PROPERTY
+@given(st.one_of(sparse_marking_systems(), marking_systems()), ORDERS, st.integers(0, 12))
+def test_sparse_state_matches_reference(sys, order, leave_at):
+    for first in ((), order):
+        want = reference_run(sys, first)
+        for entry in ENTRY:
+            assert sparse_outcome(sys, first, entry) == want
+        assert sparse_outcome(sys, first, "sparse", leave_at) == want
+
+
+@PROPERTY
+@given(sparse_marking_systems(), ORDERS, st.integers(0, 12))
+def test_sparse_state_leaves_for_blocks_as_single_steps_would(sys, order, leave_at):
+    # after the cut-over the list state marks in blocks wherever it can
+    with mock.patch.object(algoh, "_BLOCK_STREAK", 0):
+        assert sparse_outcome(sys, order, "sparse", leave_at) == reference_run(sys, order)
+
+
+@pytest.mark.parametrize("entry", ENTRY)
+def test_sparse_state_raises_the_reference_error_for_a_gone_id(entry):
+    sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
+    for order in ([1, 0], [99], [3]):
+        got = sparse_outcome(sys, order, entry)
+        assert got == reference_run(sys, order)
+        assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
+    # an id of the order that a merge or a cancellation removes mid-run
+    sys = LinearSystem.build(3, [([0], 0, 2), ([1], 0, 1), ([2], 0, 1), ([0, 1], 1, 1),
+                                 ([1, 2], 0, 1)])
+    for order in ([1, 99], [0, 1], [1, 4], [0, 2, 1]):
+        for leave_at in (None, 0, 1):
+            got = sparse_outcome(sys, order, entry, leave_at)
+            assert got == reference_run(sys, order)
+            assert got[0] is MaxlinError
+
+
+@pytest.mark.parametrize("entry", ENTRY)
+def test_sparse_merges_fold_in_list_order(entry):
+    # marking z0 = 0 turns rows 1 and 3 into A and B: the left-hand sides
+    # then run A, B, B, A, and both groups merge into fresh ids 5 and 6
+    sys = LinearSystem.build(4, [([0], 0, 1), (F2Vector(4, A | 1), 1, 2), (F2Vector(4, B), 0, 3),
+                                 (F2Vector(4, B | 1), 1, 1), (F2Vector(4, A), 0, 5)])
+    for order in ([0], [0, 5, 6], [0, 6]):
+        assert sparse_outcome(sys, order, entry) == reference_run(sys, order)
+    run = sparse_outcome(sys, [0], entry)[1]
+    assert [eq.eq_id for eq in run.records] == [0, 5, 6]
+    # the same after the entry merge of the interleaved groups A, B, B, A
+    # and C, C, C, C; each pair at a mark holds one touched and one untouched
+    # row, and the touched row comes first in the list for C + D
+    rows = [([0], 0, 1), (F2Vector(4, A), 0, 1), (F2Vector(4, B), 1, 2), (F2Vector(4, B), 1, 3),
+            (F2Vector(4, A), 1, 4), (F2Vector(4, C | 1), 0, 2), (F2Vector(4, D), 0, 1),
+            (F2Vector(4, C), 1, 2), (F2Vector(4, A | 1), 1, 5), (F2Vector(4, C), 1, 1)]
+    sys = LinearSystem.build(4, rows)
+    for order in ([0], [0, 10, 11, 12, 13], []):
+        for leave_at in (None, 0, 1, 2):
+            got = sparse_outcome(sys, order, entry, leave_at)
+            assert got == reference_run(sys, order)
+
+
+@pytest.mark.parametrize("entry, leave_at", [("list", None), ("sparse", None), ("sparse", 0)])
+def test_merges_follow_list_order_not_id_order(entry, leave_at):
+    # the entry merge puts id 6 at place 0; marking z0 = 0 (id 2) then makes
+    # the pairs (6, 5) on z1 and (3, 4) on z2, and the pair whose first
+    # place comes first, (6, 5), takes fresh id 7 though 3 < 6; with
+    # leave_at 0 the sparse state hands this step to the list state
+    sys = LinearSystem.build(3, [([1], 0, 1), ([1], 0, 1), ([0], 0, 1), ([2], 0, 3),
+                                 ([0, 2], 0, 1), ([0, 1], 1, 1)])
+    got = sparse_outcome(sys, (), entry, leave_at)
+    assert got == reference_run(sys)
+    assert [(eq.eq_id, eq.lhs.bits) for eq in got[1].records] == [(2, 0b001), (7, 0b010),
+                                                                  (8, 0b100)]
+
+
+def sparse_60_by_120():
+    """120 random rows of 1-3 variables over 60, with rhs and weights of
+    1-5 and one repeated row."""
+    rng = random.Random(120)
+    n = 60
+    rows = [(rng.sample(range(n), rng.randint(1, 3)), rng.randint(0, 1), rng.randint(1, 5))
+            for _ in range(120)]
+    rows.append(rows[0])
+    return LinearSystem.build(n, rows)
+
+
+def test_sparse_run_visits_only_the_rows_holding_each_marked_variable(monkeypatch):
+    # the cost shape: a run on sparse rows makes no pass over the list, and
+    # each step reads only the rows that hold its marked variable
+    sys = sparse_60_by_120()
+    reads = []
+
+    class CountingRows(dict):
+        def __getitem__(self, eq_id):
+            reads.append(eq_id)
+            return dict.__getitem__(self, eq_id)
+
+    init, step = algoh._SparseMarking.__init__, algoh._SparseMarking.step
+    steps = []
+
+    def counting_init(state, rows, next_id):
+        init(state, rows, next_id)
+        state.rows = CountingRows(state.rows)
+
+    def counting_step(state, row):
+        low = row[0] & -row[0]
+        holding = {i for i, other in dict.items(state.rows) if other[0] & low} - {row[3]}
+        reads.clear()
+        got = step(state, row)
+        steps.append((set(reads), holding, got))
+        return got
+
+    def no_pass(state, arg):
+        raise AssertionError("a pass over the list of rows")
+
+    monkeypatch.setattr(algoh._SparseMarking, "__init__", counting_init)
+    monkeypatch.setattr(algoh._SparseMarking, "step", counting_step)
+    for name in ("step", "block"):
+        monkeypatch.setattr(algoh._Marking, name, no_pass)
+    run = run_h(sys)
+    monkeypatch.undo()
+    assert run == reference_run(sys)[1]
+    assert len(steps) == len(run.records) == sys.n  # full rank: one mark per variable
+    assert all(got is not None for _, _, got in steps)
+    assert all(read == holding for read, holding, _ in steps)
+    # the rows a step reads are few: far fewer than the live rows
+    assert sum(len(read) for read, _, _ in steps) < sys.m * len(steps) / 10

@@ -11,8 +11,15 @@ import pytest
 
 import maxlin
 from maxlin import F2Vector, LinearSystem
+from maxlin import cli
 from maxlin.cli import CommandConfig, _build_parser, main, run
-from maxlin.formats import emit_fourier, emit_system, parse_fourier, parse_system
+from maxlin.formats import (
+    MAX_DECLARED_N,
+    emit_fourier,
+    emit_system,
+    parse_fourier,
+    parse_system,
+)
 
 from helpers import random_fourier, random_system
 
@@ -168,6 +175,49 @@ class TestSubcommands:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+    def test_running_out_of_memory_exits_2(self, tmp_path):
+        # the child alone runs under a 256 MiB address-space limit: reducing a
+        # system at the declared-n ceiling lists 2^22 deleted columns and runs
+        # out of memory, and the 40-byte file declaring 10^11 variables is
+        # refused by its header before anything of that size is built
+        resource = pytest.importorskip("resource")
+        limit = 1 << 28
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        ceiling = tmp_path / "ceiling"
+        ceiling.write_text(f"p maxlin {MAX_DECLARED_N} 1\n1 0 1 {MAX_DECLARED_N}\n")
+        huge = tmp_path / "huge"
+        huge.write_text("p maxlin 100000000000 1\n1 0 1 100000000000\n")
+        errors = []
+        for path in (ceiling, huge):
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxlin", "solve", "--k", "1", str(path)],
+                capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+            )
+            assert (proc.returncode, proc.stdout) == (2, "")
+            errors.append(proc.stderr)
+        assert errors == [
+            "error: out of memory\n",
+            f"error: line 1: variable count 100000000000 exceeds the limit of {MAX_DECLARED_N}\n",
+        ]
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory\n"),
+        (RuntimeError("a bug"), "error: internal error\n"),
+    ])
+    def test_any_other_exception_exits_2(self, files, capsys, monkeypatch, exc, message):
+        # exit 1 means "no", so no exception may leave with it
+        def fail(config, out):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "reduce", fail)
+        assert main(["reduce", files["pair"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(message)
+        assert ("Traceback" in captured.err) == isinstance(exc, RuntimeError)
 
     def test_larger_oracle_cap_on_small_input(self, files, capsys):
         assert main(["excess", "--oracle", files["triple"]]) == 0

@@ -378,7 +378,8 @@ class TestFromRows:
 def test_derived_systems_build_no_equation(monkeypatch):
     # a dense system with repeated rows and two unused columns, so rule 2
     # merges and rule 1 deletes columns; each row is checked only where it
-    # enters, so only a marking step builds an Equation (the marked one)
+    # enters, so no derived path runs the Equation checks: a marking step
+    # builds its records through f2core._equation, unchecked
     rng = random.Random(13)
     n = 10
     rows = [(F2Vector(n, rng.getrandbits(8) or 1), rng.randint(0, 1), rng.randint(1, 4))
@@ -408,9 +409,13 @@ def test_derived_systems_build_no_equation(monkeypatch):
     assert count(make_irreducible, sys) == (0, (reduced, transcript))
     assert count(apply_rule1, merged)[0] == 0
     assert count(fourier_to_system, expansion)[0] == 0
-    assert count(h_step, reduced, reduced.rows[0][3])[0] == 1
-    steps, run = count(run_h, sys)
-    assert steps == len(run.records) > 1
+    checked, (_, marked) = count(h_step, reduced, reduced.rows[0][3])
+    assert checked == 0
+    checked, run = count(run_h, sys)
+    assert checked == 0 and len(run.records) > 1
+    # each unchecked record equals the checked Equation of its fields
+    for eq in (marked, *run.records):
+        assert eq == Equation(F2Vector(eq.n, eq.lhs.bits), eq.rhs, eq.weight, eq.eq_id)
 
 
 @pytest.mark.parametrize(

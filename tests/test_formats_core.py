@@ -14,6 +14,7 @@ tokens through one memo that converts each distinct token once; named
 lines miss it or fail its checks and fall back to the token-by-token check.
 """
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,14 @@ from hypothesis import given, settings, strategies as st
 from maxlin import F2Vector, LinearSystem, MaxlinError, ParseError
 from maxlin import formats
 from maxlin.formats import (
+    MAX_DECLARED_N,
     emit_fourier,
     emit_system,
     parse_cnf,
     parse_csp,
     parse_fourier,
     parse_system,
+    parse_vectorset,
 )
 from maxlin.fourier import FourierExpansion
 
@@ -353,6 +356,34 @@ def test_signs_and_leading_zeros_stay_accepted():
         3, [([2], 1, 2)]
     )
     assert parse_cnf("p cnf 2 1\n+1 -02 0\n").clauses == ((1, -2),)
+
+
+@pytest.mark.parametrize("parse, kind, body", [
+    (parse_system, "maxlin", "1 0 1 {n}\n"),
+    (parse_fourier, "fourier", "const 0\n1 1 {n}\n"),
+    (parse_vectorset, "vecset", "1\n"),
+    (parse_cnf, "cnf", "{n} 0\n"),
+    (parse_csp, "csp", "1 {n} 1\n1\n"),
+])
+def test_a_declared_n_above_the_ceiling_is_refused_before_any_allocation(parse, kind, body):
+    # 1 << n alone would take n / 8 bytes: 512 KiB just above the ceiling,
+    # 12.5 GB at n = 10^11
+    for n in (MAX_DECLARED_N + 1, 10**11):
+        text = f"c one comment\np {kind} {n} 1\n" + body.format(n=n)
+        tracemalloc.start()
+        try:
+            got = outcome(parse, text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == ("error", 2, f"line 2: variable count {n} exceeds the limit of {MAX_DECLARED_N}")
+        assert peak < 64 * 1024
+
+
+def test_the_ceiling_itself_is_accepted():
+    n = MAX_DECLARED_N
+    system = parse_system(f"p maxlin {n} 1\n1 0 1 {n}\n")
+    assert system.n == n and system.rows[0][0] == 1 << (n - 1)
 
 
 def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):

@@ -181,6 +181,43 @@ def test_only_f2core_reads_equations():
     assert found == []
 
 
+def test_only_f2core_builders_skip_the_row_checks():
+    # a row is checked once, where it enters: an Equation or F2Vector made
+    # through __new__, without its constructor's checks, comes only from
+    # f2core's private builders of rows the library derived
+    checked = {"Equation", "F2Vector", "Assignment"}
+
+    def unchecked(node):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr != "__new__":
+            return False
+        target = node.func.value
+        if isinstance(target, ast.Name) and target.id == "object" and node.args:
+            target = node.args[0]
+        return isinstance(target, ast.Name) and target.id in checked
+
+    package = Path(maxlin.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        builders = {
+            node for node in tree.body
+            if path.name == "f2core.py" and isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_")
+        }
+        allowed = {id(call) for node in builders for call in ast.walk(node)}
+        found += [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if unchecked(node) and id(node) not in allowed
+        ]
+    assert found == []
+    # and the builder is there to be found
+    source = (package / "f2core.py").read_text()
+    assert "Equation.__new__(Equation)" in source and "F2Vector.__new__(F2Vector)" in source
+
+
 def test_only_fourier_reads_terms():
     # the library reads FourierExpansion.masks; the frozenset-keyed terms
     # view is for callers

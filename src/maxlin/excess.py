@@ -4,15 +4,20 @@ and the above-average decision pipeline.
 The lower bound marks a sum-independent set of equations first, which
 guarantees k markings at full weight; the oracle finds the exact maximum
 over all assignments with a fast Walsh-Hadamard transform on integer-scaled
-weights, one 2^16-point block at a time, in O(n 2^n + m 2^(n-16)).  Its
+weights, one block of 2^L points (L = min(n, 16)) at a time.  It evaluates
+each block's low b index bits directly from the rows, and runs butterfly
+stages over the other L - b bits only: a pruned transform, with b chosen
+from m and L so that the direct part stays within a quarter block (b = 0,
+the full transform, where that does not pay).  The cost is
+O((L - b) 2^n + m 2^(n-L+b)), never more than O(L 2^n + m 2^(n-16)).  Its
 buffers use the narrowest of int16, int32 and int64 that holds the sum of
 the scaled weights (Python ints beyond), and its stages run on contiguous
 runs of entries.  The decision procedure routes each instance to whichever
 of the two applies.
 
-Only the oracle uses numpy, and it imports numpy on its first call: the
-reduction, the marking run and the lower bound are integer work, so a
-process that never reaches the oracle never loads numpy.
+Only the oracle uses numpy, and it imports numpy on its first call with at
+least one row: the reduction, the marking run and the lower bound are
+integer work, so a process that never reaches the oracle never loads numpy.
 """
 from __future__ import annotations
 
@@ -170,24 +175,90 @@ def _butterflies(
     return block, scratch
 
 
-def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a 2^L block, returned in
-    natural order from a block scattered in swapped order.
+def _walsh_hadamard(block: np.ndarray, scratch: np.ndarray, direct: int, split: int) -> np.ndarray:
+    """Finish the Walsh-Hadamard transform of a 2^L block whose low
+    ``direct`` bits b are already transformed, returning it in natural order.
 
-    With s = L // 2, index x = hi << s | lo must sit at lo << (L - s) | hi,
-    i.e. the block is the (2^s, 2^(L-s)) transpose of natural order.  The
-    stages for bits L-s..L-1 there transform lo; one transpose into the
-    other buffer restores natural order, and the stages for bits s..L-1
-    transform hi.  So every stage reads and writes contiguous runs of at
-    least 2^min(s, L-s) entries.  Returns whichever of the two buffers holds
-    the result.
+    The t = L - b high bits g = gh << split | gl of index g << b | xl must
+    sit at (gl << (t - split) | gh) << b | xl.  The stages for the top
+    ``split`` bits of that layout transform gl; one transpose into the other
+    buffer restores natural order, and the stages for bits b + split..L-1
+    transform gh.  With split = max(0, L // 2 - b) every stage reads and
+    writes contiguous runs of at least 2^(L // 2) entries.  Returns
+    whichever of the two buffers holds the result.
     """
     bits = block.size.bit_length() - 1
-    s = bits // 2
-    block, scratch = _butterflies(block, scratch, range(bits - s, bits))
-    scratch.reshape(1 << (bits - s), 1 << s)[...] = block.reshape(1 << s, 1 << (bits - s)).T
-    block, _ = _butterflies(scratch, block, range(s, bits))
+    high = bits - direct
+    block, scratch = _butterflies(block, scratch, range(bits - split, bits))
+    if split:
+        gl, gh, xl = 1 << split, 1 << (high - split), 1 << direct
+        scratch.reshape(gh, gl, xl)[...] = block.reshape(gl, gh, xl).transpose(1, 0, 2)
+        block, scratch = scratch, block
+    block, _ = _butterflies(block, scratch, range(direct + split, bits))
     return block
+
+
+def _direct_bits(m: int, low_bits: int) -> int:
+    """How many low index bits b of a block to evaluate directly from the m
+    rows: the largest b with m * 2^b at most a quarter of the block, or 0
+    when that b is below 5 or the block has fewer than 2^15 points.  On one
+    block, placing rows of up to 16 entries costs about what the stages
+    they save do, and the stages of a smaller block cost about what the
+    direct part's setup, a few dozen small array calls, does."""
+    b = low_bits - 2 - (m - 1).bit_length()
+    return b if b >= 5 and low_bits >= 15 else 0
+
+
+def _placed_rows(
+    signed: np.ndarray, masks: np.ndarray, low_bits: int, direct: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows in the order a block places them, with equal masks merged.
+
+    Rows with one mask get one row, whose signed weight is their sum: every
+    block signs them alike.  Then one row of each group (the mask bits
+    direct..low_bits-1) comes first, in ascending group order, and the
+    rows that repeat a group follow; a block takes each leading row by
+    assignment and adds the others.  Returns the signed weights, the masks
+    and the number of groups.
+    """
+    import numpy as np
+
+    def leading(values: np.ndarray) -> np.ndarray:
+        """Which entries of a sorted array differ from the one before."""
+        lead = np.empty(len(values), dtype=bool)
+        lead[0] = True
+        np.not_equal(values[1:], values[:-1], out=lead[1:])
+        return lead
+
+    order = np.argsort(masks)
+    masks = masks[order]
+    starts = np.flatnonzero(leading(masks))
+    signed = np.add.reduceat(signed[order], starts, dtype=signed.dtype)
+    masks = masks[starts]
+    groups = (masks & ((1 << low_bits) - 1)) >> direct
+    order = np.argsort(groups)
+    first = leading(groups[order])
+    order = np.concatenate((order[first], order[~first]))
+    return signed[order], masks[order], int(np.count_nonzero(first))
+
+
+def _direct_table(masks: np.ndarray, signed: np.ndarray, direct: int) -> np.ndarray:
+    """The rows' part of a block's low ``direct`` bits b, one row of 2^b
+    entries per equation: row e is s_e times row a_e mod 2^b of the 2^b
+    Hadamard matrix, i.e. s_e (-1)^popcount(a_e & x) at column x.
+
+    It is built one column bit at a time down the columns, where each step
+    is one product over contiguous runs of m entries, and then laid out a
+    row per equation.
+    """
+    import numpy as np
+
+    flips = 1 - 2 * (masks >> np.arange(direct, dtype=np.uint64)[:, None] & 1).astype(signed.dtype)
+    columns = np.empty((1 << direct, len(signed)), dtype=signed.dtype)
+    columns[0] = signed
+    for j in range(direct):
+        np.multiply(columns[: 1 << j], flips[j], out=columns[1 << j : 2 << j])
+    return np.ascontiguousarray(columns.T)
 
 
 # the stages that reverse the bits of each 32-bit lane: swap neighbouring
@@ -217,25 +288,40 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     transform of the signed weights placed at their (reversed-bit) masks.
     The index is split into L = min(n, 16) low bits and n - L high bits:
     for each high pattern, in ascending order, the equations' signs on the
-    high bits are folded into their weights, scattered into one block over
-    the low bits and transformed there (see _walsh_hadamard for the
-    block's layout).  The cost is O(L 2^n + m 2^(n-16)), and memory stays
-    at two block-sized buffers whatever n is.
+    high bits are folded into their weights and one block over the low bits
+    is transformed.  A system with no rows has excess 0 at every point.
 
-    Every scattered sum, every stage's entry and the result is a signed sum
-    of some of the scaled weights, so |entry| <= sum |w| bounds them all
+    A block's index x = g << b | xl splits again into b direct bits xl and
+    t = L - b group bits g.  Over the direct bits, row e contributes
+    s_e (-1)^popcount(lo_e & xl), row lo_e mod 2^b of the 2^b Hadamard
+    matrix times s_e; these rows are computed once per call (_direct_table),
+    and a high pattern's sign only negates them.  Each block places the
+    rows at their group, assigning one row of each group and adding the
+    rows that repeat it, and runs only the t stages over g (see
+    _walsh_hadamard for the layout).  _direct_bits picks b from m and L
+    alone: the largest b with m 2^b <= 2^L / 4, or 0 where the rows are
+    too many or the block too small for the direct part to pay; b = 0 is
+    the plain transform of the scattered weights.  A block costs
+    (L - b) 2^L + m 2^b, which for b > 0 stays below the L 2^L of its full
+    transform, and memory stays at two block buffers plus at most a quarter
+    block of direct rows, whatever n is.
+
+    Every placed sum, every stage's entry and the result is a signed sum of
+    some of the scaled weights, so |entry| <= sum |w| bounds them all
     exactly: the buffers use the narrowest of int16, int32 and int64 that
-    holds that sum, and Python ints beyond it.  A block's first maximum
-    replaces the best so far only if strictly greater, which keeps the
-    lexicographically smallest maximizer.
+    holds that sum, and Python ints beyond it.  Each block's result is in
+    natural order, and its first maximum replaces the best so far only if
+    strictly greater, which keeps the lexicographically smallest maximizer.
     """
     _check_cap(cap)
     limit = min(cap, MAX_ORACLE_N)
     if sys.n > limit:
         raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
+    rows = sys.rows
+    if not rows:
+        return ExcessWitness(Assignment(sys.n, 0), Fraction(0), "brute_force")
     import numpy as np
 
-    rows = sys.rows
     scale = math.lcm(*(w.denominator for _, _, w, _ in rows), 1)
     scaled = [w.numerator * (scale // w.denominator) for _, _, w, _ in rows]
     total = sum(scaled)
@@ -244,18 +330,34 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     np.negative(signed, out=signed, where=np.fromiter((row[1] for row in rows), bool, len(rows)))
     masks = _reversed_masks(np.fromiter((row[0] for row in rows), np.uint64, len(rows)), sys.n)
     low_bits = min(sys.n, _BLOCK_BITS)
-    s = low_bits // 2
-    lows = (masks & ((1 << low_bits) - 1)).astype(np.intp)
-    lows = (lows & ((1 << s) - 1)) << (low_bits - s) | lows >> s
+    direct = _direct_bits(len(rows), low_bits)
+    high = low_bits - direct
+    split = max(0, low_bits // 2 - direct)
+    table, distinct = signed, 0
+    if direct:
+        signed, masks, distinct = _placed_rows(signed, masks, low_bits, direct)
+        table = _direct_table(masks, signed, direct)
+    groups = (masks & ((1 << low_bits) - 1)).astype(np.intp) >> direct
+    slots = (groups & ((1 << split) - 1)) << (high - split) | groups >> split
     highs = masks >> low_bits
+    del masks, groups  # the blocks read only the table, high bits and slots
     block = np.empty(1 << low_bits, dtype=dtype)
     scratch = np.empty_like(block)
+    grid = block.reshape(1 << high, 1 << direct) if direct else block
+    # a block's signed direct part (at most a quarter block) waits in the
+    # other buffer, which the transform needs only after it is placed
+    work = scratch[: table.size].reshape(table.shape) if direct else None
     best_val, best_at = None, 0
     for zh in range(1 << (sys.n - low_bits)):
-        odd = (np.bitwise_count(highs & np.uint64(zh)) & 1).astype(bool)
+        part = table
+        if zh:  # the first high pattern flips no sign
+            sign = 1 - 2 * (np.bitwise_count(highs & np.uint64(zh)) & 1).astype(dtype)
+            part = np.multiply(table, sign[:, None], out=work) if direct else table * sign
         block.fill(0)
-        np.add.at(block, lows, np.where(odd, -signed, signed))
-        values = _walsh_hadamard(block, scratch)
+        grid[slots[:distinct]] = part[:distinct]
+        if distinct < len(slots):
+            np.add.at(grid, slots[distinct:], part[distinct:])
+        values = _walsh_hadamard(block, scratch, direct, split)
         pos = int(np.argmax(values))
         if best_val is None or values[pos] > best_val:
             best_val, best_at = int(values[pos]), zh << low_bits | pos
@@ -274,7 +376,10 @@ def decide_aa(
     the marking lower bound (integral weights make w_min >= 1); otherwise
     n <= m holds after reduction, the exponent is small, and exhaustive
     search settles it.  Yes-witnesses achieve excess >= k; no-witnesses are
-    exact maximizers.  Everything is lifted back to the original variables.
+    exact maximizers.  Everything is lifted back to the original variables
+    and evaluated there again, except when the reduction changed nothing
+    (make_irreducible returned the system itself): the witness then already
+    holds an original assignment and its exact excess.
     The oracle cap is checked on every route, as brute_force_max_excess
     checks it.
     """
@@ -284,6 +389,8 @@ def decide_aa(
     reduced, transcript = make_irreducible(original)
 
     def lifted(witness: ExcessWitness) -> ExcessWitness:
+        if reduced is original:
+            return witness
         assignment = lift_assignment(transcript, witness.assignment)
         excess = evaluate(original, assignment)
         if excess != witness.excess:

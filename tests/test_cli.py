@@ -288,7 +288,7 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
     rng = random.Random(60)
     dense = LinearSystem.build(60, [(F2Vector(60, rng.getrandbits(60) or 1), rng.randint(0, 1),
                                      rng.randint(1, 5)) for _ in range(180)])
-    inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE,
+    inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE, "pair": PAIR,
               "fourier": RATIONAL_FOURIER, "rational": RATIONAL, "dense": emit_system(dense)}
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
@@ -302,6 +302,7 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
         ["solve", "--k", "1", path["triple"]],  # the plain marking run
         ["solve", "--k", "1", path["dense"]],  # a marking run that takes blocks
         ["solve", "--k", "2", path["wide"]],  # the marking lower bound
+        ["solve", "--k", "1", path["pair"]],  # reduced to no rows: nothing to transform
     ]
     oracle = ["excess", "--oracle", path["rational"]]
     env = {**os.environ, "PYTHONPATH": str(Path(maxlin.__file__).parent.parent)}

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from time import perf_counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from maxlin import (
     lower_bound_assignment,
     make_irreducible,
 )
-from maxlin import f2core, kset
-from maxlin.excess import _reversed_masks, regime_exponent
+from maxlin import excess, f2core, kset
+from maxlin.excess import _direct_bits, _reversed_masks, regime_exponent
 
 from helpers import assert_raises, enumerate_max_excess, is_irreducible, random_regime_system, random_system
 from reference_oracle import reference_max_excess
@@ -48,6 +50,64 @@ def oracle_systems(draw):
     flipped = draw(st.integers(0, len(rows)))
     rows += [(mask, 1 - rhs, draw(weights)) for mask, rhs, _ in rows[:flipped]]
     return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
+
+
+# the weight sums where the oracle's integer type changes: int16, int32,
+# int64 and Python ints past them
+TYPE_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63]
+
+
+def edge_system(rng: random.Random, n: int, total: int, sign: int):
+    """Six rows over n variables whose weights sum to ``total``, all
+    satisfied (sign 1) or all violated (sign -1) at one point z0."""
+    z0 = rng.getrandbits(n)
+    masks = rng.sample(range(1, 2**n), 6)
+    weights = [rng.randint(1, 9) for _ in masks[1:]]
+    weights.insert(0, total - sum(weights))
+    sys = LinearSystem.build(n, [
+        (F2Vector(n, mask), (mask & z0).bit_count() % 2 ^ (sign < 0), w)
+        for mask, w in zip(masks, weights)
+    ])
+    return sys, z0
+
+
+@st.composite
+def split_cases(draw, total=None):
+    """A system with n <= 22 and a number b of direct bits to force, from 0
+    to the block's L = min(n, 16) as far as m 2^b <= 2^L, so that the
+    direct part fits in a block buffer.  Weights are unit, integer or rational;
+    with ``total`` given, they are integers summing to it and n <= 10.  Some
+    rows repeat a left-hand side with the other right-hand side, some differ
+    from another row only in the last variable (so they share the bits past
+    the direct ones), and past one block all rows may skip the variables
+    above it, so every block ties with the first; m = 0 occurs at every n."""
+    n = draw(st.integers(0 if total is None else 1, 22 if total is None else 10))
+    if n == 0:
+        return LinearSystem(0), 0
+    weights = draw(st.sampled_from([
+        st.just(Fraction(1)),
+        st.integers(1, 6).map(Fraction),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    ]) if total is None else st.just(st.integers(1, 9).map(Fraction)))
+    masks = st.integers(1, 2**n - 1)
+    if n > 16 and draw(st.booleans()):
+        masks = st.integers(1, 2**16 - 1).map(lambda low: low << (n - 16))
+    size = 2 if n > 20 else 3 if n > 18 else 8 if n > 14 else 20
+    rows = draw(st.lists(st.tuples(masks, st.integers(0, 1), weights),
+                         min_size=0 if total is None else 1, max_size=size))
+    flipped, neighbours = draw(st.integers(0, len(rows))), draw(st.integers(0, len(rows)))
+    rows += [(mask, 1 - rhs, draw(weights)) for mask, rhs, _ in rows[:flipped]]
+    rows += [(mask ^ 1 << (n - 1) or mask, rhs, w) for mask, rhs, w in rows[:neighbours]]
+    if total is not None:
+        rows[0] = (*rows[0][:2], total - sum(w for *_, w in rows[1:]))
+    direct = draw(st.integers(0, max(0, min(n, 16) - max(len(rows) - 1, 0).bit_length())))
+    return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows]), direct
+
+
+def forced_oracle(sys: LinearSystem, direct: int):
+    """brute_force_max_excess with its block's direct bits forced."""
+    with patch.object(excess, "_direct_bits", lambda m, low_bits: direct):
+        return brute_force_max_excess(sys)
 
 
 class TestBruteForce:
@@ -156,23 +216,14 @@ class TestBruteForce:
             witness = brute_force_max_excess(sys)
             assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
 
-    @pytest.mark.parametrize("total", [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63])
+    @pytest.mark.parametrize("total", TYPE_EDGES)
     @pytest.mark.parametrize("sign", [1, -1])
     def test_weight_sums_at_each_integer_type_edge(self, total, sign):
         # the oracle's integer type is the narrowest that holds the weight
         # sum; every equation holds (sign 1) or fails (sign -1) at z0, so
         # the excess reaches +-sum w there
-        rng = random.Random(total * sign)
-        n = 5
-        z0 = rng.getrandbits(n)
-        masks = rng.sample(range(1, 2**n), 6)
-        weights = [rng.randint(1, 9) for _ in masks[1:]]
-        weights.insert(0, total - sum(weights))
-        sys = LinearSystem.build(n, [
-            (F2Vector(n, mask), (mask & z0).bit_count() % 2 ^ (sign < 0), w)
-            for mask, w in zip(masks, weights)
-        ])
-        assert evaluate(sys, Assignment(n, z0)) == sign * total
+        sys, z0 = edge_system(random.Random(total * sign), 5, total, sign)
+        assert evaluate(sys, Assignment(5, z0)) == sign * total
         witness = brute_force_max_excess(sys)
         assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
         if sign == 1:
@@ -197,6 +248,139 @@ class TestBruteForce:
                 evaluate(sys, Assignment(sys.n, bits)) for bits in range(2**sys.n)
             )
             assert brute_force_max_excess(sys).excess == best
+
+    def test_empty_system_past_one_block(self):
+        for n in (17, 22, MAX_ORACLE_N):
+            witness = brute_force_max_excess(LinearSystem(n), cap=n)
+            assert (witness.excess, witness.assignment) == (0, Assignment(n, 0))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(split_cases())
+    def test_every_direct_split_matches_frozen_block_oracle(self, case):
+        sys, direct = case
+        witness = forced_oracle(sys, direct)
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    def test_one_and_two_rows_at_every_split(self):
+        # up to b = L, where the block has no group bits and runs no stage
+        rng = random.Random(51)
+        for n in (3, 15, 16, 18):
+            for m in (1, 2):
+                sys = random_system(rng, n_min=n, n_max=n, m_min=m, m_max=m,
+                                    rational_weights=True)
+                for direct in range(min(n, 16) - (m - 1) + 1):
+                    witness = forced_oracle(sys, direct)
+                    assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    @pytest.mark.parametrize("total", TYPE_EDGES)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_direct_split_at_a_weight_sum_edge(self, total, data):
+        # int16 up to int64 against the frozen block oracle, Python ints past
+        # its int64 headroom against plain enumeration
+        sys, direct = data.draw(split_cases(total))
+        witness = forced_oracle(sys, direct)
+        if total < 2**62:
+            assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+        else:
+            assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+
+    @pytest.mark.parametrize("total", TYPE_EDGES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_direct_split_at_each_integer_type_edge(self, total, sign):
+        # one block of n = 8 bits, each split of it whose 6 rows fit in a
+        # block, and two blocks of 2^16 points, split as the rule does
+        rng = random.Random(total * sign)
+        sys, z0 = edge_system(rng, 8, total, sign)
+        expected = enumerate_max_excess(sys)
+        for direct in range(8 - (sys.m - 1).bit_length() + 1):
+            witness = forced_oracle(sys, direct)
+            assert (witness.excess, witness.assignment.to01()) == expected
+        wide, z0 = edge_system(rng, 17, total, sign)
+        assert _direct_bits(wide.m, 16) > 0
+        witness = brute_force_max_excess(wide)
+        assert witness == forced_oracle(wide, 0)
+        if sign == 1:
+            assert witness.excess == total == evaluate(wide, Assignment(17, z0))
+
+    def test_placed_rows_merge_equal_masks_and_lead_with_one_row_per_group(self):
+        # masks over 6 bits, groups are bits 5..2: 0b110101 and 0b110110
+        # share group 0b1101, 0b000011 is alone in group 0
+        masks = np.array([0b110101, 0b000011, 0b110101, 0b110110, 0b110101], dtype=np.uint64)
+        signed = np.array([3, -1, -2, 5, 4], dtype=np.int16)
+        merged, placed, distinct = excess._placed_rows(signed, masks, 6, 2)
+        assert distinct == 2
+        assert sorted(zip(placed.tolist(), merged.tolist())) == [(0b11, -1), (0b110101, 5), (0b110110, 5)]
+        assert [mask >> 2 for mask in placed[:distinct].tolist()] == [0, 0b1101]
+        assert merged.dtype == np.int16
+
+    def test_direct_part_stays_within_a_quarter_block(self):
+        for low_bits in range(17):
+            for m in range(1, 2**14):
+                direct = _direct_bits(m, low_bits)
+                assert direct == 0 or 4 * (m << direct) <= 1 << low_bits
+        # fewer rows take more direct bits; none on blocks below 2^15 points
+        # or where they would leave rows of 16 entries or fewer
+        assert [_direct_bits(m, 16) for m in (1, 20, 80, 240, 512, 513)] == [14, 9, 7, 6, 5, 0]
+        assert [_direct_bits(m, 15) for m in (15, 45, 256, 257)] == [9, 7, 5, 0]
+        assert [_direct_bits(m, 14) for m in (1, 14, 42)] == [0, 0, 0]
+
+
+def count_stages(monkeypatch) -> list[int]:
+    """Record how many stages each _butterflies call runs."""
+    calls = []
+    original = excess._butterflies
+
+    def counting(block, scratch, bits):
+        calls.append(len(bits))
+        return original(block, scratch, bits)
+
+    monkeypatch.setattr(excess, "_butterflies", counting)
+    return calls
+
+
+def traced_peak(sys: LinearSystem) -> int:
+    """The tracemalloc peak of one oracle call, after a call that loads numpy."""
+    brute_force_max_excess(sys)
+    tracemalloc.start()
+    try:
+        brute_force_max_excess(sys)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOracleShape:
+    def test_few_rows_run_at_most_half_the_stages(self, monkeypatch):
+        rng = random.Random(50)
+        sys = random_system(rng, n_min=20, n_max=20, m_min=20, m_max=20, w_max=9)
+        stages = count_stages(monkeypatch)
+        witness = brute_force_max_excess(sys)
+        # the full transform runs 16 stages in each of 16 blocks; here 9 of
+        # each block's 16 bits are direct
+        assert sum(stages) <= 16 * 16 // 2
+        assert sum(stages) == 16 * (16 - _direct_bits(20, 16))
+        monkeypatch.setattr(excess, "_direct_bits", lambda m, low_bits: 0)
+        assert brute_force_max_excess(sys) == witness
+        assert sum(stages) == 16 * (16 - _direct_bits(20, 16)) + 16 * 16
+
+    @pytest.mark.parametrize("m", [20, 60, 500, 2**12])
+    @pytest.mark.parametrize("w_max", [9, 2**40])
+    def test_direct_part_adds_at_most_a_quarter_block(self, monkeypatch, m, w_max):
+        # two block buffers are what the transform without direct bits holds;
+        # the direct part adds its table, at most a quarter block, and numpy's
+        # buffer for one broadcast product (np.getbufsize() entries)
+        rng = random.Random(m)
+        rows = [(F2Vector(18, rng.getrandbits(18) or 1), rng.randint(0, 1), rng.randint(1, w_max))
+                for _ in range(m)]
+        sys = LinearSystem.build(18, rows)
+        itemsize = 2 if w_max == 9 else 8
+        block_bytes = itemsize << 16
+        peak = traced_peak(sys)
+        monkeypatch.setattr(excess, "_direct_bits", lambda m, low_bits: 0)
+        today = traced_peak(sys)
+        assert today >= 2 * block_bytes
+        assert peak <= today + block_bytes // 4 + np.getbufsize() * itemsize
 
 
 class TestRegimeExponent:
@@ -443,6 +627,39 @@ class TestDecideAa:
         answer, witness = decide_aa(AaInstance(sys, 3))
         assert witness.assignment.n == 3
         assert evaluate(sys, witness.assignment) == witness.excess
+
+    def test_an_irreducible_input_is_not_lifted(self, monkeypatch):
+        # make_irreducible returns an irreducible system itself, so each
+        # route's witness already holds an original assignment and its exact
+        # excess: no lift, and no evaluation beyond the marking run's own
+        rng = random.Random(49)
+        cases = [(dense_irreducible_system(rng, 40, 120), k) for k in (1, 4)]
+        oracle = dense_irreducible_system(rng, 8, 30)
+        cases.append((oracle, int(brute_force_max_excess(oracle).excess) + 1))
+        expected = [decide_aa(AaInstance(sys, k)) for sys, k in cases]
+        evaluated = []
+        monkeypatch.setattr(excess, "lift_assignment", lambda *args: pytest.fail("lifted"))
+        monkeypatch.setattr(excess, "evaluate",
+                            lambda *args: evaluated.append(args) or evaluate(*args))
+        for (sys, k), (answer, witness) in zip(cases, expected):
+            assert make_irreducible(sys)[0] is sys
+            evaluated.clear()
+            assert decide_aa(AaInstance(sys, k)) == (answer, witness)
+            assert len(evaluated) == (witness.method == "marking")
+            assert evaluate(sys, witness.assignment) == witness.excess
+        assert [witness.method for _, witness in expected] == ["marking", "marking", "brute_force"]
+
+    def test_a_reduced_input_is_lifted_and_evaluated_again(self, monkeypatch):
+        sys = LinearSystem.build(3, [([0, 1], 0, 1), ([1, 2], 0, 1), ([0, 2], 1, 5)])
+        lifts = []
+        original = excess.lift_assignment
+        monkeypatch.setattr(excess, "lift_assignment",
+                            lambda tr, a: lifts.append(a) or original(tr, a))
+        for k in (1, 3, 9):
+            lifts.clear()
+            answer, witness = decide_aa(AaInstance(sys, k))
+            assert len(lifts) == 1 and lifts[0].n < sys.n
+            assert evaluate(sys, witness.assignment) == witness.excess
 
     def test_agrees_with_oracle(self):
         rng = random.Random(44)

@@ -54,20 +54,19 @@ system, and on the exact-3-SAT systems of the paper's second result, a
 run costs what its marks touch; see the README's "Marking cost" for the
 scale cases.
 
-The paper marks "an arbitrary equation" at each step; a run marks a given
-sequence of ids first and then the lowest live id: on the list state the
-given ids in blocks of B, and the lowest ids in blocks once a few marks in
-a row have not merged.
+The paper marks "an arbitrary equation" at each step; a run marks the
+lowest live id, in blocks once a few marks in a row have not merged.  The
+ids of ``first``, such as the lower bound's sum-independent set, are
+labelled -len(first)..-1 in order, below every row id, so they go first.
 """
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import count, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -83,9 +82,10 @@ from .f2core import (
     _equation,
     _is_int,
     _Row,
+    _scaled,
     parity,
 )
-from .reduce import _merge_pair, _merge_rows, apply_rule2
+from .reduce import _FreshIds, _merge_pair, _merge_rows, apply_rule2
 
 __all__ = [
     "Certificate",
@@ -133,12 +133,31 @@ def _block_size(m: int) -> int:
     return max(2, m.bit_length() - 2)
 
 
-def _live_row(rows: Sequence[_Row], eq_id: int) -> _Row:
-    """The row holding eq_id, else EquationNotFoundError."""
-    row = next((row for row in rows if row[3] == eq_id), None)
-    if row is None:
-        raise EquationNotFoundError(f"no equation with id {eq_id}")
-    return row
+class _Labels:
+    """Rule 2's recorder for a marking run: the next fresh id for a survivor,
+    none for a cancellation, and no merge event kept.  The i-th id of
+    ``first`` is labelled i - len(first), below every row id (a repeated id
+    keeps its first label).  A row holding it, from the start or as a
+    survivor, carries the label, and ``own`` maps the label back to the
+    row's own id."""
+
+    def __init__(self, first: Sequence[int], next_id: int):
+        self.labels = dict(zip(reversed(first), count(-1, -1)))
+        self.own: dict[int, int] = {}
+        self.next_id = next_id
+
+    def label(self, eq_id: int) -> int:
+        label = self.labels.get(eq_id)
+        if label is None:
+            return eq_id
+        self.own[label] = eq_id
+        return label
+
+    def __call__(self, a_id: int, b_id: int, weight: int | None) -> int | None:
+        if weight is None:
+            return None
+        self.next_id += 1
+        return self.label(self.next_id - 1)
 
 
 class _Marking:
@@ -146,21 +165,13 @@ class _Marking:
 
     ``rows`` are the live rows in order: an id is live while a row holds
     it.  Their weights are all Fractions or all ints; the marks only add,
-    subtract and compare them.  ``next_id`` is the fresh id the run's next
-    rule-2 survivor gets.
+    subtract and compare them.  ``fresh`` is rule 2's recorder, which gives
+    each survivor its id.
     """
 
-    def __init__(self, rows: Sequence[_Row], next_id: int):
+    def __init__(self, rows: Sequence[_Row], fresh: _Labels | _FreshIds):
         self.rows = rows
-        self.next_id = next_id
-
-    def _fresh_id(self, a_id: int, b_id: int, weight: int | Fraction | None) -> int | None:
-        """Rule 2's recorder: the next fresh id for a survivor, none for a
-        cancellation.  The run reads only the ids, so no event is kept."""
-        if weight is None:
-            return None
-        self.next_id += 1
-        return self.next_id - 1
+        self.fresh = fresh
 
     def step(self, marked: _Row) -> _Row:
         """Mark one live row, add it into every row holding its lowest bit,
@@ -181,7 +192,7 @@ class _Marking:
                         f"equations {eq_id} and {row[3]} share a left-hand side with "
                         "opposite right-hand sides; apply rule 2 first"
                     )
-        self.rows = _merge_rows(out, self._fresh_id)
+        self.rows = _merge_rows(out, self.fresh)
         return marked
 
     def block(self, picks: list[_Row]) -> list[_Row] | None:
@@ -250,9 +261,7 @@ class _SparseMarking:
     touched row with one untouched row.
     """
 
-    _fresh_id = _Marking._fresh_id
-
-    def __init__(self, rows: Sequence[_Row], next_id: int):
+    def __init__(self, rows: Sequence[_Row], fresh: _Labels):
         self.rows = {row[3]: row for row in rows}
         self.place = {row[3]: i for i, row in enumerate(rows)}
         self.lhs = {row[0]: row[3] for row in rows}
@@ -263,23 +272,13 @@ class _SparseMarking:
                 self.columns.setdefault(low, set()).add(eq_id)
                 bits ^= low
         self.heap = sorted(self.rows)
-        self.next_id = next_id
+        self.fresh = fresh
 
-    def run(self, order: Iterator[int], marked: list[_Row]) -> tuple[_Marking, Iterator[int]]:
-        """Mark the ids of ``order``, then the lowest live ids, appending each
-        record to ``marked``, until the system is empty or a step would cost
-        more than a scan of the rows; returns the list state of the rows
-        left, in order, and the ids of ``order`` not yet marked."""
+    def run(self, marked: list[_Row]) -> _Marking:
+        """Mark the lowest live ids, appending each record to ``marked``,
+        until the system is empty or a step would cost more than a scan of
+        the rows; returns the list state of the rows left, in order."""
         rows, heap = self.rows, self.heap
-        for eq_id in order:
-            if not rows:
-                break
-            row = rows.get(eq_id)
-            if row is None:
-                raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
-            if self.step(row) is None:
-                return self.as_list(), chain((eq_id,), order)
-            marked.append(row)
         while rows:
             while heap[0] not in rows:
                 heapq.heappop(heap)
@@ -287,12 +286,8 @@ class _SparseMarking:
             if self.step(row) is None:
                 break
             marked.append(row)
-        return self.as_list(), order
-
-    def as_list(self) -> _Marking:
-        """The list state of the live rows, in order."""
         place = self.place
-        return _Marking(sorted(self.rows.values(), key=lambda row: place[row[3]]), self.next_id)
+        return _Marking(sorted(rows.values(), key=lambda row: place[row[3]]), self.fresh)
 
     def step(self, marked: _Row) -> _Row | None:
         """Mark one live row as _Marking.step does, visiting only the rows
@@ -342,7 +337,7 @@ class _SparseMarking:
         ordered.sort(key=lambda pair: place[pair[0]])
         for a, b in ordered:
             row = rows.pop(a)
-            merged = _merge_pair(row, rows.pop(b), self._fresh_id)
+            merged = _merge_pair(row, rows.pop(b), self.fresh)
             first = place.pop(a)
             del place[b]
             bits = rest = row[0]
@@ -375,31 +370,19 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     silently; rhs 1 is impossible under that discipline and raises
     MaxlinError.
     """
-    state = _Marking(sys.rows, sys.next_id)
-    bits, rhs, weight, _ = state.step(_live_row(sys.rows, eq_id))
-    marked = _equation(sys.n, bits, rhs, weight, eq_id)
-    return LinearSystem._from_rows(sys.n, state.rows, state.next_id), marked
+    row = next((row for row in sys.rows if row[3] == eq_id), None)
+    if row is None:
+        raise EquationNotFoundError(f"no equation with id {eq_id}")
+    fresh = _FreshIds(sys.next_id)
+    state = _Marking(sys.rows, fresh)
+    marked = _equation(sys.n, *state.step(row))
+    return LinearSystem._from_rows(sys.n, state.rows, fresh.next_id), marked
 
 
-def _mark_list(state: _Marking, order: Iterator[int], marked: list[_Row]) -> None:
-    """Mark on the list state, appending each record to ``marked``: the ids
-    of ``order`` in chunks of about log2(m) - 2, then the lowest live ids,
-    in blocks on merge-free stretches (see the module docstring)."""
-    while state.rows and (chunk := list(islice(order, _block_size(len(state.rows))))):
-        by_id = dict(zip(map(itemgetter(3), state.rows), state.rows))
-        picks = [by_id.get(eq_id) for eq_id in chunk]
-        block = None if None in picks else state.block(picks)
-        if block is not None:
-            marked += block
-            continue
-        for eq_id in chunk:
-            if not state.rows:
-                break
-            try:
-                marked.append(state.step(_live_row(state.rows, eq_id)))
-            except EquationNotFoundError:
-                raise MaxlinError(f"equation {eq_id} vanished before its marking turn") from None
-    streak = 0  # marks since the last merge
+def _mark_list(state: _Marking, marked: list[_Row], streak: int) -> None:
+    """Mark the lowest live ids on the list state, appending each record to
+    ``marked``, in blocks once ``streak`` marks in a row have not merged
+    (see the module docstring)."""
     while state.rows:
         m = len(state.rows)
         if streak >= _BLOCK_STREAK:
@@ -419,38 +402,48 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     """Run the marking loop until the system is empty.
 
     The ids of ``first`` are marked in order, each still held by a row at its
-    turn (else MaxlinError); after them every step marks the lowest id a row
-    holds.  Ids still listed when the system empties are ignored.
+    turn (else MaxlinError, raised when the run ends); after them every step
+    marks the lowest id a row holds.  At most m ids are read, and those still
+    listed when the system empties are ignored.
     The input is first re-merged (rule 2) so repeated left-hand sides never
     reach a marking step; that merge preserves the excess of every
     assignment, so marked-weight guarantees carry back to the input system.
-    The weights are then scaled once to integers by the lcm of their
-    denominators, as ``evaluate`` and the oracle do, so merges and the total
-    are integer work, and each record's ``Equation`` takes its weight back
-    as ``Fraction(w, scale)``.  Rows that hold at most
+    One pass then scales the weights to integers by the lcm of their
+    denominators, as ``evaluate`` and the oracle do, and labels the ids of
+    ``first`` (see ``_Labels``), so every step marks the lowest live id.
+    Merges and the total are integer work, and each record's ``Equation``
+    takes its weight back as ``Fraction(w, scale)``.  Rows that hold at most
     ``_SPARSE_ROW_WEIGHT`` variables on average are marked on the
     column-indexed state until a step would cost more there than a scan;
     all other marks run on the list of rows, in single steps or in blocks
-    (see the module docstring).  The two states make the same marks, so the
-    records and the merge ids do not depend on where the run switches.  A
-    whole run builds at most the one system of the entry merge.
+    (see the module docstring), the ids of ``first`` counting as merge-free
+    marks.  The two states make the same marks, so the records and the
+    merge ids do not depend on where the run switches.  A whole run builds
+    at most the one system of the entry merge.
     """
     merged = apply_rule2(sys)
-    scale = math.lcm(*(w.denominator for _, _, w, _ in merged.rows), 1)
+    ids = list(islice(first, merged.m))
+    fresh = _Labels(ids, merged.next_id)
+    weights, scale = _scaled(map(itemgetter(2), merged.rows))
+    label = fresh.label
     rows = [
-        (bits, rhs, w.numerator * (scale // w.denominator), eq_id)
-        for bits, rhs, w, eq_id in merged.rows
+        (bits, rhs, w, label(eq_id)) for (bits, rhs, _, eq_id), w in zip(merged.rows, weights)
     ]
-    order = iter(first)
     marked: list[_Row] = []
     if sum(bits.bit_count() for bits, _, _, _ in rows) <= _SPARSE_ROW_WEIGHT * len(rows):
-        state, order = _SparseMarking(rows, merged.next_id).run(order, marked)
+        state = _SparseMarking(rows, fresh).run(marked)
     else:
-        state = _Marking(rows, merged.next_id)
-    _mark_list(state, order, marked)
-    n = merged.n
+        state = _Marking(rows, fresh)
+    _mark_list(state, marked, len(ids))
+    # the lowest live id at turn i is label i - len(ids) exactly when the
+    # i-th id of first is still live
+    for turn, (row, eq_id) in enumerate(zip(marked, ids), -len(ids)):
+        if row[3] != turn:
+            raise MaxlinError(f"equation {eq_id} vanished before its marking turn")
+    n, own = merged.n, fresh.own
     records = tuple(
-        _equation(n, bits, rhs, Fraction(w, scale), eq_id) for bits, rhs, w, eq_id in marked
+        _equation(n, bits, rhs, Fraction(w, scale), own.get(eq_id, eq_id))
+        for bits, rhs, w, eq_id in marked
     )
     return HRun(records, Fraction(sum(map(itemgetter(2), marked)), scale))
 

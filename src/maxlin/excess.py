@@ -21,7 +21,6 @@ integer work, so a process that never reaches the oracle never loads numpy.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -32,7 +31,7 @@ from .errors import (
     OracleCapError,
     PreconditionError,
 )
-from .f2core import Assignment, LinearSystem, _is_int, evaluate, reverse_bits
+from .f2core import Assignment, LinearSystem, _is_int, _scaled, evaluate, reverse_bits
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h
 from .reduce import lift_assignment, make_irreducible
@@ -322,8 +321,7 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
         return ExcessWitness(Assignment(sys.n, 0), Fraction(0), "brute_force")
     import numpy as np
 
-    scale = math.lcm(*(w.denominator for _, _, w, _ in rows), 1)
-    scaled = [w.numerator * (scale // w.denominator) for _, _, w, _ in rows]
+    scaled, scale = _scaled(row[2] for row in rows)
     total = sum(scaled)
     dtype = next((t for t in (np.int16, np.int32, np.int64) if total <= np.iinfo(t).max), object)
     signed = np.array(scaled, dtype=dtype)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter, floordiv, itemgetter, lshift, mul
+from operator import attrgetter, itemgetter, lshift
 from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
@@ -60,14 +60,21 @@ def as_weight(value) -> Fraction:
     raise MaxlinError(f"{value!r} is not an exact rational number")
 
 
-def _min_magnitude(values: Collection[Fraction]) -> Fraction:
-    """The least |v| over nonempty exact values, found as one lcm of the
-    denominators and a min over scaled integers, with no Fraction compared;
-    it is the same exact Fraction."""
-    denominators = list(map(attrgetter("denominator"), values))
-    scale = math.lcm(*denominators)
-    numerators = map(abs, map(attrgetter("numerator"), values))
-    return Fraction(min(map(mul, numerators, map(floordiv, repeat(scale), denominators))), scale)
+def _scaled(weights: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Exact weights as ints over one scale, the lcm of their denominators
+    (1 for none): each weight is its int divided by the scale."""
+    weights = list(weights)
+    scale = math.lcm(*map(attrgetter("denominator"), weights))
+    if scale == 1:  # integral weights, the common case, at C speed
+        return list(map(attrgetter("numerator"), weights)), 1
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
+
+
+def _min_magnitude(values: Iterable[Fraction]) -> Fraction:
+    """The least |v| over nonempty exact values, found as a min over the
+    scaled ints, with no Fraction compared; it is the same exact Fraction."""
+    ints, scale = _scaled(values)
+    return Fraction(min(map(abs, ints)), scale)
 
 
 def parity(x: int) -> int:
@@ -300,7 +307,7 @@ class LinearSystem:
     def min_weight(self) -> Fraction:
         if not self.rows:
             raise MaxlinError("empty system has no minimum weight")
-        return _min_magnitude(list(map(itemgetter(2), self.rows)))
+        return _min_magnitude(map(itemgetter(2), self.rows))
 
     def has_integral_weights(self) -> bool:
         return all(row[2].denominator == 1 for row in self.rows)
@@ -316,12 +323,11 @@ def evaluate(sys: LinearSystem, assignment: Assignment) -> Fraction:
     if assignment.n != sys.n:
         raise DimensionMismatchError(f"dimensions differ: {sys.n} vs {assignment.n}")
     rows = sys.rows
-    scale = math.lcm(*(w.denominator for _, _, w, _ in rows), 1)
+    ints, scale = _scaled(map(itemgetter(2), rows))
     point = assignment.bits
     excess = 0
-    for bits, rhs, weight, _ in rows:
-        term = weight.numerator * (scale // weight.denominator)
-        excess += term if parity(bits & point) == rhs else -term
+    for row, term in zip(rows, ints):
+        excess += term if parity(row[0] & point) == row[1] else -term
     return Fraction(excess, scale)
 
 

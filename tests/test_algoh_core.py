@@ -15,6 +15,7 @@ The block pass of ``run_h`` is checked the same way, with the streak
 threshold forced to 0 (a block wherever one can be tried) and forced off,
 on these systems and on denser ones over 8-20 used columns.
 """
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -223,6 +224,17 @@ def test_h_step_matches_reference(sys, data):
             assert row is before[row[3]]  # untouched rows are the same tuples
 
 
+def test_h_step_records_the_rows_own_id():
+    # an id equal to a row's int id marks that row, whose record keeps the int
+    sys = LinearSystem.build(2, [([0], 0, 1), ([0, 1], 1, 2)])
+    want = ref.h_step(sys, 1)
+    for eq_id in (1, True, 1.0):
+        stepped, marked = h_step(sys, eq_id)
+        assert type(marked.eq_id) is int
+        assert (marked,) == marked_equations([want[1]])
+        assert_same_system(stepped, want[0])
+
+
 @PROPERTY
 @given(marking_systems(), st.data(), st.integers(-1, 6))
 def test_verify_certificate_matches_reference(sys, data, k):
@@ -320,16 +332,23 @@ def test_run_h_passes_over_the_rows_once_per_block(monkeypatch):
     assert "block" in passes and len(passes) <= sys.n // 2
 
 
-def test_kset_ids_are_marked_in_blocks():
-    # the lower bound's first ids: a sum-independent set of rows, marked in
-    # chunks of B = max(2, bit_length(m) - 2) ids, one pass over the rows each
-    sys = dense_60_by_180()
-    reduced, _ = make_irreducible(sys)
+def kset_60_by_180():
+    """dense_60_by_180 reduced, and the lower bound's first ids on it: a
+    sum-independent set of 9 rows."""
+    reduced, _ = make_irreducible(dense_60_by_180())
     by_bits = {row[0]: row[3] for row in reduced.rows}
     members = VectorSet(reduced.n, [*by_bits, 0])
     k = max(k for k in range(1, reduced.n) if len(members) ** k <= 2**reduced.n)
     first = [by_bits[bits] for bits in find_kset(members, k)]
     assert len(first) == k + 1 == 9
+    return reduced, first
+
+
+def test_kset_ids_are_marked_in_blocks():
+    # the lower bound's first ids, marked in blocks of
+    # B = max(2, bit_length(m) - 2) ids, one pass over the rows each; the
+    # run marks them under the labels -len(first)..-1
+    reduced, first = kset_60_by_180()
     want = reference_run(reduced, first)
     for streak in (0, float("inf")):
         with mock.patch.object(algoh, "_BLOCK_STREAK", streak):
@@ -351,9 +370,22 @@ def test_kset_ids_are_marked_in_blocks():
         mock.patch.stopall()
     assert [eq.eq_id for eq in run.records[: len(first)]] == first
     size = max(2, reduced.m.bit_length() - 2)
-    marking_first = [ids for ids in passes if set(ids) & set(first)]
-    assert sum(marking_first, []) == first
+    labels = list(range(-len(first), 0))
+    marking_first = [ids for ids in passes if set(ids) & set(labels)]
+    assert [eq_id for ids in marking_first for eq_id in ids if eq_id < 0] == labels
     assert len(marking_first) <= math.ceil(len(first) / size) == 2
+
+
+def test_no_block_is_tried_with_blocks_off(monkeypatch):
+    reduced, first = kset_60_by_180()
+
+    def no_block(state, picks):
+        raise AssertionError("a block with blocks off")
+
+    monkeypatch.setattr(algoh, "_BLOCK_STREAK", float("inf"))
+    monkeypatch.setattr(algoh._Marking, "block", no_block)
+    for order in ((), first, itertools.count()):
+        outcome(run_h, reduced, order)
 
 
 def test_integral_run_adds_no_fraction_per_mark_or_merge(monkeypatch):
@@ -461,6 +493,27 @@ def test_sparse_state_raises_the_reference_error_for_a_gone_id(entry):
             got = sparse_outcome(sys, order, entry, leave_at)
             assert got == reference_run(sys, order)
             assert got[0] is MaxlinError
+
+
+@PROPERTY
+@given(st.one_of(sparse_marking_systems(), marking_systems()))
+def test_an_endless_first_is_read_up_to_m_ids(sys):
+    want = reference_run(sys, list(range(sys.m)))
+    for entry in ENTRY:
+        assert sparse_outcome(sys, itertools.count(), entry) == want
+
+
+def test_first_ids_are_recorded_as_the_rows_own_ints():
+    # True and 3.0 find rows 1 and 3 (a merge survivor) as 1 and 3 would,
+    # and the records take the rows' int ids, as the reference's do
+    sys = LinearSystem.build(2, [([0], 0, 1), ([1], 0, 1)])
+    merging = LinearSystem.build(2, [([0], 0, 1), ([0, 1], 0, 1), ([1], 0, 2)])
+    for sys, first, ids in ((sys, [True], [1]), (merging, [0, 3.0], [0, 3])):
+        for entry in ENTRY:
+            got = sparse_outcome(sys, first, entry)
+            assert got == reference_run(sys, ids)
+            records = got[1].records[: len(ids)]
+            assert [(eq.eq_id, type(eq.eq_id)) for eq in records] == [(i, int) for i in ids]
 
 
 @pytest.mark.parametrize("entry", ENTRY)

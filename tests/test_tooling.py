@@ -218,6 +218,32 @@ def test_only_f2core_builders_skip_the_row_checks():
     assert "Equation.__new__(Equation)" in source and "F2Vector.__new__(F2Vector)" in source
 
 
+def test_only_f2core_scales_weights():
+    # the lcm of the weights' denominators is taken in one place,
+    # f2core._scaled, which every caller that sums weights as ints shares
+    package = Path(maxlin.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scaled = [
+            node for node in tree.body
+            if path.name == "f2core.py" and isinstance(node, ast.FunctionDef)
+            and node.name == "_scaled"
+        ]
+        allowed = {id(node) for function in scaled for node in ast.walk(function)}
+        found += [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and (
+                isinstance(node, ast.Attribute) and node.attr == "lcm"
+                or isinstance(node, ast.alias) and node.name == "lcm"
+            )
+        ]
+    assert found == []
+    # and the one place is there to be found
+    assert "math.lcm(" in (package / "f2core.py").read_text()
+
+
 def test_only_fourier_reads_terms():
     # the library reads FourierExpansion.masks; the frozenset-keyed terms
     # view is for callers

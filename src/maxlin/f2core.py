@@ -106,11 +106,13 @@ def _pack(indices: Iterable[int]) -> int:
 
 
 def _support(bits: int) -> tuple[int, ...]:
-    """The set bits' indices, ascending."""
+    """The set bits' indices, ascending.  The walk goes down from the top
+    bit, so a wide int is never negated."""
     out = []
     while bits:
-        out.append((low := bits & -bits).bit_length() - 1)
-        bits ^= low
+        out.append(top := bits.bit_length() - 1)
+        bits ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 

@@ -10,21 +10,28 @@ Both rules read ``LinearSystem.rows`` and build one result with
 by construction), passing the rows they leave alone on as the same tuples.
 Their transcripts are built the same way, with
 ``ReductionTranscript._from_parts``.
-Rule 1 eliminates each row on its lowest set bit (``f2core.rref``),
-so a reduction costs O(m * rank) big-int XORs plus O(n) transcript entries.
+Both rules run on the used columns: one OR over the rows finds the u
+columns that some row holds, and when some column is unused each row's set
+bits are mapped once onto 0..u-1, in column order, so rule 2 hashes and
+rule 1 eliminates u-bit ints.  Rule 1 eliminates each row on its lowest set
+bit (``f2core.rref``) and then drops the dependent columns in one pass over
+the rows, by shifts or by a lookup per set bit, skipped when every used
+column is a pivot.  So a reduction costs the OR, at most two passes over the
+rows' set bits, O(m * rank) XORs of u-bit ints and O(n) transcript entries.
 Nothing walks every declared column per row: for one sparse equation over a
 million declared variables, listing the deleted columns is nearly all the
 work.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Collection, Iterable, Sequence
 
 from .errors import DimensionMismatchError, MaxlinError
-from .f2core import Assignment, LinearSystem, _check_dimension, _check_ints, _Row, rref
+from .f2core import Assignment, LinearSystem, _check_dimension, _check_ints, _Row, _support, rref
 
 __all__ = [
     "MergeEvent",
@@ -64,8 +71,10 @@ class ReductionTranscript:
     original index of reduced variable i; ``deleted_variables`` lists, in
     deletion order, each dropped column with the kept columns whose sum it
     equalled at deletion time.  The constructor refuses an index that is
-    not an int (a bool included) or lies outside the original variables;
-    the reductions build theirs with ``_from_parts``, unchecked.
+    not an int (a bool included) or lies outside the original variables, a
+    dependency that is no kept variable and a dependency set that is not an
+    iterable of hashables; the reductions build theirs with
+    ``_from_parts``, unchecked.
     """
 
     original_n: int
@@ -80,10 +89,16 @@ class ReductionTranscript:
         kept = tuple(self.kept_variables)
         pairs = tuple(self.deleted_variables)
         deps = dict(pairs)
+        for j, dep in deps.items():
+            try:
+                deps[j] = frozenset(dep)
+            except TypeError:
+                raise MaxlinError(
+                    f"dependencies of deleted variable {j!r} must be a set of variables, "
+                    f"got {dep!r}"
+                ) from None
         object.__setattr__(self, "kept_variables", kept)
-        object.__setattr__(
-            self, "deleted_variables", tuple(zip(deps, map(frozenset, deps.values())))
-        )
+        object.__setattr__(self, "deleted_variables", tuple(deps.items()))
         object.__setattr__(self, "merge_log", tuple(self.merge_log))
         if len(kept) != self.reduced_n:
             raise MaxlinError("kept_variables must have one entry per reduced variable")
@@ -95,6 +110,14 @@ class ReductionTranscript:
             raise MaxlinError("a variable may be deleted only once")
         if deps.keys() & kept:
             raise MaxlinError("a variable cannot be both kept and deleted")
+        kept_set = frozenset(kept)
+        for j, dep in deps.items():
+            _check_range("dependency", dep, self.original_n)
+            if not dep <= kept_set:
+                raise MaxlinError(
+                    f"deleted variable {j} depends on variable {min(dep - kept_set)}, "
+                    "which is not kept"
+                )
 
     @classmethod
     def _from_parts(
@@ -190,43 +213,94 @@ def _merge_rows(rows: Sequence[_Row], record: _FreshIds) -> Sequence[_Row]:
     return list(filter(None, out))
 
 
-def _project(bits: int, new_bit: dict[int, int]) -> int:
-    """Map each set bit through new_bit (old 1 << j to new 1 << i); bits
-    without an entry are dropped."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= new_bit.get(low, 0)
-        bits ^= low
+def _mapped_rows(rows: Sequence[_Row], new_bit: dict[int, int]) -> list[_Row]:
+    """The rows with each set bit mapped through new_bit, which takes the
+    bit's length (its column + 1) to its new bit, or to 0 to drop it.  The
+    walk goes down from the top bit, so a wide row is never negated or
+    hashed."""
+    out = []
+    for bits, rhs, weight, eq_id in rows:
+        new = 0
+        while bits:
+            top = bits.bit_length()
+            new |= new_bit[top]
+            bits ^= 1 << top - 1
+        out.append((new, rhs, weight, eq_id))
     return out
 
 
-def _project_rows(
-    rows: Sequence[_Row], n: int
+def _drop_columns(rows: Sequence[_Row], u: int, pivots: list[int]) -> list[_Row]:
+    """The rows over u columns projected onto the pivot columns (pivot i
+    becomes column i).
+
+    Dependent column k (counting from 0), or column u after the last one,
+    ends a run of pivots that lies above k dependent columns and so moves
+    down by k as one piece, at three big-int operations per piece and row.
+    One piece always beats a dict lookup per set bit, and more pieces do
+    while they are fewer than the rows' mean weight.
+    """
+    pieces = []
+    start = 0
+    for k, end in enumerate(sorted({*range(u)}.difference(pivots)) + [u]):
+        if end > start:
+            pieces.append((k, ((1 << end - start) - 1) << start - k))
+        start = end + 1
+    if len(pieces) > 1 and len(pieces) * len(rows) >= sum(
+        map(int.bit_count, map(itemgetter(0), rows))
+    ):
+        new_bit = dict.fromkeys(range(1, u + 1), 0)
+        new_bit.update({p + 1: 1 << i for i, p in enumerate(pivots)})
+        return _mapped_rows(rows, new_bit)
+    out = []
+    for bits, rhs, weight, eq_id in rows:
+        new = 0
+        for shift, mask in pieces:
+            new |= bits >> shift & mask
+        out.append((new, rhs, weight, eq_id))
+    return out
+
+
+def _reduce_rows(
+    rows: Sequence[_Row], n: int, record: _FreshIds | None
 ) -> tuple[Sequence[_Row], list[int], list[tuple[int, frozenset[int]]]]:
-    """Rule 1 on rows over n columns.
+    """Rule 2 (when record is given) then rule 1 on rows over n columns.
+
+    One OR over the rows finds the u used columns.  When some column is
+    unused, each row's set bits are mapped once onto 0..u-1 in column
+    order, and the merge and the elimination run on those u-bit ints; the
+    map keeps column order, so the leftmost pivots and every dependency are
+    the same as on the n-bit rows, and only the transcript maps them back.
 
     Returns the rows projected onto the pivot columns, the pivots, and each
-    deleted column with the pivot columns summing to it.  At full rank the
-    rows come back as they are.  Every row's lowest set bit is a pivot (see
-    rref), so no projected row is zero.
+    deleted column with the pivot columns summing to it.  When every used
+    column is a pivot, the remapped rows are already the projected rows, and
+    at full rank the rows come back as they are.  Every row's lowest set bit
+    is a pivot (see rref), so no projected row is zero.
     """
-    pivots, reduced = rref([row[0] for row in rows], n)
+    used = functools.reduce(or_, map(itemgetter(0), rows), 0)
+    cols: Sequence[int] = range(n)
+    if used.bit_count() < n:
+        cols = _support(used)
+        rows = _mapped_rows(rows, {c + 1: 1 << i for i, c in enumerate(cols)})
+    if record is not None:
+        rows = _merge_rows(rows, record)
+    pivots, reduced = rref([row[0] for row in rows], len(cols))
     if len(pivots) == n:
         return rows, pivots, []
+    if len(pivots) < len(cols):
+        rows = _drop_columns(rows, len(cols), pivots)
     uses: dict[int, list[int]] = {}
     for p, prow in zip(pivots, reduced):
         rest = prow ^ (1 << p)  # the dependent columns that use pivot p
         while rest:
             low = rest & -rest
-            uses.setdefault(low.bit_length() - 1, []).append(p)
+            uses.setdefault(cols[low.bit_length() - 1], []).append(cols[p])
             rest ^= low
     deps = {j: frozenset(ps) for j, ps in uses.items()}
+    pivots = [cols[p] for p in pivots]
     pivot_set = set(pivots)
     deleted = [(j, deps.get(j, _NO_DEPS)) for j in range(n) if j not in pivot_set]
-    new_bit = {1 << p: 1 << i for i, p in enumerate(pivots)}
-    out = [(_project(bits, new_bit), rhs, weight, eq_id) for bits, rhs, weight, eq_id in rows]
-    return out, pivots, deleted
+    return rows, pivots, deleted
 
 
 def apply_rule2(sys: LinearSystem) -> LinearSystem:
@@ -244,8 +318,12 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
 
     The projection is excess-preserving: each deleted column equals a sum
     of kept columns, recorded in the transcript.
+    Cost: one OR over the rows, one remap pass over their set bits when
+    some column is unused, O(m * rank) XORs of u-bit ints for the u used
+    columns (see rref), one pass to drop the dependent columns when some
+    used column is no pivot, and O(n) transcript entries.
     """
-    rows, pivots, deleted = _project_rows(sys.rows, sys.n)
+    rows, pivots, deleted = _reduce_rows(sys.rows, sys.n, None)
     if not deleted:
         return sys, _identity_transcript(sys.n)
     rank = len(pivots)
@@ -270,12 +348,14 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     Both rules run on the system's rows and the result is built once, and
     it records privately that it is irreducible, so the lower bound runs no
     second rank test on it.
-    Cost: O(m * rank) big-int XORs for the elimination (see rref), one pass
-    over the rows' set bits for the projection and O(n) transcript entries;
-    nothing walks every declared column per row.
+    Cost: one OR over the rows, one remap pass over their set bits when
+    some column is unused, then the merge and O(m * rank) XORs (see rref)
+    on u-bit ints for the u used columns, one pass to drop the dependent
+    columns when some used column is no pivot, and O(n) transcript
+    entries; nothing walks every declared column per row.
     """
     fresh = _FreshIds(sys.next_id)
-    rows, kept, deleted = _project_rows(_merge_rows(sys.rows, fresh), sys.n)
+    rows, kept, deleted = _reduce_rows(sys.rows, sys.n, fresh)
     if not fresh.events and not deleted:
         reduced, transcript = sys, _identity_transcript(sys.n)
     else:

@@ -269,13 +269,14 @@ def test_an_id_gone_before_its_turn_raises_the_reference_error():
         got = outcome(run_h, sys, order)
         assert got == reference_run(sys, order)
         assert got == (MaxlinError, f"equation {order[-1]} vanished before its marking turn")
-    # the ids are marked in chunks of two here, and the second id of the
-    # chunk is missing from the start (99), or vanishes at the chunk's first
-    # mark: marking 0 cancels row 1 against row 3, and marking 1 merges row 4
-    # with row 2 into a fresh id
+    # the two labelled ids are marked in single steps, since the streak
+    # starts at len(first) = 2, below the block streak; the second id is
+    # missing from the start (99), or vanishes at the first mark: marking 0
+    # cancels row 1 against row 3, and marking 1 merges row 4 with row 2
+    # into a fresh id
     sys = LinearSystem.build(3, [([0], 0, 2), ([1], 0, 1), ([2], 0, 1), ([0, 1], 1, 1),
                                  ([1, 2], 0, 1)])
-    assert algoh._block_size(sys.m) == 2
+    assert 2 < algoh._BLOCK_STREAK
     for order in ([1, 99], [0, 1], [1, 4]):
         got = outcome(run_h, sys, order)
         assert got == reference_run(sys, order)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import maxlin.reduce as reduce_module
 from maxlin import (
     Assignment,
     DimensionMismatchError,
@@ -287,6 +288,48 @@ def test_repeated_lhs_is_not_irreducible():
             id="deleted-too-large",
         ),
         pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, frozenset({7})), (2, frozenset({True})))),
+            MaxlinError,
+            "dependency variable 7 outside 0..2",
+            id="dependency-too-large",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, frozenset({-1})),)),
+            MaxlinError,
+            "dependency variable -1 outside 0..2",
+            id="dependency-negative",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((2, frozenset({True})),)),
+            MaxlinError,
+            "dependency variable True is not an int",
+            id="dependency-bool",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((2, frozenset({0.0})),)),
+            MaxlinError,
+            "dependency variable 0.0 is not an int",
+            id="dependency-float",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, frozenset({2})), (2, frozenset()))),
+            MaxlinError,
+            "deleted variable 1 depends on variable 2, which is not kept",
+            id="dependency-deleted",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, 5),)),
+            MaxlinError,
+            "dependencies of deleted variable 1 must be a set of variables, got 5",
+            id="dependency-not-iterable",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1, [[0]]),)),
+            MaxlinError,
+            "dependencies of deleted variable 1 must be a set of variables, got [[0]]",
+            id="dependency-unhashable",
+        ),
+        pytest.param(
             lambda: ReductionTranscript(2, 1, (0.5,)),
             MaxlinError,
             "kept variable 0.5 is not an int",
@@ -365,3 +408,36 @@ def test_transcript_fields_become_tuples_and_frozensets():
     assert all(type(pair) is tuple and type(pair[1]) is frozenset
                for pair in rebuilt.deleted_variables)
     assert ref.replay_transcript(rebuilt, sys) == out
+
+
+def test_rule1_eliminates_on_the_used_columns(monkeypatch):
+    widths = []
+    real = reduce_module.rref
+
+    def recording(rows, n):
+        widths.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(reduce_module, "rref", recording)
+    # five used columns scattered over 10^5; column 99_999 = 3 + 45_000
+    a, b, c, d, e = 3, 901, 45_000, 77_777, 99_999
+    sys = LinearSystem.build(10**5, [([a, c], 0, 1), ([b], 1, 2), ([c, d, e], 0, 1),
+                                     ([a, e], 1, 1), ([b], 0, 1), ([d], 1, 3)])
+    out, tr = make_irreducible(sys)
+    assert widths == [5]
+    assert tr.kept_variables == (a, b, c, d)
+    assert dict(tr.deleted_variables)[e] == frozenset({a, c})
+    assert len(tr.deleted_variables) == 10**5 - 4
+    # the same rows on columns 0..4 reduce to the same system
+    compact = LinearSystem.build(5, [([0, 2], 0, 1), ([1], 1, 2), ([2, 3, 4], 0, 1),
+                                     ([0, 4], 1, 1), ([1], 0, 1), ([3], 1, 3)])
+    assert out == ref.make_irreducible(compact)[0]
+    assert apply_rule1(sys)[0] == ref.apply_rule1(compact)[0]
+    assert widths == [5, 5]
+    # a dense system uses every column, so it is eliminated over all n
+    widths.clear()
+    dense = LinearSystem.build(6, [([0, 1, 2], 0, 1), ([3, 4, 5], 1, 1), ([0, 5], 0, 2),
+                                   ([1, 2], 1, 1)])
+    assert make_irreducible(dense) == ref.make_irreducible(dense)
+    assert apply_rule1(dense) == ref.apply_rule1(dense)
+    assert widths == [6, 6]

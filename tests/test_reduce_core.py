@@ -2,12 +2,16 @@
 
 Inputs are sparse systems whose declared n is up to four times the number
 of columns in use, so most columns are all-zero, with repeated rows of equal
-and of opposite right-hand side and integer or rational weights.  Every
+and of opposite right-hand side and integer or rational weights, and
+systems whose few used columns are spread over up to 64 times as many, with
+dependent columns between and above the pivots.  Every
 public result must match the reference exactly: pivots and reduced rows,
 equations with their ids and order, ``next_id`` and the whole transcript.
 """
+import functools
 from dataclasses import replace
 from fractions import Fraction
+from operator import xor
 from time import perf_counter
 
 import pytest
@@ -93,6 +97,64 @@ def test_make_irreducible_matches_reference(sys):
         assert ref.replay_transcript(got_tr, sys) == got
     # one round of rule 2 and rule 1 is already the fixed point
     assert make_irreducible(got)[1] == ReductionTranscript(got.n, got.n, tuple(range(got.n)))
+
+
+@st.composite
+def used_column_systems(draw):
+    """Up to 16 used columns spread over a declared n of up to 64 times as
+    many.  The rows are either XORs of a few base rows, so that several used
+    columns are dependent and lie between the pivots, or dense rows with
+    dependent columns above them, as the benchmark's embedded oracle inputs
+    have; XORs of base rows also repeat left-hand sides."""
+    used = draw(st.sampled_from(range(1, 17)))
+    n = draw(st.integers(used, 64 * used))
+    cols = sorted(draw(st.lists(st.integers(0, n - 1), min_size=used, max_size=used,
+                                unique=True)))
+    if draw(st.booleans()):
+        # base rows with distinct lowest bits at drawn columns; the other
+        # columns above a base row's lowest bit are in it at random, or only
+        # the first of those drawn
+        order = draw(st.permutations(range(used)))
+        lows = order[:draw(st.integers(1, min(6, used)))]
+        others = sum(1 << j for j in order[len(lows):])
+        sparse = draw(st.booleans())
+        base = []
+        for low in lows:
+            above = draw(st.integers(0, 2**used - 1)) & others >> low + 1 << low + 1
+            base.append(1 << low | (above & -above if sparse else above))
+        picks = st.lists(st.sampled_from(base), min_size=1, max_size=3).map(
+            lambda rows: functools.reduce(xor, rows)
+        )
+        masks = draw(st.lists(picks.filter(bool), min_size=len(base), max_size=24))
+    else:
+        free = draw(st.integers(1, used))
+        sums = draw(st.lists(st.integers(1, 2**free - 1), min_size=used - free,
+                             max_size=used - free))
+        masks = []
+        for mask in draw(st.lists(st.integers(1, 2**free - 1), min_size=free, max_size=24)):
+            for j, s in enumerate(sums):
+                mask |= ((mask & s).bit_count() & 1) << (free + j)
+            masks.append(mask)
+    weights = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+    rows = []
+    for mask in masks:
+        lhs = [cols[j] for j in range(used) if mask >> j & 1]
+        rows.append((lhs, draw(st.integers(0, 1)), draw(weights)))
+    return LinearSystem.build(n, rows)
+
+
+@PROPERTY
+@given(used_column_systems())
+def test_rules_on_spread_used_columns_match_reference(sys):
+    got, got_tr = apply_rule1(sys)
+    want, want_tr = ref.apply_rule1(sys)
+    assert_same_system(got, want)
+    assert got_tr == want_tr
+    got, got_tr = make_irreducible(sys)
+    want, want_tr = ref.make_irreducible(sys)
+    assert_same_system(got, want)
+    assert got_tr == want_tr
+    check_transcript(sys, got, got_tr)
 
 
 def test_replay_after_a_cancellation_lowers_the_rank():

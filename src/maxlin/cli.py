@@ -5,6 +5,10 @@ parse or input-file errors, for running out of memory and for any other
 exception.  Witness assignments print as one 0/1 string
 over the original variables; rationals print in lowest terms.  With
 ``--output machine`` results come as one key=value line each.
+
+``main(argv)`` parses with ``_build_parser``, which defines every flag and
+default once, and passes the namespace to ``run(args, out)``; each handler
+reads its own flags from it.
 """
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .algoh import Certificate, verify_certificate
@@ -38,41 +41,28 @@ from .kset import find_kset
 from .reduce import make_irreducible
 from .reductions import kernelize_rlin, sat_to_fourier
 
-__all__ = ["CommandConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated flags for one invocation."""
-
-    subcommand: str
-    input_path: str = "-"
-    k: int | None = None
-    r: int | None = None
-    cert: tuple[int, ...] = ()
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    output_mode: str = "plain"
-
-
-def _read_input(config: CommandConfig) -> str:
+def _read_input(args: argparse.Namespace) -> str:
     """The input as text, without a leading UTF-8 byte-order mark.  A byte
     that is not UTF-8 decodes to a lone surrogate, which no token accepts,
     so the parser reports its line; stdin is decoded here too, whatever the
     locale's error handler."""
-    if config.input_path == "-":
+    if args.input == "-":
         return sys.stdin.buffer.read().decode("utf-8-sig", "surrogateescape")
-    with open(config.input_path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+    with open(args.input, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         return handle.read()
 
 
 def _write_fields(
-    config: CommandConfig, out: IO[str], fields: Iterable[tuple[str, object]]
+    args: argparse.Namespace, out: IO[str], fields: Iterable[tuple[str, object]]
 ) -> None:
     """Write each (key, value) result field: ``key=value`` lines with
     ``--output machine``; otherwise an answer as its upper-case word (none
     for ``kernel``, whose system follows) and any other value bare."""
     for key, value in fields:
-        if config.output_mode == "machine":
+        if args.output_mode == "machine":
             out.write(f"{key}={value}\n")
         elif key != "answer":
             out.write(f"{value}\n")
@@ -80,19 +70,19 @@ def _write_fields(
             out.write(f"{value.upper()}\n")
 
 
-def _cmd_reduce(config: CommandConfig, out: IO[str]) -> int:
-    system = parse_system(_read_input(config))
+def _cmd_reduce(args: argparse.Namespace, out: IO[str]) -> int:
+    system = parse_system(_read_input(args))
     reduced, transcript = make_irreducible(system)
     out.write(emit_system(reduced))
     out.write(emit_transcript_comments(transcript))
     return 0
 
 
-def _cmd_solve(config: CommandConfig, out: IO[str]) -> int:
-    system = parse_system(_read_input(config))
-    instance = AaInstance(system, config.k)
-    answer, witness = decide_aa(instance, oracle_cap=config.oracle_cap)
-    _write_fields(config, out, [
+def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
+    system = parse_system(_read_input(args))
+    instance = AaInstance(system, args.k)
+    answer, witness = decide_aa(instance, oracle_cap=args.oracle_cap)
+    _write_fields(args, out, [
         ("answer", "yes" if answer else "no"),
         ("witness", witness.assignment.to01()),
         ("excess", witness.excess),
@@ -100,52 +90,52 @@ def _cmd_solve(config: CommandConfig, out: IO[str]) -> int:
     return 0 if answer else 1
 
 
-def _cmd_excess(config: CommandConfig, out: IO[str]) -> int:
-    system = parse_system(_read_input(config))
-    witness = brute_force_max_excess(system, cap=config.oracle_cap)
-    _write_fields(config, out, [("excess", witness.excess), ("witness", witness.assignment.to01())])
+def _cmd_excess(args: argparse.Namespace, out: IO[str]) -> int:
+    system = parse_system(_read_input(args))
+    witness = brute_force_max_excess(system, cap=args.oracle_cap)
+    _write_fields(args, out, [("excess", witness.excess), ("witness", witness.assignment.to01())])
     return 0
 
 
-def _cmd_bound(config: CommandConfig, out: IO[str]) -> int:
-    expansion = parse_fourier(_read_input(config))
-    _write_fields(config, out, [("bound", maxima_lower_bound(expansion))])
+def _cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
+    expansion = parse_fourier(_read_input(args))
+    _write_fields(args, out, [("bound", maxima_lower_bound(expansion))])
     return 0
 
 
-def _cmd_kset(config: CommandConfig, out: IO[str]) -> int:
-    members = parse_vectorset(_read_input(config))
-    chosen = find_kset(members, config.k)
+def _cmd_kset(args: argparse.Namespace, out: IO[str]) -> int:
+    members = parse_vectorset(_read_input(args))
+    chosen = find_kset(members, args.k)
     vectors = [(f"vector{i}", F2Vector(members.n, b).to01()) for i, b in enumerate(chosen, 1)]
-    _write_fields(config, out, vectors)
+    _write_fields(args, out, vectors)
     return 0
 
 
-def _cmd_verify(config: CommandConfig, out: IO[str]) -> int:
-    system = parse_system(_read_input(config))
-    accepted = verify_certificate(system, Certificate(config.cert), config.k)
-    _write_fields(config, out, [("answer", "accept" if accepted else "reject")])
+def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
+    system = parse_system(_read_input(args))
+    accepted = verify_certificate(system, Certificate(args.cert), args.k)
+    _write_fields(args, out, [("answer", "accept" if accepted else "reject")])
     return 0 if accepted else 1
 
 
-def _cmd_from_cnf(config: CommandConfig, out: IO[str]) -> int:
-    formula = parse_cnf(_read_input(config))
-    out.write(emit_fourier(sat_to_fourier(formula, config.r)))
+def _cmd_from_cnf(args: argparse.Namespace, out: IO[str]) -> int:
+    formula = parse_cnf(_read_input(args))
+    out.write(emit_fourier(sat_to_fourier(formula, args.r)))
     return 0
 
 
-def _cmd_from_fourier(config: CommandConfig, out: IO[str]) -> int:
-    expansion = parse_fourier(_read_input(config))
+def _cmd_from_fourier(args: argparse.Namespace, out: IO[str]) -> int:
+    expansion = parse_fourier(_read_input(args))
     system, constant = fourier_to_system(expansion)
     out.write(f"c constant {constant}\n")
     out.write(emit_system(system))
     return 0
 
 
-def _cmd_kernel(config: CommandConfig, out: IO[str]) -> int:
-    system = parse_system(_read_input(config))
-    outcome = kernelize_rlin(system, config.r, config.k)
-    _write_fields(config, out, [("answer", "yes" if outcome.is_yes else "kernel")])
+def _cmd_kernel(args: argparse.Namespace, out: IO[str]) -> int:
+    system = parse_system(_read_input(args))
+    outcome = kernelize_rlin(system, args.r, args.k)
+    _write_fields(args, out, [("answer", "yes" if outcome.is_yes else "kernel")])
     if not outcome.is_yes:
         out.write(emit_system(outcome.reduced_system))
     return 0
@@ -164,11 +154,11 @@ _HANDLERS = {
 }
 
 
-def run(config: CommandConfig, out: IO[str] | None = None) -> int:
-    """Execute one validated command, writing results to ``out``."""
+def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
+    """Execute one parsed command, writing results to ``out``."""
     stream = sys.stdout if out is None else out
     try:
-        return _HANDLERS[config.subcommand](config, stream)
+        return _HANDLERS[args.subcommand](args, stream)
     except (MaxlinError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,17 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = CommandConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        k=getattr(args, "k", None),
-        r=getattr(args, "r", None),
-        cert=getattr(args, "cert", ()),
-        oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),
-        output_mode=args.output_mode,
-    )
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ whole package reads, and builds its ``Equation`` objects only on request.
 It keeps no id index: an id is ``row[3]``, and the one library path that
 looks an id up, the certificate check, finds it in the marking step.
 A row is checked once, where it enters the library (as an ``Equation``, by
-a parser or by ``FourierExpansion``); a system derived from a checked one is
-built by ``LinearSystem._from_rows`` without checking its rows again, and an
-``Equation`` of a derived row by ``_equation``.
+a parser or by ``FourierExpansion``).  ``LinearSystem._from_rows`` builds a
+derived system without the ``Equation`` checks, but its ``_store`` checks n,
+empty left-hand sides and repeated ids again, as on every system; and
+``_equation`` builds an ``Equation`` of a derived row with no check.
 Every public constructor shares two checks: ``_check_dimension`` (n is an
 int >= 0) and ``_check_packed`` (a bit pattern is an int that fits n bits);
 both refuse a bool, as ``_is_int`` does.  A collection of indices is
@@ -179,6 +180,7 @@ class F2Vector:
     def from_support(cls, n: int, support: Iterable[int]) -> F2Vector:
         _check_dimension(n)
         support = list(support)
+        _check_ints("variable index", support)
         if support and (min(support) < 0 or max(support) >= n
                         or len(set(support)) != len(support)):
             _raise_support_error(n, support)

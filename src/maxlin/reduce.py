@@ -63,6 +63,14 @@ def _check_range(what: str, indices: Collection[int], n: int) -> None:
         raise MaxlinError(f"{what} variable {j} outside 0..{n - 1}")
 
 
+def _stored(field: str, value, convert=tuple):
+    """``convert(value)``, or a MaxlinError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise MaxlinError(f"malformed {field}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ReductionTranscript:
     """The record of a reduction, which lifts a reduced assignment back.
@@ -70,11 +78,12 @@ class ReductionTranscript:
     Variable indices are original (0-based).  ``kept_variables[i]`` is the
     original index of reduced variable i; ``deleted_variables`` lists, in
     deletion order, each dropped column with the kept columns whose sum it
-    equalled at deletion time.  The constructor refuses an index that is
-    not an int (a bool included) or lies outside the original variables, a
-    dependency that is no kept variable and a dependency set that is not an
-    iterable of hashables; the reductions build theirs with
-    ``_from_parts``, unchecked.
+    equalled at deletion time.  The constructor raises ``MaxlinError`` on a
+    field or dependency set it cannot read, an index that is not an int (a
+    bool included) or outside the original variables, a dependency that is
+    no kept variable, and a merge that is not a ``MergeEvent`` of two int
+    ids, an int or None survivor and an int or Fraction weight; the
+    reductions build theirs with ``_from_parts``, unchecked.
     """
 
     original_n: int
@@ -86,9 +95,9 @@ class ReductionTranscript:
     def __post_init__(self) -> None:
         _check_dimension(self.original_n)
         _check_dimension(self.reduced_n)
-        kept = tuple(self.kept_variables)
-        pairs = tuple(self.deleted_variables)
-        deps = dict(pairs)
+        kept = _stored("kept_variables", self.kept_variables)
+        pairs = _stored("deleted_variables", self.deleted_variables)
+        deps = _stored("deleted_variables", pairs, dict)
         for j, dep in deps.items():
             try:
                 deps[j] = frozenset(dep)
@@ -99,7 +108,7 @@ class ReductionTranscript:
                 ) from None
         object.__setattr__(self, "kept_variables", kept)
         object.__setattr__(self, "deleted_variables", tuple(deps.items()))
-        object.__setattr__(self, "merge_log", tuple(self.merge_log))
+        object.__setattr__(self, "merge_log", _stored("merge_log", self.merge_log))
         if len(kept) != self.reduced_n:
             raise MaxlinError("kept_variables must have one entry per reduced variable")
         _check_range("kept", kept, self.original_n)
@@ -118,6 +127,14 @@ class ReductionTranscript:
                     f"deleted variable {j} depends on variable {min(dep - kept_set)}, "
                     "which is not kept"
                 )
+        for event in self.merge_log:
+            if not isinstance(event, MergeEvent) or len(event.merged_ids) != 2:
+                raise MaxlinError(f"merge {event!r} is not a MergeEvent of two ids")
+            _check_ints("merged id", event.merged_ids)
+            if event.surviving_id is not None:
+                _check_ints("surviving id", [event.surviving_id])
+            if not isinstance(event.weight, (int, Fraction)) or isinstance(event.weight, bool):
+                raise MaxlinError(f"merge weight {event.weight!r} is not an int or a Fraction")
 
     @classmethod
     def _from_parts(

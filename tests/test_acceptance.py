@@ -33,7 +33,7 @@ from maxlin import (
     verify_certificate,
     verify_kset,
 )
-from maxlin.cli import CommandConfig, run
+from maxlin.cli import _build_parser, run
 from maxlin.formats import emit_fourier, emit_system
 
 from helpers import (
@@ -297,9 +297,9 @@ def test_criterion_11_cli_determinism(tmp_path):
     started = time.perf_counter()
     rng = random.Random(111)
 
-    def invoke(config):
+    def invoke(argv):
         out = io.StringIO()
-        code = run(config, out)
+        code = run(_build_parser().parse_args(argv), out)
         return code, out.getvalue()
 
     for index in range(6):
@@ -308,23 +308,21 @@ def test_criterion_11_cli_determinism(tmp_path):
         sys_path.write_text(emit_system(system))
         k = rng.randint(1, 4)
         commands = [
-            CommandConfig("reduce", str(sys_path)),
-            CommandConfig("solve", str(sys_path), k=k),
-            CommandConfig("kernel", str(sys_path), r=system.n, k=2),
+            ["reduce", str(sys_path)],
+            ["solve", "--k", str(k), str(sys_path)],
+            ["kernel", "--r", str(system.n), "--k", "2", str(sys_path)],
         ]
-        for config in commands:
-            first = invoke(config)
-            second = invoke(config)
+        for argv in commands:
+            first = invoke(argv)
+            second = invoke(argv)
             assert first == second
-        oracle_runs = {invoke(CommandConfig("excess", str(sys_path))) for _ in range(3)}
+        oracle_runs = {invoke(["excess", "--oracle", str(sys_path)]) for _ in range(3)}
         assert len(oracle_runs) == 1
-        solve_runs = {invoke(CommandConfig("solve", str(sys_path), k=k)) for _ in range(3)}
+        solve_runs = {invoke(["solve", "--k", str(k), str(sys_path)]) for _ in range(3)}
         assert len(solve_runs) == 1
 
         f = random_fourier(rng, n_max=8, max_terms=10)
         f_path = tmp_path / f"fourier{index}"
         f_path.write_text(emit_fourier(f))
-        assert invoke(CommandConfig("bound", str(f_path))) == invoke(
-            CommandConfig("bound", str(f_path))
-        )
+        assert invoke(["bound", str(f_path)]) == invoke(["bound", str(f_path)])
     report(11, "CLI determinism", started)

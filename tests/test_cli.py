@@ -12,7 +12,7 @@ import pytest
 import maxlin
 from maxlin import F2Vector, LinearSystem
 from maxlin import cli
-from maxlin.cli import CommandConfig, _build_parser, main, run
+from maxlin.cli import _build_parser, main, run
 from maxlin.formats import (
     MAX_DECLARED_N,
     emit_fourier,
@@ -30,9 +30,9 @@ CLAUSE = "p cnf 2 1\n1 2 0\n"
 UNITS = "p vecset 3 4\n000\n100\n010\n001\n"
 
 
-def invoke(config: CommandConfig) -> tuple[int, str]:
+def invoke(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    code = run(config, out)
+    code = run(_build_parser().parse_args(argv), out)
     return code, out.getvalue()
 
 
@@ -54,56 +54,56 @@ def files(tmp_path):
 
 class TestSubcommands:
     def test_solve_no_on_pair(self, files):
-        code, text = invoke(CommandConfig("solve", files["pair"], k=1))
+        code, text = invoke(["solve", "--k", "1", files["pair"]])
         assert code == 1
         assert text == "NO\n00\n0\n"
 
     def test_solve_yes_on_triple(self, files):
-        code, text = invoke(CommandConfig("solve", files["triple"], k=2))
+        code, text = invoke(["solve", "--k", "2", files["triple"]])
         assert code == 0
         assert text.splitlines()[0] == "YES"
 
     def test_solve_machine_mode(self, files):
-        code, text = invoke(CommandConfig("solve", files["pair"], k=1, output_mode="machine"))
+        code, text = invoke(["solve", "--k", "1", "--output", "machine", files["pair"]])
         assert code == 1
         assert text == "answer=no\nwitness=00\nexcess=0\n"
 
     def test_excess_oracle(self, files):
-        code, text = invoke(CommandConfig("excess", files["triple"]))
+        code, text = invoke(["excess", "--oracle", files["triple"]])
         assert code == 0
         assert text == "2\n00\n"
 
     def test_bound_on_tight_family(self, files):
-        code, text = invoke(CommandConfig("bound", files["tight2"]))
+        code, text = invoke(["bound", files["tight2"]])
         assert code == 0
         assert text == "1\n"
 
     def test_verify_accept_and_reject(self, files):
-        code, text = invoke(CommandConfig("verify", files["triple"], k=2, cert=(0,)))
+        code, text = invoke(["verify", "--cert", "0", "--k", "2", files["triple"]])
         assert (code, text) == (0, "ACCEPT\n")
-        code, text = invoke(CommandConfig("verify", files["triple"], k=3, cert=(0, 1)))
+        code, text = invoke(["verify", "--cert", "0,1", "--k", "3", files["triple"]])
         assert (code, text) == (1, "REJECT\n")
 
     def test_reduce_emits_reparseable_system(self, files):
-        code, text = invoke(CommandConfig("reduce", files["pair"]))
+        code, text = invoke(["reduce", files["pair"]])
         assert code == 0
         reparsed = parse_system(text)
         assert reparsed.n == 0 and reparsed.m == 0
 
     def test_kset_lists_vectors(self, files):
-        code, text = invoke(CommandConfig("kset", files["units"], k=1))
+        code, text = invoke(["kset", "--k", "1", files["units"]])
         assert code == 0
         rows = text.splitlines()
         assert len(rows) == 2 and all(len(r) == 3 for r in rows)
 
     def test_from_cnf(self, files):
-        code, text = invoke(CommandConfig("from-cnf", files["clause"], r=2))
+        code, text = invoke(["from-cnf", "--r", "2", files["clause"]])
         assert code == 0
         f = parse_fourier(text)
         assert len(f.masks) == 3
 
     def test_from_fourier(self, files):
-        code, text = invoke(CommandConfig("from-fourier", files["tight2"]))
+        code, text = invoke(["from-fourier", files["tight2"]])
         assert code == 0
         sys_parsed = parse_system(text)
         assert sys_parsed.m == 3
@@ -113,11 +113,11 @@ class TestSubcommands:
         wide.write_text(emit_system(parse_system(
             "p maxlin 6 6\n" + "".join(f"1 0 1 {i}\n" for i in range(1, 7))
         )))
-        code, text = invoke(CommandConfig("kernel", str(wide), r=2, k=2))
+        code, text = invoke(["kernel", "--r", "2", "--k", "2", str(wide)])
         assert (code, text) == (0, "YES\n")
         dense = tmp_path / "dense"
         dense.write_text(TRIPLE)
-        code, text = invoke(CommandConfig("kernel", str(dense), r=2, k=4))
+        code, text = invoke(["kernel", "--r", "2", "--k", "4", str(dense)])
         assert code == 0
         assert parse_system(text).m == 3
 
@@ -210,7 +210,7 @@ class TestSubcommands:
     ])
     def test_any_other_exception_exits_2(self, files, capsys, monkeypatch, exc, message):
         # exit 1 means "no", so no exception may leave with it
-        def fail(config, out):
+        def fail(args, out):
             raise exc
 
         monkeypatch.setitem(cli._HANDLERS, "reduce", fail)
@@ -330,9 +330,9 @@ class TestDeterminism:
             path = tmp_path / "sys"
             path.write_text(emit_system(system))
             k = rng.randint(1, 4)
-            outputs = {invoke(CommandConfig("solve", str(path), k=k))[1] for _ in range(4)}
+            outputs = {invoke(["solve", "--k", str(k), str(path)])[1] for _ in range(4)}
             assert len(outputs) == 1
-            oracle_outputs = {invoke(CommandConfig("excess", str(path)))[1] for _ in range(3)}
+            oracle_outputs = {invoke(["excess", "--oracle", str(path)])[1] for _ in range(3)}
             assert len(oracle_outputs) == 1
 
     def test_emitted_files_reparse_to_equal_values(self, tmp_path):

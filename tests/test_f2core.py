@@ -68,6 +68,10 @@ class TestF2Vector:
             (3, [5, 1, 1], "variable index 5 outside 0..2"),
             (4, [2, 0, 2, -1], "duplicate variable index 2"),
             (0, [0], "variable index 0 outside 0..-1"),
+            # a bool is no index (True would be variable 1), nor is a float
+            (3, [True], "variable index True is not an int"),
+            (3, [0, 1.0], "variable index 1.0 is not an int"),
+            (3, [5, False], "variable index False is not an int"),
         ],
     )
     def test_from_support_names_the_first_bad_index(self, n, support, message):
@@ -324,6 +328,7 @@ class TestFromRows:
              "floating-point weights are not supported; use int, str or Fraction"),
             ([(F2Vector(3, 1), 0, 1)], DimensionMismatchError,
              "equation 0 has dimension 3, system has 2"),
+            ([([0, True], 0, 1)], MaxlinError, "variable index True is not an int"),
         ],
     )
     def test_build_checks_each_row(self, rows, error, text):

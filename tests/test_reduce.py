@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -352,6 +353,73 @@ def test_repeated_lhs_is_not_irreducible():
             MaxlinError,
             "deleted variable True is not an int",
             id="deleted-bool",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, 5),
+            MaxlinError,
+            "malformed kept_variables: 'int' object is not iterable",
+            id="kept-not-iterable",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), ((1,),)),
+            MaxlinError,
+            "malformed deleted_variables: dictionary update sequence element #0 has length 1",
+            id="deleted-not-a-pair",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (([1], frozenset()),)),
+            MaxlinError,
+            "malformed deleted_variables: unhashable type: 'list'",
+            id="deleted-unhashable",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), 5),
+            MaxlinError,
+            "malformed merge_log: 'int' object is not iterable",
+            id="merge-log-not-iterable",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (5,)),
+            MaxlinError,
+            "merge 5 is not a MergeEvent of two ids",
+            id="merge-not-an-event",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (MergeEvent((0,), 5, Fraction(1)),)),
+            MaxlinError,
+            "is not a MergeEvent of two ids",
+            id="merge-one-id",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (MergeEvent((0, True), 5, Fraction(1)),)),
+            MaxlinError,
+            "merged id True is not an int",
+            id="merge-bool-id",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (MergeEvent((0, 1), "2", Fraction(1)),)),
+            MaxlinError,
+            "surviving id '2' is not an int",
+            id="merge-str-survivor",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (MergeEvent((0, 1), 2, 1.5),)),
+            MaxlinError,
+            "merge weight 1.5 is not an int or a Fraction",
+            id="merge-float-weight",
+        ),
+        pytest.param(
+            lambda: ReductionTranscript(3, 1, (0,), (), (MergeEvent((0, 1), None, "x"),)),
+            MaxlinError,
+            "merge weight 'x' is not an int or a Fraction",
+            id="merge-str-weight",
+        ),
+        pytest.param(
+            # the merge_log checks run last, so an older error comes first
+            lambda: ReductionTranscript(2, 1, (2,), (), (5,)),
+            MaxlinError,
+            "kept variable 2 outside 0..1",
+            id="older-error-before-merge-log",
         ),
         pytest.param(
             lambda: ref.replay_transcript(ReductionTranscript(2, 2, (0, 1)), LinearSystem(3)),

@@ -16,18 +16,16 @@ the records into ``Equation``s once at the end, through f2core's unchecked
 builder (the rows derive from checked input), each weight back as an exact
 ``Fraction``, and adds the weights as ints.
 
-The list state (``_Marking``) keeps the rows in order.  A single step is
-one bit test per live row, one XOR per row containing the marked variable,
-and one set of the left-hand sides; rule 2 regroups only the repeated ones.
-So a step costs O(m) int operations plus one XOR per touched row.  A block
-marks B rows with one pass over the rows, B about log2(m) - 2 (the Four
-Russians method of M4RI, Albrecht, Bard & Hart, ACM TOMS 2010).  The picks
-are reduced against each other into the block's records, a table of the
-XORs of all 2^B subsets of them is built, and every other row is updated
-with one lookup.  A block costs O(m + 2^B), so O(m/B + 2^B/B) per mark
-where single steps cost O(m).  When the single steps would merge inside
-the block, the block is dropped and changes nothing, so records, merge ids
-and row order are those of single steps.
+The list state (``_Marking``) keeps the rows in order and marks in blocks,
+one pass over the rows each (the Four Russians method of M4RI, Albrecht,
+Bard & Hart, ACM TOMS 2010).  The picks are reduced against each other into
+the block's records, a table of the XORs of all 2^B subsets of them is
+built, and every other row is updated with one lookup: O(m + 2^B).  A single
+mark is a block of one pick, O(m) int operations plus one XOR per touched
+row, after which rule 2 regroups only the repeated left-hand sides.  B about
+log2(m) - 2 picks cost O(m/B + 2^B/B) per mark.  When their single marks
+would merge, the block is dropped unchanged and its first pick marked alone,
+so records, merge ids and row order are those of single marks.
 
 The sparse state (``_SparseMarking``) keeps the per-column row lists of
 structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990): an
@@ -173,32 +171,13 @@ class _Marking:
         self.rows = rows
         self.fresh = fresh
 
-    def step(self, marked: _Row) -> _Row:
-        """Mark one live row, add it into every row holding its lowest bit,
-        and re-merge equal left-hand sides (see h_step); returns the row,
-        which is the mark's record."""
-        bits, rhs, _, eq_id = marked
-        low = bits & -bits
-        out = []
-        for row in self.rows:
-            if not row[0] & low:
-                out.append(row)
-            elif row[3] != eq_id:
-                summed = row[0] ^ bits
-                if summed:
-                    out.append((summed, row[1] ^ rhs, row[2], row[3]))
-                elif row[1] != rhs:
-                    raise MaxlinError(
-                        f"equations {eq_id} and {row[3]} share a left-hand side with "
-                        "opposite right-hand sides; apply rule 2 first"
-                    )
-        self.rows = _merge_rows(out, self.fresh)
-        return marked
-
     def block(self, picks: list[_Row]) -> list[_Row] | None:
-        """Mark the live rows ``picks`` in turn, as single steps would, with
-        one pass over the rows; returns their records, or changes nothing and
-        returns None when those steps would merge rows.
+        """Mark the live rows ``picks`` in turn, as single marks would, with
+        one pass over the rows in which rows keep their places; returns their
+        records.  A lone pick may merge, and rule 2 then folds the repeats it
+        made; a row it cancels to 0 = 1, which only unmerged input holds,
+        raises MaxlinError.  Two or more picks change nothing and return None
+        when their marks would merge rows.
 
         Without a merge ids do not change, so every pick is still live at its
         turn.  Each pick is reduced by the block's earlier marks, which gives
@@ -207,12 +186,13 @@ class _Marking:
         all of them is the row XOR the marks whose lowest bits it holds, one
         lookup in a table of all 2^len(picks) subsets.  Rows that become
         equal at some mark stay equal, and a row equal to a later pick
-        cancels to zero, so the steps merge nowhere in the block exactly when
+        cancels to zero, so the marks merge nowhere in the block exactly when
         the picks reduce to nonzero rows and the other rows to distinct
         nonzero ones.
         """
         marks: list[tuple[int, int, int]] = []
         records = []
+        pivots = 0
         for bits, rhs, weight, eq_id in picks:
             for low, mark, mark_rhs in marks:
                 if bits & low:
@@ -221,16 +201,16 @@ class _Marking:
             if not bits:
                 return None
             new_low = bits & -bits
-            marks = [
-                (low, mark ^ bits, mark_rhs ^ rhs) if mark & new_low else (low, mark, mark_rhs)
-                for low, mark, mark_rhs in marks
-            ]
+            for i, (low, mark, mark_rhs) in enumerate(marks):
+                if mark & new_low:
+                    marks[i] = (low, mark ^ bits, mark_rhs ^ rhs)
             marks.append((new_low, bits, rhs))
+            pivots |= new_low
             records.append((bits, rhs, weight, eq_id))
         table = {0: (0, 0)}
         for low, mark, mark_rhs in marks:
-            table.update([(key | low, (b ^ mark, r ^ mark_rhs)) for key, (b, r) in table.items()])
-        pivots = sum(low for low, _, _ in marks)
+            for key, (b, r) in list(table.items()):
+                table[key | low] = (b ^ mark, r ^ mark_rhs)
         out = []
         for row in self.rows:
             key = row[0] & pivots
@@ -239,9 +219,16 @@ class _Marking:
                 continue
             mark, mark_rhs = table[key]
             summed = row[0] ^ mark
-            if summed:  # the picks themselves sum to zero
+            if summed:
                 out.append((summed, row[1] ^ mark_rhs, row[2], row[3]))
-        if len(out) != len(self.rows) - len(records) or len({row[0] for row in out}) != len(out):
+            elif row[1] != mark_rhs and len(picks) == 1:  # 0 = 1; a pick reads 0 = 0
+                raise MaxlinError(
+                    f"equations {picks[0][3]} and {row[3]} share a left-hand side with "
+                    "opposite right-hand sides; apply rule 2 first"
+                )
+        if len(picks) == 1:
+            out = _merge_rows(out, self.fresh)
+        elif len(out) != len(self.rows) - len(records) or len({row[0] for row in out}) != len(out):
             return None
         self.rows = out
         return records
@@ -290,10 +277,11 @@ class _SparseMarking:
         return _Marking(sorted(rows.values(), key=lambda row: place[row[3]]), self.fresh)
 
     def step(self, marked: _Row) -> _Row | None:
-        """Mark one live row as _Marking.step does, visiting only the rows
-        holding its lowest bit, and return it; or change nothing and return
-        None when the index work, the rows touched times the marked row's
-        variables, exceeds _SPARSE_EXIT times the live rows."""
+        """Mark one live row as a one-pick _Marking.block does, merges
+        included, visiting only the rows holding its lowest bit, and return
+        it; or change nothing and return None when the index work, the rows
+        touched times the marked row's variables, exceeds _SPARSE_EXIT times
+        the live rows."""
         bits, rhs, _, eq_id = marked
         rows, lhs, columns = self.rows, self.lhs, self.columns
         low = bits & -bits
@@ -361,9 +349,9 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
     """Mark one equation and eliminate its lowest variable from the system;
     returns the new system and the marked equation.
 
-    This is one step of run_h's row loop, on the system's own Fraction
-    weights, with the system built once on each side and no row checked
-    again; untouched rows stay the same tuples.
+    This is run_h's single mark, a one-pick block that may merge, on the
+    system's own Fraction weights; the system is built once on each side,
+    with _store's checks only.  Untouched rows stay the same tuples.
     Callers are expected to hand in a system without repeated left-hand
     sides (run_h re-merges after every step), in which case no substitution
     can cancel a row outright.  A cancelled row with rhs 0 is dropped
@@ -375,7 +363,7 @@ def h_step(sys: LinearSystem, eq_id: int) -> tuple[LinearSystem, Equation]:
         raise EquationNotFoundError(f"no equation with id {eq_id}")
     fresh = _FreshIds(sys.next_id)
     state = _Marking(sys.rows, fresh)
-    marked = _equation(sys.n, *state.step(row))
+    marked = _equation(sys.n, *state.block([row])[0])
     return LinearSystem._from_rows(sys.n, state.rows, fresh.next_id), marked
 
 
@@ -385,17 +373,15 @@ def _mark_list(state: _Marking, marked: list[_Row], streak: int) -> None:
     (see the module docstring)."""
     while state.rows:
         m = len(state.rows)
-        if streak >= _BLOCK_STREAK:
-            size = min(max(2, streak), _block_size(m))
-            block = state.block(heapq.nsmallest(size, state.rows, key=itemgetter(3)))
-            if block is not None:
-                marked += block
-                streak += len(block)
-                continue
+        size = min(max(2, streak), _block_size(m)) if streak >= _BLOCK_STREAK else 1
+        picks = heapq.nsmallest(size, state.rows, key=itemgetter(3))
+        block = state.block(picks)
+        if block is None:  # the block would merge: mark its first pick alone
             streak = 0
-        marked.append(state.step(min(state.rows, key=itemgetter(3))))
-        # a merge drops at least one row besides the marked one
-        streak = streak + 1 if len(state.rows) == m - 1 else 0
+            block = state.block(picks[:1])
+        marked += block
+        # a merge drops at least one row besides the marked ones
+        streak = streak + len(block) if len(state.rows) == m - len(block) else 0
 
 
 def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
@@ -415,7 +401,7 @@ def run_h(sys: LinearSystem, first: Iterable[int] = ()) -> HRun:
     takes its weight back as ``Fraction(w, scale)``.  Rows that hold at most
     ``_SPARSE_ROW_WEIGHT`` variables on average are marked on the
     column-indexed state until a step would cost more there than a scan;
-    all other marks run on the list of rows, in single steps or in blocks
+    all other marks run on the list of rows, in blocks of one pick or more
     (see the module docstring), the ids of ``first`` counting as merge-free
     marks.  The two states make the same marks, so the records and the
     merge ids do not depend on where the run switches.  A whole run builds

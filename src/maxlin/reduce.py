@@ -45,14 +45,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """One pairwise rule-2 merge; surviving_id is None when the pair cancelled."""
+    """One pairwise rule-2 merge; surviving_id is None when the pair cancelled.
+    The constructor checks for two int ids, an int or None survivor and an
+    int or Fraction weight (never a bool); rule 2's events skip the checks."""
 
     merged_ids: tuple[int, int]
     surviving_id: int | None
     weight: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "merged_ids", tuple(self.merged_ids))
+        object.__setattr__(self, "merged_ids", _stored("merged_ids", self.merged_ids))
+        if len(self.merged_ids) != 2:
+            raise MaxlinError(f"merge {self!r} is not a MergeEvent of two ids")
+        _check_ints("merged id", self.merged_ids)
+        if self.surviving_id is not None:
+            _check_ints("surviving id", [self.surviving_id])
+        if not isinstance(self.weight, (int, Fraction)) or isinstance(self.weight, bool):
+            raise MaxlinError(f"merge weight {self.weight!r} is not an int or a Fraction")
 
 
 def _check_range(what: str, indices: Collection[int], n: int) -> None:
@@ -81,9 +90,8 @@ class ReductionTranscript:
     equalled at deletion time.  The constructor raises ``MaxlinError`` on a
     field or dependency set it cannot read, an index that is not an int (a
     bool included) or outside the original variables, a dependency that is
-    no kept variable, and a merge that is not a ``MergeEvent`` of two int
-    ids, an int or None survivor and an int or Fraction weight; the
-    reductions build theirs with ``_from_parts``, unchecked.
+    no kept variable, and a merge that is not a ``MergeEvent`` (which checks
+    itself); the reductions build theirs with ``_from_parts``, unchecked.
     """
 
     original_n: int
@@ -128,13 +136,8 @@ class ReductionTranscript:
                     "which is not kept"
                 )
         for event in self.merge_log:
-            if not isinstance(event, MergeEvent) or len(event.merged_ids) != 2:
+            if not isinstance(event, MergeEvent):
                 raise MaxlinError(f"merge {event!r} is not a MergeEvent of two ids")
-            _check_ints("merged id", event.merged_ids)
-            if event.surviving_id is not None:
-                _check_ints("surviving id", [event.surviving_id])
-            if not isinstance(event.weight, (int, Fraction)) or isinstance(event.weight, bool):
-                raise MaxlinError(f"merge weight {event.weight!r} is not an int or a Fraction")
 
     @classmethod
     def _from_parts(
@@ -175,13 +178,15 @@ class _FreshIds:
         self.events: list[MergeEvent] = []
 
     def __call__(self, a_id: int, b_id: int, weight: Fraction | None) -> int | None:
+        # unchecked, as in _from_parts: the ids and weights are rule 2's own
+        event = MergeEvent.__new__(MergeEvent)
         if weight is None:
-            self.events.append(MergeEvent((a_id, b_id), None, Fraction(0)))
-            return None
-        new_id = self.next_id
-        self.next_id += 1
-        self.events.append(MergeEvent((a_id, b_id), new_id, weight))
-        return new_id
+            vars(event).update(merged_ids=(a_id, b_id), surviving_id=None, weight=Fraction(0))
+        else:
+            vars(event).update(merged_ids=(a_id, b_id), surviving_id=self.next_id, weight=weight)
+            self.next_id += 1
+        self.events.append(event)
+        return event.surviving_id
 
 
 def _merge_pair(a: _Row, b: _Row, record: _FreshIds) -> _Row | None:

@@ -313,24 +313,19 @@ def test_run_h_builds_no_system_per_step(monkeypatch):
 def test_run_h_passes_over_the_rows_once_per_block(monkeypatch):
     # the cost shape: once marks stop merging, one pass over the rows marks
     # a block of them, so on this dense system a run makes at most n/2
-    # passes (single steps plus blocks), not one per mark
+    # passes (blocks of one pick and of more), not one per mark
     sys = dense_60_by_180()
     passes = []
+    block = algoh._Marking.block
 
-    def counted(name):
-        method = getattr(algoh._Marking, name)
+    def counting(state, picks):
+        passes.append(len(picks))
+        return block(state, picks)
 
-        def counting(state, arg):
-            passes.append(name)
-            return method(state, arg)
-
-        return counting
-
-    for name in ("step", "block"):
-        monkeypatch.setattr(algoh._Marking, name, counted(name))
+    monkeypatch.setattr(algoh._Marking, "block", counting)
     run = run_h(sys)
     assert len(run.records) == sys.n
-    assert "block" in passes and len(passes) <= sys.n // 2
+    assert max(passes) >= 2 and len(passes) <= sys.n // 2
 
 
 def kset_60_by_180():
@@ -356,19 +351,14 @@ def test_kset_ids_are_marked_in_blocks():
             assert outcome(run_h, reduced, first) == want
 
     passes = []
-    for name in ("step", "block"):
-        method = getattr(algoh._Marking, name)
+    block = algoh._Marking.block
 
-        def counting(state, arg, method=method, name=name):
-            # a step gets one row, a block a list of them
-            passes.append([arg[3]] if name == "step" else [row[3] for row in arg])
-            return method(state, arg)
+    def counting(state, picks):
+        passes.append([row[3] for row in picks])
+        return block(state, picks)
 
-        mock.patch.object(algoh._Marking, name, counting).start()
-    try:
+    with mock.patch.object(algoh._Marking, "block", counting):
         run = run_h(reduced, first)
-    finally:
-        mock.patch.stopall()
     assert [eq.eq_id for eq in run.records[: len(first)]] == first
     size = max(2, reduced.m.bit_length() - 2)
     labels = list(range(-len(first), 0))
@@ -378,15 +368,59 @@ def test_kset_ids_are_marked_in_blocks():
 
 
 def test_no_block_is_tried_with_blocks_off(monkeypatch):
+    # with blocks off every pass marks one pick
     reduced, first = kset_60_by_180()
+    block = algoh._Marking.block
 
-    def no_block(state, picks):
-        raise AssertionError("a block with blocks off")
+    def one_pick(state, picks):
+        assert len(picks) == 1, "a block of two or more picks with blocks off"
+        return block(state, picks)
 
     monkeypatch.setattr(algoh, "_BLOCK_STREAK", float("inf"))
-    monkeypatch.setattr(algoh._Marking, "block", no_block)
+    monkeypatch.setattr(algoh._Marking, "block", one_pick)
     for order in ((), first, itertools.count()):
         outcome(run_h, reduced, order)
+
+
+def dependent_picks():
+    """21 rows over 10 variables, light enough for the sparse state: rows
+    0-3 hold x6-x9 alone, rows 4, 5 and 6 hold x0, x1 and x0 + x1, and rows
+    7-20 hold distinct sets of x2-x5, with some of x0 and x1."""
+    rows = [([j], j % 2, 1) for j in (6, 7, 8, 9)]
+    rows += [([0], 0, 1), ([1], 1, 2), ([0, 1], 0, 3)]
+    rows += [(F2Vector(10, v << 2 | v % 4), v % 2, v % 5 + 1) for v in range(1, 15)]
+    return LinearSystem.build(10, rows)
+
+
+@pytest.mark.parametrize("streak", [0, algoh._BLOCK_STREAK])
+@pytest.mark.parametrize("order", [(), (4, 5, 6, 0)])
+def test_a_block_whose_picks_are_dependent_is_refused(streak, order):
+    # rows 0-3 touch no other row, so 4 marks go by without a merge (or, with
+    # the order, the 4 ids of first count as such); then the picks are rows 4,
+    # 5 and 6, 3 of them at m >= 16, and the first two reduce x0 + x1 to
+    # zero.  No other row ends equal to another, so only that refuses the
+    # block.  Row 4 is then marked alone, which merges rows 5 and 6, so with
+    # the order id 5 vanishes before its turn
+    sys = dependent_picks()
+    calls = []
+    block = algoh._Marking.block
+
+    def recording(state, picks):
+        got = block(state, picks)
+        calls.append(([row[0] for row in picks], got))
+        return got
+
+    with mock.patch.object(algoh, "_BLOCK_STREAK", streak), \
+            mock.patch.object(algoh, "_SPARSE_ROW_WEIGHT", -1), \
+            mock.patch.object(algoh._Marking, "block", recording):
+        got = outcome(run_h, sys, order)
+    assert got == reference_run(sys, order)
+    refused = calls.index(([0b01, 0b10, 0b11], None))
+    assert calls[refused + 1][0] == [0b01]
+    if order:
+        assert got == (MaxlinError, "equation 5 vanished before its marking turn")
+    else:
+        assert got[0] == "ok"
 
 
 def test_integral_run_adds_no_fraction_per_mark_or_merge(monkeypatch):
@@ -596,8 +630,7 @@ def test_sparse_run_visits_only_the_rows_holding_each_marked_variable(monkeypatc
 
     monkeypatch.setattr(algoh._SparseMarking, "__init__", counting_init)
     monkeypatch.setattr(algoh._SparseMarking, "step", counting_step)
-    for name in ("step", "block"):
-        monkeypatch.setattr(algoh._Marking, name, no_pass)
+    monkeypatch.setattr(algoh._Marking, "block", no_pass)
     run = run_h(sys)
     monkeypatch.undo()
     assert run == reference_run(sys)[1]

@@ -414,6 +414,49 @@ def test_repeated_lhs_is_not_irreducible():
             "merge weight 'x' is not an int or a Fraction",
             id="merge-str-weight",
         ),
+        # a MergeEvent checks itself, outside any transcript
+        pytest.param(
+            lambda: MergeEvent(5, None, 0),
+            MaxlinError,
+            "malformed merged_ids: 'int' object is not iterable",
+            id="event-ids-not-iterable",
+        ),
+        pytest.param(
+            lambda: MergeEvent((0,), 5, "x"),
+            MaxlinError,
+            "is not a MergeEvent of two ids",
+            id="event-one-id",
+        ),
+        pytest.param(
+            lambda: MergeEvent((0, 1, 2), 5, Fraction(1)),
+            MaxlinError,
+            "is not a MergeEvent of two ids",
+            id="event-three-ids",
+        ),
+        pytest.param(
+            lambda: MergeEvent([0, 1.0], 5, Fraction(1)),
+            MaxlinError,
+            "merged id 1.0 is not an int",
+            id="event-float-id",
+        ),
+        pytest.param(
+            lambda: MergeEvent((0, 1), True, Fraction(1)),
+            MaxlinError,
+            "surviving id True is not an int",
+            id="event-bool-survivor",
+        ),
+        pytest.param(
+            lambda: MergeEvent((0, 1), 2, "x"),
+            MaxlinError,
+            "merge weight 'x' is not an int or a Fraction",
+            id="event-str-weight",
+        ),
+        pytest.param(
+            lambda: MergeEvent((0, 1), None, False),
+            MaxlinError,
+            "merge weight False is not an int or a Fraction",
+            id="event-bool-weight",
+        ),
         pytest.param(
             # the merge_log checks run last, so an older error comes first
             lambda: ReductionTranscript(2, 1, (2,), (), (5,)),

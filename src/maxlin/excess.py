@@ -3,8 +3,17 @@ and the above-average decision pipeline.
 
 The lower bound marks a sum-independent set of equations first, which
 guarantees k markings at full weight; the oracle finds the exact maximum
-over all assignments with a fast Walsh-Hadamard transform on integer-scaled
-weights, one block of 2^L points (L = min(n, 16)) at a time.  It evaluates
+over all assignments.  The maximum is the total weight W exactly when the
+system is consistent, so where m (n + 4) <= 2^max(9, n - 5) the oracle
+first runs one elimination over the rows, O(m rank) XORs, and answers a
+consistent system with W at its lexicographically smallest solution; an
+inconsistent one of rank n stops after about n + 1 rows.  An inconsistent
+system with at most 3 rows past its rank (a square one of rank n - 1, say)
+is answered too, by the lightest set of rows whose flip makes it
+consistent: at most 3 rows, found by a second elimination of the m rows
+and a search over at most 63 sets of check patterns.  Otherwise it runs
+a fast Walsh-Hadamard transform on integer-scaled weights, one block of
+2^L points (L = min(n, 16)) at a time.  It evaluates
 each block's low b index bits directly from the rows, and runs butterfly
 stages over the other L - b bits only: a pruned transform, with b chosen
 from m and L so that the direct part stays within a quarter block (b = 0,
@@ -15,15 +24,17 @@ the scaled weights (Python ints beyond), and its stages run on contiguous
 runs of entries.  The decision procedure routes each instance to whichever
 of the two applies.
 
-Only the oracle uses numpy, and it imports numpy on its first call with at
-least one row: the reduction, the marking run and the lower bound are
-integer work, so a process that never reaches the oracle never loads numpy.
+Only the transform uses numpy, and it imports numpy on its first call: the
+reduction, the marking run, the lower bound and the oracle's elimination are
+integer work, so a process that never reaches the transform never loads
+numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from itertools import combinations, product
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     MaxlinError,
@@ -31,7 +42,16 @@ from .errors import (
     OracleCapError,
     PreconditionError,
 )
-from .f2core import Assignment, LinearSystem, _is_int, _scaled, evaluate, reverse_bits
+from .f2core import (
+    Assignment,
+    LinearSystem,
+    _is_int,
+    _pivot_basis,
+    _Row,
+    _scaled,
+    evaluate,
+    reverse_bits,
+)
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h
 from .reduce import lift_assignment, make_irreducible
@@ -55,6 +75,9 @@ DEFAULT_ORACLE_CAP = 24
 # bits that _reversed_masks reverses)
 MAX_ORACLE_N = 30
 _BLOCK_BITS = 16
+# the most rows beyond its rank that an inconsistent system may have for
+# the oracle's elimination to answer it
+_MAX_CHECKS = 3
 
 
 @dataclass(frozen=True)
@@ -279,8 +302,190 @@ def _check_cap(cap) -> None:
         raise MaxlinError(f"oracle cap must be an int, got {cap!r}")
 
 
+def _tries_elimination(m: int, n: int) -> bool:
+    """Whether the oracle first decides consistency by elimination: where
+    m (n + 4) <= 2^max(9, n - 5).
+
+    A consistent system reads all m rows, at about (n + 4) / 20 us a row,
+    and reverses the bits of at most n of them, while the transform costs
+    75-270 us at n <= 16, 1 ms at n = 18 and 6 ms at n = 20, plus about
+    0.3 us a row.  On consistent random dense systems (2-core Xeon,
+    Python 3.11, numpy 2.4) the elimination took 0.16-0.37 of the
+    transform's time at the rule's edge (m = 102 at n = 1, 28 at n = 14,
+    102 at n = 16, 1365 at n = 20) and 0.23-0.60 at twice those m.  So an
+    inconsistent system that reads every row, which only a rank below n
+    allows, costs at most about 1.4 transforms; one of rank n stops after
+    about n + 1 rows, 8-18 us at n = 14-20.  Every system _lightest_flip
+    answers, m <= n + 3, is inside the rule; on inconsistent random
+    systems of rank n - 1 with m - rank = 1 to 3 the whole oracle call took
+    0.42-0.71 of the transform's time at n = 2-12, 0.30-0.37 at n = 16
+    and 0.05-0.07 at n = 20 (83-135 us from n = 16 to 22)."""
+    return m * (n + 4) <= 1 << max(9, n - 5)
+
+
+def _nearest_solution(rows: Sequence[_Row], n: int) -> tuple[int, tuple[int, ...]] | None:
+    """The lexicographically smallest maximizer, as assignment bits, and the
+    indices of the rows it violates, for a consistent system (none violated)
+    or one with at most _MAX_CHECKS more rows than its rank; None otherwise.
+
+    One elimination over the rows, each as lhs bits | rhs << n, decides
+    consistency: a pivot key of 1 << n is the equation 0 = 1, and the other
+    keys count the rank.  An inconsistent system goes on to _lightest_flip.
+    The basis of a consistent system, at most n rows with the same
+    solutions, is eliminated again with each lhs bit-reversed, z_1 most
+    significant.  Its keys are lowest bits, so every free variable lies
+    above its pivot rows' keys: setting the free variables to 0 and solving
+    the pivots from the highest key down gives the solution least as an
+    integer, which is the transform's tie-break among the maximizers.  Only
+    those rows are reversed.
+    """
+    basis = _pivot_basis((row[0] | row[1] << n for row in rows), n + 1)
+    if 1 << n in basis:
+        if len(rows) - (len(basis) - 1) > _MAX_CHECKS:
+            return None
+        return _lightest_flip(rows, n)
+    basis = _pivot_basis((reverse_bits(row, n) | row >> n << n for row in basis.values()), n + 1)
+    point = 0
+    for low in sorted(basis, reverse=True):
+        row = basis[low]
+        # row >> n is the rhs; point holds only variables above low
+        if (row & point).bit_count() + (row >> n) & 1:
+            point |= low
+    return reverse_bits(point, n), ()
+
+
+def _lightest_flip(rows: Sequence[_Row], n: int) -> tuple[int, tuple[int, ...]]:
+    """_nearest_solution for an inconsistent system of rank at least
+    m - _MAX_CHECKS: the lightest set of rows whose flipped right-hand sides
+    make it consistent, and the least solution after the flip.
+
+    Row i enters as reverse_bits(lhs) | 1 << (n + i), so the bits above n
+    record which rows each reduced row sums.  After an elimination to
+    reduced echelon form, the rows whose lhs cancel give d = m - rank
+    independent checks: sets of rows whose lhs sum to 0.  A pivot row of
+    key q, summing the rows in s_q, fixes that bit of the least solution of
+    A'Z = y to parity(s_q & y) for every consistent y, a linear map.
+
+    Flipping the rows of a set e is consistent exactly when every check
+    meets e and the right-hand sides with the same parity.  Give each row
+    the pattern of checks it lies in.  A lightest such e has positive
+    weight on every row, so it holds no two rows of one pattern (dropping
+    both keeps the parities) and no set of patterns summing to 0: at most
+    d rows, each the lightest of its pattern.  So every set of at most d of
+    the at most 2^d - 1 nonzero patterns is tried, 63 at d = 3.  A lightest
+    e's least solution is the image of the right-hand sides XOR the images
+    of its rows, and the least of these over every lightest e, ties
+    included, is the transform's maximizer: each maximizer violates a
+    lightest e and solves the system flipped there.  The cost is one more
+    elimination of m <= n + 3 rows of n + m bits and a few XORs for each
+    lightest e; ties allow at most one e per set of at most 3 rows.
+    """
+    full = (1 << n) - 1
+    basis: dict[int, int] = {}
+    checks: list[int] = []
+    for i, row in enumerate(rows):
+        x = reverse_bits(row[0], n) | 1 << (n + i)
+        while x & full:
+            low = x & -x
+            prow = basis.get(low)
+            if prow is None:
+                basis[low] = x
+                break
+            x ^= prow
+        if not x & full:
+            checks.append(x >> n)
+    pivots = sum(basis)
+    for q in sorted(basis, reverse=True):  # each higher key's row is reduced already
+        x = basis[q]
+        hits = x & pivots ^ q
+        while hits:
+            p = hits & -hits
+            x ^= basis[p]
+            hits ^= p
+        basis[q] = x
+    sums = [(q, x >> n) for q, x in basis.items()]
+
+    def least(y: int) -> int:
+        return sum(q for q, s in sums if (s & y).bit_count() & 1)
+
+    def pattern(y: int) -> int:
+        return sum(((check & y).bit_count() & 1) << j for j, check in enumerate(checks))
+
+    scaled, _ = _scaled(row[2] for row in rows)
+    lightest: dict[int, tuple[int, list[int]]] = {}
+    for i, weight in enumerate(scaled):
+        key = pattern(1 << i)
+        if key:
+            best = lightest.get(key)
+            if best is None or weight < best[0]:
+                lightest[key] = (weight, [i])
+            elif weight == best[0]:
+                best[1].append(i)
+    rhs = sum(row[1] << i for i, row in enumerate(rows))
+    target = pattern(rhs)
+    lightest_sets: list[tuple[int, ...]] = []
+    least_weight = None
+    for size in range(1, len(checks) + 1):
+        for patterns in combinations(lightest, size):
+            met = 0
+            for key in patterns:
+                met ^= key
+            if met == target:
+                weight = sum(lightest[key][0] for key in patterns)
+                if least_weight is None or weight < least_weight:
+                    least_weight, lightest_sets = weight, [patterns]
+                elif weight == least_weight:
+                    lightest_sets.append(patterns)
+    base, images = least(rhs), {}
+    found = None
+    for patterns in lightest_sets:
+        for flipped in product(*(lightest[key][1] for key in patterns)):
+            point = base
+            for i in flipped:
+                if i not in images:
+                    images[i] = least(1 << i)
+                point ^= images[i]
+            if found is None or point < found[0]:
+                found = point, flipped
+    return reverse_bits(found[0], n), tuple(sorted(found[1]))
+
+
 def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) -> ExcessWitness:
     """Exact maximum excess with the lexicographically smallest maximizer.
+
+    The excess is at most the total weight W, with equality exactly at the
+    solutions of Az = b.  So where _tries_elimination allows, one
+    elimination over the rows decides consistency first: a consistent
+    system's answer is W at its lexicographically smallest solution, at a
+    cost of O(m rank) XORs and without numpy.  An inconsistent one stops
+    the elimination at the equation 0 = 1, after about rank + 1 rows when
+    the rank is n.  If it has at most _MAX_CHECKS rows past its rank, the
+    answer is W - 2 w(e) for the lightest set e of rows whose flipped
+    right-hand sides make it consistent (_lightest_flip), again without
+    numpy; otherwise it goes on to the transform (_transform_max_excess).
+    The cap and the ceiling are checked before either, and a system with no
+    rows has excess 0 at every point.
+    """
+    _check_cap(cap)
+    limit = min(cap, MAX_ORACLE_N)
+    if sys.n > limit:
+        raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
+    rows = sys.rows
+    if not rows:
+        return ExcessWitness(Assignment(sys.n, 0), Fraction(0), "brute_force")
+    if _tries_elimination(len(rows), sys.n):
+        nearest = _nearest_solution(rows, sys.n)
+        if nearest is not None:
+            point, violated = nearest
+            scaled, scale = _scaled(row[2] for row in rows)
+            excess = sum(scaled) - 2 * sum(scaled[i] for i in violated)
+            return ExcessWitness(Assignment(sys.n, point), Fraction(excess, scale), "brute_force")
+    return _transform_max_excess(sys)
+
+
+def _transform_max_excess(sys: LinearSystem) -> ExcessWitness:
+    """brute_force_max_excess over all 2^n points, for a system with at
+    least one row and n <= MAX_ORACLE_N.
 
     Indexing assignments with z_1 most significant, the excess at z is
     sum_e s_e (-1)^<a_e, z> with s_e = +-w_e, i.e. the Walsh-Hadamard
@@ -288,7 +493,7 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     The index is split into L = min(n, 16) low bits and n - L high bits:
     for each high pattern, in ascending order, the equations' signs on the
     high bits are folded into their weights and one block over the low bits
-    is transformed.  A system with no rows has excess 0 at every point.
+    is transformed.
 
     A block's index x = g << b | xl splits again into b direct bits xl and
     t = L - b group bits g.  Over the direct bits, row e contributes
@@ -312,15 +517,9 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     natural order, and its first maximum replaces the best so far only if
     strictly greater, which keeps the lexicographically smallest maximizer.
     """
-    _check_cap(cap)
-    limit = min(cap, MAX_ORACLE_N)
-    if sys.n > limit:
-        raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
-    rows = sys.rows
-    if not rows:
-        return ExcessWitness(Assignment(sys.n, 0), Fraction(0), "brute_force")
     import numpy as np
 
+    rows = sys.rows
     scaled, scale = _scaled(row[2] for row in rows)
     total = sum(scaled)
     dtype = next((t for t in (np.int16, np.int32, np.int64) if total <= np.iinfo(t).max), object)

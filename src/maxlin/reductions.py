@@ -224,8 +224,12 @@ def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:
 
     After reduction, m >= k together with (m+2)^(k-1) <= 2^n settles the
     instance as yes; otherwise the reduced system itself is the kernel —
-    reduction preserves arity and the answer, and the failed threshold pins
-    its variable count to O(k log k) for fixed r.
+    reduction preserves arity and the answer.  The paper bounds the kernel's
+    variable count by O(k log k) for fixed r: its m distinct rows of at
+    most r variables number at most S(n) = C(n, 1) + ... + C(n, r), so the
+    threshold fails only for n <= N(r, k), the largest n with
+    (S(n)+2)^(k-1) > 2^n.  No code here computes N(r, k) or checks a kernel
+    against it.
     """
     if not _is_int(r) or r < 1:
         raise MaxlinError(f"arity bound r must be a positive integer, got {r!r}")

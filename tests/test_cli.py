@@ -176,6 +176,17 @@ class TestSubcommands:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
 
+    def test_a_consistent_system_past_the_cap_exits_2(self, tmp_path, capsys):
+        # 25 unit rows hold at z = 0, so only the cap keeps the oracle from
+        # answering them by elimination
+        path = tmp_path / "units25"
+        path.write_text("p maxlin 25 25\n" + "".join(f"1 0 1 {i}\n" for i in range(1, 26)))
+        for argv in (["excess", "--oracle"], ["solve", "--k", "1000"]):
+            assert main([*argv, str(path)]) == 2
+            assert capsys.readouterr() == ("", "error: 25 variables exceed the oracle cap of 24\n")
+        assert main(["excess", "--oracle", "--oracle-cap", "25", str(path)]) == 0
+        assert capsys.readouterr().out == "25\n" + "0" * 25 + "\n"
+
     def test_running_out_of_memory_exits_2(self, tmp_path):
         # the child alone runs under a 256 MiB address-space limit: reducing a
         # system at the declared-n ceiling lists 2^22 deleted columns and runs
@@ -232,6 +243,8 @@ RATIONAL = "p maxlin 2 2\n3/2 0 1 1\n1/3 0 1 2\n"
 MERGING = "p maxlin 3 4\n3/2 0 1 1\n1/2 1 2 1 2\n1 0 2 2 3\n1 1 2 2 3\n"
 RATIONAL_FOURIER = "p fourier 2 2\nconst 1/2\n3/2 1 1\n-1/3 2 1 2\n"
 WIDE = "p maxlin 6 6\n" + "".join(f"1 0 1 {i}\n" for i in range(1, 7))
+# x1 + x2 = 0, 1, 0, 1, 0: four rows past the rank, so the oracle transforms
+FAR = "p maxlin 2 5\n" + "".join(f"{w} {(w + 1) % 2} 2 1 2\n" for w in range(1, 6))
 OUTPUT_TABLE = [
     (["reduce"], MERGING,
      "p maxlin 2 2\n3/2 0 1 1\n1/2 1 2 1 2\nc transcript kept 1 2\n"
@@ -288,7 +301,7 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
     rng = random.Random(60)
     dense = LinearSystem.build(60, [(F2Vector(60, rng.getrandbits(60) or 1), rng.randint(0, 1),
                                      rng.randint(1, 5)) for _ in range(180)])
-    inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE, "pair": PAIR,
+    inputs = {"merging": MERGING, "triple": TRIPLE, "wide": WIDE, "pair": PAIR, "far": FAR,
               "fourier": RATIONAL_FOURIER, "rational": RATIONAL, "dense": emit_system(dense)}
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
@@ -303,8 +316,10 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
         ["solve", "--k", "1", path["dense"]],  # a marking run that takes blocks
         ["solve", "--k", "2", path["wide"]],  # the marking lower bound
         ["solve", "--k", "1", path["pair"]],  # reduced to no rows: nothing to transform
+        ["excess", "--oracle", path["rational"]],  # consistent: answered by elimination
+        ["excess", "--oracle", path["triple"]],  # one row past the rank: one flip
     ]
-    oracle = ["excess", "--oracle", path["rational"]]
+    oracle = ["excess", "--oracle", path["far"]]  # four rows past the rank: the transform
     env = {**os.environ, "PYTHONPATH": str(Path(maxlin.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_CHILD, json.dumps([*cold, oracle])],
@@ -319,7 +334,9 @@ def test_only_the_oracle_loads_numpy(tmp_path, capsys):
         code = main(argv)
         expected.append([code, capsys.readouterr().out])
     assert [[code, out] for code, out, _ in runs] == expected
-    assert runs[-1][:2] == [0, "11/6\n00\n"]
+    assert runs[-3][:2] == [0, "11/6\n00\n"]
+    assert runs[-2][:2] == [0, "2\n00\n"]
+    assert runs[-1][:2] == [0, "3\n00\n"]
 
 
 class TestDeterminism:

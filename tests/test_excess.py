@@ -27,7 +27,14 @@ from maxlin import (
 from maxlin import excess, f2core, kset
 from maxlin.excess import _direct_bits, _reversed_masks, regime_exponent
 
-from helpers import assert_raises, enumerate_max_excess, is_irreducible, random_regime_system, random_system
+from helpers import (
+    assert_raises,
+    enumerate_max_excess,
+    is_irreducible,
+    lhs_rank,
+    random_regime_system,
+    random_system,
+)
 from reference_oracle import reference_max_excess
 
 
@@ -104,20 +111,60 @@ def split_cases(draw, total=None):
     return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows]), direct
 
 
+def far_system(n: int) -> LinearSystem:
+    """Five rows x1 + xn = 0, 1, 0, 1, 0 of weights 1 to 5: inconsistent,
+    with four rows past its rank 1, so the oracle runs the transform."""
+    return LinearSystem.build(n, [([0, n - 1], j % 2, j + 1) for j in range(5)])
+
+
+def transform(sys: LinearSystem):
+    """The oracle's transform on a system with rows (which skips the
+    elimination that answers consistent ones), the oracle on one without."""
+    return excess._transform_max_excess(sys) if sys.rows else brute_force_max_excess(sys)
+
+
 def forced_oracle(sys: LinearSystem, direct: int):
-    """brute_force_max_excess with its block's direct bits forced."""
+    """The oracle's transform with its block's direct bits forced."""
     with patch.object(excess, "_direct_bits", lambda m, low_bits: direct):
-        return brute_force_max_excess(sys)
+        return transform(sys)
 
 
+@pytest.fixture
+def transform_only(monkeypatch):
+    """Fail the test if the elimination answers any oracle call in it, so
+    that every call the test makes with rows reaches the transform."""
+    solve = excess._nearest_solution
+
+    def guarded(rows, n):
+        nearest = solve(rows, n)
+        if nearest is not None:
+            pytest.fail("the elimination answered a call of a transform test")
+        return nearest
+
+    monkeypatch.setattr(excess, "_nearest_solution", guarded)
+
+
+def test_the_transform_guard_fails_a_call_the_elimination_answers(transform_only):
+    consistent = LinearSystem.build(2, [([0, 1], 1, 1)])
+    with pytest.raises(pytest.fail.Exception, match="elimination answered"):
+        brute_force_max_excess(consistent)
+    near = LinearSystem.build(2, [([0, 1], 1, 1), ([0, 1], 0, 2)])
+    with pytest.raises(pytest.fail.Exception, match="elimination answered"):
+        brute_force_max_excess(near)
+    inconsistent = far_system(2)
+    assert brute_force_max_excess(inconsistent) == transform(inconsistent)
+    assert transform(consistent).excess == 1
+
+
+@pytest.mark.usefixtures("transform_only")
 class TestBruteForce:
     def test_cancelling_pair(self):
         sys = LinearSystem.build(3, [([0, 1], 0, 1), ([0, 1], 1, 1)])
-        assert brute_force_max_excess(sys).excess == 0
+        assert transform(sys).excess == 0
 
     def test_three_equation_example(self):
         sys = LinearSystem.build(2, [([0], 0, 2), ([1], 0, 1), ([0, 1], 1, 1)])
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert witness.excess == 2
         assert witness.assignment == Assignment(2, 0)
 
@@ -129,12 +176,12 @@ class TestBruteForce:
     def test_witness_is_lexicographically_smallest(self):
         # two symmetric maximizers; 01 and 10 both give excess 1
         sys = LinearSystem.build(2, [([0, 1], 1, 1)])
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert witness.assignment == Assignment(2, 0b10)
 
     def test_rational_weights_exact(self):
         sys = LinearSystem.build(1, [([0], 0, Fraction(1, 3)), ([0], 1, Fraction(1, 2))])
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert witness.excess == Fraction(1, 6)
         assert witness.assignment == Assignment(1, 1)
 
@@ -149,7 +196,7 @@ class TestBruteForce:
         sys = LinearSystem.build(MAX_ORACLE_N + 1, [([0], 0, 1)])
         with pytest.raises(OracleCapError, match=f"cap of {MAX_ORACLE_N}"):
             brute_force_max_excess(sys, cap=60)
-        small = LinearSystem.build(3, [([0, 2], 1, 1)])
+        small = far_system(3)
         assert brute_force_max_excess(small, cap=60) == brute_force_max_excess(small)
 
     @pytest.mark.parametrize("cap", ["24", None, True, 2.5])
@@ -161,7 +208,7 @@ class TestBruteForce:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(oracle_systems())
     def test_matches_frozen_block_oracle(self, sys):
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert (witness.excess, witness.assignment) == reference_max_excess(sys)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -176,7 +223,7 @@ class TestBruteForce:
             min_size=8 * n, max_size=8 * n + 16,
         ))
         sys = LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert (witness.excess, witness.assignment) == reference_max_excess(sys)
 
     def test_reversed_masks_match_reverse_bits(self):
@@ -196,14 +243,14 @@ class TestBruteForce:
                     for _ in range(5)]
             for sys in (LinearSystem.build(n, rows),
                         LinearSystem.build(n, rows + [([0], 1, 9), ([0, n - 1], 0, 1)])):
-                witness = brute_force_max_excess(sys)
+                witness = transform(sys)
                 assert (witness.excess, witness.assignment) == reference_max_excess(sys)
 
     def test_witness_is_first_maximizer_in_lex_order(self):
         rng = random.Random(46)
         for _ in range(40):
             sys = random_system(rng, n_max=7, m_max=8, w_max=1)
-            witness = brute_force_max_excess(sys)
+            witness = transform(sys)
             assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
 
     def test_weights_past_int64_headroom_are_exact(self):
@@ -213,7 +260,7 @@ class TestBruteForce:
             sys = LinearSystem.build(small.n, [
                 (eq.lhs, eq.rhs, eq.weight * 2**62 + Fraction(1, 3)) for eq in small.equations
             ])
-            witness = brute_force_max_excess(sys)
+            witness = transform(sys)
             assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
 
     @pytest.mark.parametrize("total", TYPE_EDGES)
@@ -224,7 +271,7 @@ class TestBruteForce:
         # the excess reaches +-sum w there
         sys, z0 = edge_system(random.Random(total * sign), 5, total, sign)
         assert evaluate(sys, Assignment(5, z0)) == sign * total
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
         if sign == 1:
             assert witness.excess == total
@@ -237,7 +284,7 @@ class TestBruteForce:
         for _ in range(2):
             sys = random_system(rng, n_min=n, n_max=n, m_min=1, m_max=16, w_max=9,
                                 rational_weights=True)
-            witness = brute_force_max_excess(sys)
+            witness = transform(sys)
             assert (witness.excess, witness.assignment) == reference_max_excess(sys)
 
     def test_matches_direct_enumeration(self):
@@ -247,7 +294,7 @@ class TestBruteForce:
             best = max(
                 evaluate(sys, Assignment(sys.n, bits)) for bits in range(2**sys.n)
             )
-            assert brute_force_max_excess(sys).excess == best
+            assert transform(sys).excess == best
 
     def test_empty_system_past_one_block(self):
         for n in (17, 22, MAX_ORACLE_N):
@@ -298,7 +345,7 @@ class TestBruteForce:
             assert (witness.excess, witness.assignment.to01()) == expected
         wide, z0 = edge_system(rng, 17, total, sign)
         assert _direct_bits(wide.m, 16) > 0
-        witness = brute_force_max_excess(wide)
+        witness = transform(wide)
         assert witness == forced_oracle(wide, 0)
         if sign == 1:
             assert witness.excess == total == evaluate(wide, Assignment(17, z0))
@@ -341,27 +388,28 @@ def count_stages(monkeypatch) -> list[int]:
 
 def traced_peak(sys: LinearSystem) -> int:
     """The tracemalloc peak of one oracle call, after a call that loads numpy."""
-    brute_force_max_excess(sys)
+    transform(sys)
     tracemalloc.start()
     try:
-        brute_force_max_excess(sys)
+        transform(sys)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+@pytest.mark.usefixtures("transform_only")
 class TestOracleShape:
     def test_few_rows_run_at_most_half_the_stages(self, monkeypatch):
         rng = random.Random(50)
         sys = random_system(rng, n_min=20, n_max=20, m_min=20, m_max=20, w_max=9)
         stages = count_stages(monkeypatch)
-        witness = brute_force_max_excess(sys)
+        witness = transform(sys)
         # the full transform runs 16 stages in each of 16 blocks; here 9 of
         # each block's 16 bits are direct
         assert sum(stages) <= 16 * 16 // 2
         assert sum(stages) == 16 * (16 - _direct_bits(20, 16))
         monkeypatch.setattr(excess, "_direct_bits", lambda m, low_bits: 0)
-        assert brute_force_max_excess(sys) == witness
+        assert transform(sys) == witness
         assert sum(stages) == 16 * (16 - _direct_bits(20, 16)) + 16 * 16
 
     @pytest.mark.parametrize("m", [20, 60, 500, 2**12])
@@ -381,6 +429,227 @@ class TestOracleShape:
         today = traced_peak(sys)
         assert today >= 2 * block_bytes
         assert peak <= today + block_bytes // 4 + np.getbufsize() * itemsize
+
+
+@st.composite
+def planted_systems(draw):
+    """A system with n <= 12 whose rows all hold at a drawn point z0: rows
+    over the first r columns, each later column the sum of a drawn set of
+    those (so the rank is at most r), some rows repeated with another
+    weight, and unit, integer or rational weights."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, n))
+    z0 = draw(st.integers(0, 2**n - 1))
+    sums = [draw(st.integers(0, 2**r - 1)) for _ in range(r, n)]
+    weights = draw(st.sampled_from([
+        st.just(Fraction(1)),
+        st.integers(1, 6).map(Fraction),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    ]))
+    rows = []
+    for low in draw(st.lists(st.integers(1, 2**r - 1), min_size=1, max_size=16)):
+        mask = low
+        for j, s in enumerate(sums, start=r):
+            mask |= ((low & s).bit_count() & 1) << j
+        rows.append((mask, (mask & z0).bit_count() & 1, draw(weights)))
+    repeated = draw(st.integers(0, len(rows)))
+    rows += [(mask, rhs, draw(weights)) for mask, rhs, _ in rows[:repeated]]
+    return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows]), z0
+
+
+def square_irreducible_system(rng: random.Random, n: int) -> tuple[LinearSystem, int]:
+    """n distinct rows of rank n, all holding at a random point z0, with
+    integral weights from 2 to 9."""
+    while True:
+        masks = list({rng.getrandbits(n) or 1 for _ in range(n)})
+        z0 = rng.getrandbits(n)
+        sys = LinearSystem.build(n, [
+            (F2Vector(n, mask), (mask & z0).bit_count() & 1, rng.randint(2, 9)) for mask in masks
+        ])
+        if sys.m == n and is_irreducible(sys):
+            return sys, z0
+
+
+class TestConsistentSystems:
+    """The oracle's elimination, which answers a consistent system with the
+    total weight at its lexicographically smallest solution."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(planted_systems(), st.data())
+    def test_planted_and_flipped_systems_match_both_oracles(self, case, data):
+        planted, z0 = case
+        index = data.draw(st.integers(0, planted.m - 1))
+        flipped = LinearSystem.build(planted.n, [
+            (eq.lhs, eq.rhs ^ (i == index), eq.weight) for i, eq in enumerate(planted.equations)
+        ])
+        total = sum(eq.weight for eq in planted.equations)
+        for sys in (planted, flipped):
+            witness = brute_force_max_excess(sys)
+            assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+            if sys.n <= 8:
+                assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+            assert witness == transform(sys)
+            # the elimination answers exactly the systems whose maximum is W
+            nearest = excess._nearest_solution(sys.rows, sys.n)
+            assert (nearest is not None and not nearest[1]) == (witness.excess == total)
+        assert brute_force_max_excess(planted).excess == total == evaluate(planted, Assignment(planted.n, z0))
+
+    def test_decide_aa_on_a_square_system_takes_the_oracle_route(self, monkeypatch):
+        # m = n and rank n, so Az = b has one solution, the only point where
+        # the excess reaches W; k = W and W + 1 lie above the marking regime
+        rng = random.Random(53)
+        monkeypatch.setattr(excess, "_transform_max_excess",
+                            lambda sys: pytest.fail("a consistent system reached the transform"))
+        for n in [4, 7, 10, 16, 20, 24] * 3:
+            sys, z0 = square_irreducible_system(rng, n)
+            assert make_irreducible(sys)[0] is sys
+            total = int(sum(row[2] for row in sys.rows))
+            for k in (total, total + 1):
+                assert k - 1 > regime_exponent(n, n)
+                answer, witness = decide_aa(AaInstance(sys, k))
+                assert answer == (total >= k)
+                assert witness == excess.ExcessWitness(Assignment(n, z0), total, "brute_force")
+
+    def test_a_consistent_system_past_the_cap_is_refused(self):
+        sys, _ = square_irreducible_system(random.Random(54), 25)
+        assert_raises(lambda: brute_force_max_excess(sys), OracleCapError,
+                      "25 variables exceed the oracle cap of 24")
+        assert_raises(lambda: decide_aa(AaInstance(sys, 10**6)), OracleCapError,
+                      "25 variables exceed the oracle cap of 24")
+        wide = LinearSystem.build(MAX_ORACLE_N + 1, [([0], 0, 1)])
+        assert_raises(lambda: brute_force_max_excess(wide, cap=60), OracleCapError,
+                      f"{MAX_ORACLE_N + 1} variables exceed the oracle cap of {MAX_ORACLE_N}")
+
+    def test_many_more_rows_than_points_cost_no_more_than_the_transform(self):
+        # n = 16 and m = 2^15 consistent rows: reading them all through the
+        # elimination would cost several transforms, so the oracle skips it
+        n, m = 16, 2**15
+        rng = random.Random(55)
+        z0 = rng.getrandbits(n)
+        masks = [rng.getrandbits(n) or 1 for _ in range(m)]
+        sys = LinearSystem._from_rows(n, [
+            (mask, (mask & z0).bit_count() & 1, Fraction(rng.randint(1, 9)), i)
+            for i, mask in enumerate(masks)
+        ])
+        assert excess._nearest_solution(sys.rows, n) == (z0, ())
+        oracle, plain = [], []
+        for _ in range(5):
+            for times, call in ((oracle, brute_force_max_excess), (plain, transform)):
+                start = perf_counter()
+                witness = call(sys)
+                times.append(perf_counter() - start)
+        assert witness == brute_force_max_excess(sys)
+        assert witness.excess == sum(row[2] for row in sys.rows)
+        assert min(oracle) <= 1.25 * min(plain)
+
+
+@st.composite
+def near_square_systems(draw):
+    """A system with n <= 12 and m = r + extra rows over the first r
+    columns (extra from 0 to 5), each later column the sum of a drawn set of
+    those, so m - rank is at least extra and is more where rows repeat or
+    the rank falls below r; right-hand sides are drawn, and weights are
+    unit (many ties), integer or rational."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, n))
+    sums = [draw(st.integers(0, 2**r - 1)) for _ in range(r, n)]
+    weights = draw(st.sampled_from([
+        st.just(Fraction(1)),
+        st.integers(1, 6).map(Fraction),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    ]))
+    size = r + draw(st.integers(0, 5))
+    rows = []
+    for low in draw(st.lists(st.integers(1, 2**r - 1), min_size=size, max_size=size)):
+        mask = low
+        for j, s in enumerate(sums, start=r):
+            mask |= ((low & s).bit_count() & 1) << j
+        rows.append((mask, draw(st.integers(0, 1)), draw(weights)))
+    return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
+
+
+def violated(sys: LinearSystem, point: int) -> tuple[int, ...]:
+    return tuple(i for i, (bits, rhs, *_) in enumerate(sys.rows)
+                 if (bits & point).bit_count() & 1 != rhs)
+
+
+class TestNearlyConsistentSystems:
+    """The oracle's elimination on an inconsistent system with at most
+    three rows past its rank, which it answers by the lightest set of rows
+    whose flipped right-hand sides make the system consistent."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_square_systems())
+    def test_near_square_systems_match_both_oracles(self, sys):
+        witness = brute_force_max_excess(sys)
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+        if sys.n <= 8:
+            assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+        assert witness == transform(sys)
+        nearest = excess._nearest_solution(sys.rows, sys.n)
+        total = sum(eq.weight for eq in sys.equations)
+        assert (nearest is None) == (witness.excess < total and sys.m - lhs_rank(sys) > 3)
+        if nearest is not None:
+            point, flipped = nearest
+            assert point == witness.assignment.bits
+            assert flipped == violated(sys, point)
+            assert witness.excess == total - 2 * sum(sys.rows[i][2] for i in flipped)
+
+    def test_ties_keep_the_least_maximizer(self):
+        # unit weights on n rows of rank n plus three rows that each sum
+        # one of three disjoint groups of them: every check ties its rows
+        rng = random.Random(56)
+        several = 0
+        for _ in range(60):
+            n = rng.randint(6, 10)
+            while True:
+                masks = [rng.getrandbits(n) for _ in range(n)]
+                if len(f2core._pivot_basis(masks, n)) == n:
+                    break
+            groups = [list(range(n))[j::3] for j in range(3)]
+            for group in groups:
+                mask = 0
+                for i in group:
+                    mask ^= masks[i]
+                masks.append(mask or masks[group[0]])
+            sys = LinearSystem.build(n, [(F2Vector(n, mask), rng.randint(0, 1), 1) for mask in masks])
+            witness = brute_force_max_excess(sys)
+            assert witness == transform(sys)
+            assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+            best = sum(evaluate(sys, Assignment(n, z)) == witness.excess for z in range(2**n))
+            several += best > 1
+        assert several >= 30
+
+    def test_a_fourth_row_past_the_rank_reaches_the_transform(self):
+        rng = random.Random(57)
+        for extra in range(1, 6):
+            for _ in range(20):
+                n = rng.randint(3, 10)
+                masks = [rng.getrandbits(n) or 1 for _ in range(n + extra)]
+                sys = LinearSystem.build(n, [(F2Vector(n, m), rng.randint(0, 1), rng.randint(1, 9))
+                                             for m in masks])
+                witness = brute_force_max_excess(sys)
+                assert witness == transform(sys)
+                deficit = sys.m - lhs_rank(sys)
+                consistent = witness.excess == sum(eq.weight for eq in sys.equations)
+                answered = excess._nearest_solution(sys.rows, n) is not None
+                assert answered == (consistent or deficit <= 3)
+
+    def test_a_square_system_of_rank_below_n_skips_the_transform(self, monkeypatch):
+        # n = 20 and m = 20: a random system of rank 17-19 is inconsistent
+        # as often as not, and one of its rows' flips makes it consistent
+        rng = random.Random(58)
+        cases = []
+        while len(cases) < 6:
+            masks = [rng.getrandbits(20) or 1 for _ in range(20)]
+            sys = LinearSystem.build(20, [(F2Vector(20, m), rng.randint(0, 1), rng.randint(1, 9))
+                                          for m in masks])
+            if 1 <= 20 - lhs_rank(sys) <= 3 and excess._nearest_solution(sys.rows, 20)[1]:
+                cases.append((sys, transform(sys)))
+        monkeypatch.setattr(excess, "_transform_max_excess",
+                            lambda sys: pytest.fail("a nearly consistent system reached the transform"))
+        for sys, expected in cases:
+            assert brute_force_max_excess(sys) == expected
 
 
 class TestRegimeExponent:

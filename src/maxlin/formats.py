@@ -9,27 +9,30 @@ take ``_`` between digits and non-ASCII digits such as ``٣``.  Every header
 declares at most ``MAX_DECLARED_N`` variables, checked before any index is
 shifted or anything of size n is built.
 
-Systems and expansions are read a line at a time, not a token at a time.
-Each file reads its index tokens through one memo from a token naming
-index i to ``1 << i``, so that a row or a term is the sum of its values
-shifted down by one: bit i - 1 for index i.  The memo converts each
-distinct token once, on its first lookup, and holds only tokens naming an
-index i in 1..n, so a file's cost follows its distinct tokens and not its
-n.  As the values grow with i, a line of the right count whose values
-strictly ascend holds strictly ascending indices in 1..n.  Any other line
-is walked token by token, to raise the same ``ParseError`` (text and line
-number) that a token-at-a-time parser would raise first.  Each distinct
-weight, coefficient and size token of a file is parsed once too.  A
-system's rows go straight into ``LinearSystem._from_rows`` and an
-expansion's term masks into ``FourierExpansion._from_masks``, with no
-``Equation``, no frozenset and no check but the parser's own.
+Systems and expansions are read in one pass over their content lines, a
+line at a time, not a token at a time.  Each file reads its index tokens
+through one memo from a token naming index i to ``1 << i``, so that a row
+or a term is the sum of its values shifted down by one: bit i - 1 for
+index i.  The memo converts each distinct token once, on its first lookup,
+and holds only tokens naming an index i in 1..n, so a file's cost follows
+its distinct tokens and not its n.  A line of the right count is accepted
+when its row has that many bits set, so its indices are distinct, and its
+values equal their sorted list, so they ascend.  Any other line is walked
+token by token, to raise the same ``ParseError`` (text and line number)
+that a token-at-a-time parser would raise first.  The rows are counted
+against the header only where a file ends short, runs past its count or
+breaks, and a wrong count outranks a broken row, as in a parser that
+counts before it reads a row.  Each distinct weight, coefficient and size
+token of a file is parsed once too.  A system's rows go straight into
+``LinearSystem._from_rows`` and an expansion's term masks into
+``FourierExpansion._from_masks``, with no ``Equation``, no frozenset and no
+check but the parser's own.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress
-from operator import lt
+from itertools import compress, islice
 
 from .errors import ParseError
 from .f2core import LinearSystem, _support
@@ -70,15 +73,18 @@ def parse_rational(token: str, line_no: int) -> Fraction:
         raise ParseError(line_no, f"{token!r} has a zero denominator") from None
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Non-comment, non-blank lines as (1-based line number, tokens)."""
-    out = []
+def _iter_content_lines(text: str):
+    """Non-comment, non-blank lines as (1-based line number, tokens), one at
+    a time."""
     for i, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        out.append((i, tokens))
-    return out
+        if tokens and tokens[0] != "c":
+            yield i, tokens
+
+
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Non-comment, non-blank lines as (1-based line number, tokens)."""
+    return list(_iter_content_lines(text))
 
 
 def _plain(text: str) -> bool:
@@ -113,7 +119,9 @@ def _parse_header(lines, expected: str):
 
 def _check_count(rows, count: int, what: str, last_line: int) -> None:
     """Raise unless there are exactly ``count`` rows, at the first extra row,
-    else at the last row read (``last_line`` when there is none)."""
+    else at the last row read (``last_line`` when there is none).  The
+    system and expansion parsers read their rows in one pass and call this
+    only where a file ends short, runs past its count or breaks."""
     if len(rows) != count:
         where = rows[count][0] if len(rows) > count else (rows[-1][0] if rows else last_line)
         raise ParseError(where, f"header declares {count} {what}, found {len(rows)}")
@@ -141,9 +149,12 @@ class _IndexMemo(dict):
 
 
 def _index_values(n):
-    """The file's index reader: read(tokens, line_no, count) is 1 << i for
-    each of the line's indices i, checked to be count integers strictly
-    increasing within 1..n, through one memo for the whole file."""
+    """The file's index reader: read(tokens, line_no, count) is the line's
+    row or term, bit i - 1 for each of its indices i, checked to be count
+    integers strictly increasing within 1..n, through one memo for the whole
+    file.  The memo gives 1 << i, so the row is the values' sum shifted down
+    by one; it has count bits set exactly when the values are distinct, and
+    distinct values in sorted order hold strictly increasing indices."""
     get = _IndexMemo(n).__getitem__
 
     def read(tokens, line_no, count):
@@ -153,8 +164,9 @@ def _index_values(n):
             except KeyError:
                 pass
             else:
-                if all(map(lt, p, p[1:])):
-                    return p
+                bits = sum(p) >> 1
+                if bits.bit_count() == count and p == sorted(p):
+                    return bits
         _raise_index_error(tokens, line_no, n, count)
 
     return read
@@ -177,36 +189,43 @@ def _raise_index_error(tokens, line_no, n, count):
 def parse_system(text: str) -> LinearSystem:
     """Parse the weighted-system format: 'p maxlin n m' then one equation per
     line as '<weight> <b> <t> <i1> ... <it>'."""
-    lines = _content_lines(text)
-    n, m, rows = _parse_header(lines, "maxlin")
-    _check_count(rows, m, "equations", 1)
+    lines = _iter_content_lines(text)
+    n, m, _ = _parse_header(list(islice(lines, 1)), "maxlin")
     read_indices = _index_values(n)
     weights: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
     built = []
-    for line_no, tokens in rows:
-        if len(tokens) < 3:
-            raise ParseError(line_no, "equation lines need '<weight> <b> <t> <indices>'")
-        weight = weights.get(tokens[0])
-        if weight is None:
-            weight = parse_rational(tokens[0], line_no)
-            if weight <= 0:
-                raise ParseError(line_no, f"weights must be positive, got {tokens[0]}")
-            weights[tokens[0]] = weight
-        rhs = _RHS.get(tokens[1])
-        if rhs is None:
-            rhs = _parse_int(tokens[1], line_no, "right-hand bit")
-            if rhs not in (0, 1):
-                raise ParseError(line_no, f"right-hand bit must be 0 or 1, got {rhs}")
-        t = sizes.get(tokens[2])
-        if t is None:
-            t = _parse_int(tokens[2], line_no, "support size")
-            if t < 1:
-                raise ParseError(line_no, "equations must involve at least one variable")
-            sizes[tokens[2]] = t
-        # index i is bit i, shifted down to bit i - 1
-        bits = sum(read_indices(tokens[3:], line_no, t)) >> 1
-        built.append((bits, rhs, weight, len(built)))
+    broken = None
+    try:
+        for line_no, tokens in islice(lines, m):
+            if len(tokens) < 3:
+                raise ParseError(line_no, "equation lines need '<weight> <b> <t> <indices>'")
+            weight = weights.get(tokens[0])
+            if weight is None:
+                weight = parse_rational(tokens[0], line_no)
+                if weight <= 0:
+                    raise ParseError(line_no, f"weights must be positive, got {tokens[0]}")
+                weights[tokens[0]] = weight
+            rhs = _RHS.get(tokens[1])
+            if rhs is None:
+                rhs = _parse_int(tokens[1], line_no, "right-hand bit")
+                if rhs not in (0, 1):
+                    raise ParseError(line_no, f"right-hand bit must be 0 or 1, got {rhs}")
+            t = sizes.get(tokens[2])
+            if t is None:
+                t = _parse_int(tokens[2], line_no, "support size")
+                if t < 1:
+                    raise ParseError(line_no, "equations must involve at least one variable")
+                sizes[tokens[2]] = t
+            del tokens[:3]
+            built.append((read_indices(tokens, line_no, t), rhs, weight, len(built)))
+    except ParseError as exc:
+        broken = exc
+    if broken or len(built) < m or next(lines, None):
+        # a wrong count outranks a row's own error; with the count right,
+        # only a broken row gets here
+        _check_count(_content_lines(text)[1:], m, "equations", 1)
+        raise broken
     return LinearSystem._from_rows(n, built)
 
 
@@ -249,40 +268,47 @@ def emit_transcript_comments(tr: ReductionTranscript) -> str:
 def parse_fourier(text: str) -> FourierExpansion:
     """Parse the expansion format: 'p fourier n terms', 'const <rational>',
     then one term per line as '<coefficient> <t> <i1> ... <it>'."""
-    lines = _content_lines(text)
-    n, count, rows = _parse_header(lines, "fourier")
-    if not rows:
-        raise ParseError(lines[0][0], "missing 'const <rational>' line")
-    const_no, const_tokens = rows[0]
+    lines = _iter_content_lines(text)
+    head = list(islice(lines, 2))
+    n, count, rest = _parse_header(head, "fourier")
+    if not rest:
+        raise ParseError(head[0][0], "missing 'const <rational>' line")
+    const_no, const_tokens = rest[0]
     if len(const_tokens) != 2 or const_tokens[0] != "const":
         raise ParseError(const_no, "second line must be 'const <rational>'")
     constant = parse_rational(const_tokens[1], const_no)
-    rows = rows[1:]
-    _check_count(rows, count, "terms", const_no)
     read_indices = _index_values(n)
     coeffs: dict[str, Fraction] = {}
     sizes: dict[str, int] = {}
     masks: dict[int, Fraction] = {}
-    for line_no, tokens in rows:
-        if len(tokens) < 2:
-            raise ParseError(line_no, "term lines need '<coefficient> <t> <indices>'")
-        coeff = coeffs.get(tokens[0])
-        if coeff is None:
-            coeff = parse_rational(tokens[0], line_no)
-            if coeff == 0:
-                raise ParseError(line_no, "zero coefficients are not stored")
-            coeffs[tokens[0]] = coeff
-        t = sizes.get(tokens[1])
-        if t is None:
-            t = _parse_int(tokens[1], line_no, "term size")
-            if t < 1:
-                raise ParseError(line_no, "terms must involve at least one variable")
-            sizes[tokens[1]] = t
-        # index i is bit i, shifted down to bit i - 1
-        mask = sum(read_indices(tokens[2:], line_no, t)) >> 1
-        if mask in masks:
-            raise ParseError(line_no, "duplicate term subset")
-        masks[mask] = coeff
+    broken = None
+    try:
+        for line_no, tokens in islice(lines, count):
+            if len(tokens) < 2:
+                raise ParseError(line_no, "term lines need '<coefficient> <t> <indices>'")
+            coeff = coeffs.get(tokens[0])
+            if coeff is None:
+                coeff = parse_rational(tokens[0], line_no)
+                if coeff == 0:
+                    raise ParseError(line_no, "zero coefficients are not stored")
+                coeffs[tokens[0]] = coeff
+            t = sizes.get(tokens[1])
+            if t is None:
+                t = _parse_int(tokens[1], line_no, "term size")
+                if t < 1:
+                    raise ParseError(line_no, "terms must involve at least one variable")
+                sizes[tokens[1]] = t
+            del tokens[:2]
+            mask = read_indices(tokens, line_no, t)
+            if mask in masks:
+                raise ParseError(line_no, "duplicate term subset")
+            masks[mask] = coeff
+    except ParseError as exc:
+        broken = exc
+    if broken or len(masks) < count or next(lines, None):
+        # as in parse_system, the count is checked first
+        _check_count(_content_lines(text)[2:], count, "terms", const_no)
+        raise broken
     return FourierExpansion._from_masks(n, constant, masks)
 
 

@@ -11,7 +11,10 @@ raise a ``ParseError`` with equal text and line number.  The reference reads
 indices with ``int``, which also takes ``1_0`` and ``٣``; those spellings
 are errors here, and are tested on their own.  A file reads its index
 tokens through one memo that converts each distinct token once; named
-lines miss it or fail its checks and fall back to the token-by-token check.
+lines miss it or fail its checks and fall back to the token-by-token check,
+and named files with a wrong count, comments, blank lines or ``\r\n``
+endings check that the one-pass reader counts the rows where a file ends
+or breaks, as the reference does before any row.
 """
 import random
 import tracemalloc
@@ -234,34 +237,51 @@ def counting_conversions(monkeypatch):
     return converted
 
 
-# (support size, index tokens, the error, or None for a valid line); each
-# line follows lines that put the tokens 1, 2 and 3 in the file's memo
+# (rows the header declares, line ending, support size and index tokens of
+# the last of three rows, the error, or None for a valid file); the rows
+# before it put the tokens 1, 2 and 3 in the file's memo, and comment and
+# blank lines sit between and after the rows.  Every error is on the last
+# row's line: a count error there outranks the row's own
 TABLE_MISSES = [
-    pytest.param("2", "2 2", "indices must be strictly increasing", id="repeated"),
-    pytest.param("2", "3 2", "indices must be strictly increasing", id="swapped"),
-    pytest.param("3", "1 2", "expected 3 indices, got 2", id="count-one-high"),
-    pytest.param("2", "1 +3", None, id="plus-sign"),
-    pytest.param("2", "1 03", None, id="leading-zero"),
-    pytest.param("2", "1 \u0663", "variable index must be an integer, got '\u0663'",
+    pytest.param(3, "\n", "2", "2 2", "indices must be strictly increasing", id="repeated"),
+    pytest.param(3, "\n", "2", "3 2", "indices must be strictly increasing", id="swapped"),
+    pytest.param(3, "\n", "3", "1 2", "expected 3 indices, got 2", id="count-one-high"),
+    pytest.param(3, "\n", "2", "1 +3", None, id="plus-sign"),
+    pytest.param(3, "\n", "2", "1 03", None, id="leading-zero"),
+    pytest.param(3, "\n", "2", "1 \u0663", "variable index must be an integer, got '\u0663'",
                  id="arabic-digit"),
-    pytest.param("2", "1 1_0", "variable index must be an integer, got '1_0'", id="underscore"),
+    pytest.param(3, "\n", "2", "1 1_0", "variable index must be an integer, got '1_0'",
+                 id="underscore"),
+    pytest.param(3, "\n", "2", "3 03", "indices must be strictly increasing",
+                 id="one-index-two-spellings"),
+    pytest.param(2, "\n", "2", "1 3", "header declares 2 {what}, found 3", id="row-past-the-count"),
+    pytest.param(4, "\n", "2", "1 3", "header declares 4 {what}, found 3", id="one-row-short"),
+    pytest.param(2, "\n", "2", "2 2", "header declares 2 {what}, found 3",
+                 id="bad-row-past-the-count"),
+    pytest.param(4, "\n", "2", "x 3", "header declares 4 {what}, found 3",
+                 id="bad-row-in-a-short-file"),
+    pytest.param(3, "\r\n", "2", "1 3", None, id="crlf"),
+    pytest.param(4, "\r\n", "2", "1 3", "header declares 4 {what}, found 3", id="crlf-short"),
 ]
 
 
-@pytest.mark.parametrize("size, indices, message", TABLE_MISSES)
+@pytest.mark.parametrize("declared, newline, size, indices, message", TABLE_MISSES)
 @pytest.mark.parametrize("kind", ["system", "fourier"])
-def test_lines_that_miss_the_table_fall_back(kind, size, indices, message):
+def test_lines_that_miss_the_table_fall_back(kind, declared, newline, size, indices, message):
     if kind == "system":
-        parse, reference, line = parse_system, ref.parse_system, 4
-        text = f"p maxlin 3 3\n1 0 3 1 2 3\n2 1 3 1 2 3\n1 1 {size} {indices}\n"
+        parse, reference, line, what = parse_system, ref.parse_system, 6, "equations"
+        text = (f"p maxlin 3 {declared}\n1 0 3 1 2 3\nc note\n\n2 1 3 1 2 3\n"
+                f"1 1 {size} {indices}\n  \nc end\n")
     else:
-        parse, reference, line = parse_fourier, ref.parse_fourier, 5
-        text = f"p fourier 3 3\nconst 0\n1 3 1 2 3\n-2 2 1 2\n3/2 {size} {indices}\n"
+        parse, reference, line, what = parse_fourier, ref.parse_fourier, 7, "terms"
+        text = (f"p fourier 3 {declared}\nconst 0\n1 3 1 2 3\nc note\n\n-2 2 1 2\n"
+                f"3/2 {size} {indices}\n  \nc end\n")
+    text = text.replace("\n", newline)
     got = outcome(parse, text)
     if message is None:
         assert got[0] == "ok"
     else:
-        assert got == ("error", line, f"line {line}: {message}")
+        assert got == ("error", line, f"line {line}: {message.format(what=what)}")
     if "_" not in indices and indices.isascii():  # the reference's int() reads the others
         assert got == outcome(reference, text)
 
@@ -386,23 +406,34 @@ def test_the_ceiling_itself_is_accepted():
     assert system.n == n and system.rows[0][0] == 1 << (n - 1)
 
 
-def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
-    """A dense 420-row file over 140 variables converts at most n index
-    tokens: _parse_int runs for the header and once per distinct support
-    size, never per row or per index, and no row goes through
-    F2Vector.from_support."""
+@pytest.mark.parametrize("kind", ["system", "fourier"])
+def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch, kind):
+    """A dense 420-row file (or 420-term expansion) over 140 variables
+    converts at most n index tokens: _parse_int runs for the header and once
+    per distinct support size, never per row or per index, and no row goes
+    through F2Vector.from_support."""
     rng = random.Random(6)
     n, m = 140, 420
-    rows = [
-        (sorted(rng.sample(range(n), rng.randint(50, 90))), rng.randint(0, 1),
-         Fraction(rng.randint(1, 4), rng.randint(1, 2)))
-        for _ in range(m)
-    ]
-    system = LinearSystem.build(n, rows)
-    text = emit_system(system)
-    assert text == emit_by_support(system)
-    want = ref.parse_system(text)
-    index_tokens = sum(len(row[0]) for row in rows)
+    if kind == "system":
+        rows = [
+            (sorted(rng.sample(range(n), rng.randint(50, 90))), rng.randint(0, 1),
+             Fraction(rng.randint(1, 4), rng.randint(1, 2)))
+            for _ in range(m)
+        ]
+        system = LinearSystem.build(n, rows)
+        text = emit_system(system)
+        assert text == emit_by_support(system)
+        parse, want = parse_system, ref.parse_system(text)
+        supports = [row[0] for row in rows]
+    else:
+        terms = {}
+        while len(terms) < m:
+            terms[frozenset(rng.sample(range(n), rng.randint(50, 90)))] = Fraction(
+                rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 2))
+        text = emit_fourier(FourierExpansion(n, Fraction(1, 2), terms))
+        parse, want = parse_fourier, ref.parse_fourier(text)
+        supports = list(terms)
+    index_tokens = sum(map(len, supports))
 
     calls = {"_parse_int": 0, "from_support": 0}
     real_parse_int = formats._parse_int
@@ -419,10 +450,13 @@ def test_dense_parse_costs_a_few_steps_per_row_not_per_index(monkeypatch):
     converted = counting_conversions(monkeypatch)
     monkeypatch.setattr(formats, "_parse_int", counting_parse_int)
     monkeypatch.setattr(F2Vector, "from_support", classmethod(counting_from_support))
-    got = parse_system(text)
+    got = parse(text)
 
-    assert got == want and [row[3] for row in got.rows] == [row[3] for row in want.rows]
-    assert calls["_parse_int"] == 2 + len({len(row[0]) for row in rows})
+    if kind == "system":
+        assert got == want and [row[3] for row in got.rows] == [row[3] for row in want.rows]
+    else:
+        assert got == want
+    assert calls["_parse_int"] == 2 + len(set(map(len, supports)))
     assert len(converted) <= n
     assert index_tokens > 20 * m
     assert calls["from_support"] == 0

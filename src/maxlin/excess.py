@@ -12,13 +12,17 @@ system with at most 3 rows past its rank (a square one of rank n - 1, say)
 is answered too, by the lightest set of rows whose flip makes it
 consistent: at most 3 rows, found by a second elimination of the m rows
 and a search over at most 63 sets of check patterns.  Otherwise it runs
-a fast Walsh-Hadamard transform on integer-scaled weights, one block of
-2^L points (L = min(n, 16)) at a time.  It evaluates
-each block's low b index bits directly from the rows, and runs butterfly
-stages over the other L - b bits only: a pruned transform, with b chosen
-from m and L so that the direct part stays within a quarter block (b = 0,
-the full transform, where that does not pay).  The cost is
-O((L - b) 2^n + m 2^(n-L+b)), never more than O(L 2^n + m 2^(n-16)).  Its
+a fast Walsh-Hadamard transform on integer-scaled weights over 2^rank
+points, not 2^n: the excess depends only on Az, so the rows are projected
+onto their rank's worth of rightmost independent columns, found from the
+elimination's basis (where the elimination did not run, onto the columns
+they use), and the maximizer is put back there.  Over those c columns the
+transform takes one block of 2^L points (L = min(c, 16)) at a time.  It
+evaluates each block's low b index bits directly from the rows, and runs
+butterfly stages over the other L - b bits only: a pruned transform, with
+b chosen from m and L so that the direct part stays within a quarter
+block (b = 0, the full transform, where that does not pay).  The cost is
+O((L - b) 2^c + m 2^(c-L+b)), never more than O(L 2^c + m 2^(c-16)).  Its
 buffers use the narrowest of int16, int32 and int64 that holds the sum of
 the scaled weights (Python ints beyond), and its stages run on contiguous
 runs of entries.  The decision procedure routes each instance to whichever
@@ -31,9 +35,11 @@ numpy.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -49,12 +55,13 @@ from .f2core import (
     _pivot_basis,
     _Row,
     _scaled,
+    _support,
     evaluate,
     reverse_bits,
 )
 from .kset import VectorSet, find_kset
 from .algoh import reconstruct, run_h
-from .reduce import lift_assignment, make_irreducible
+from .reduce import _drop_columns, lift_assignment, make_irreducible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -312,34 +319,38 @@ def _tries_elimination(m: int, n: int) -> bool:
     0.3 us a row.  On consistent random dense systems (2-core Xeon,
     Python 3.11, numpy 2.4) the elimination took 0.16-0.37 of the
     transform's time at the rule's edge (m = 102 at n = 1, 28 at n = 14,
-    102 at n = 16, 1365 at n = 20) and 0.23-0.60 at twice those m.  So an
-    inconsistent system that reads every row, which only a rank below n
-    allows, costs at most about 1.4 transforms; one of rank n stops after
-    about n + 1 rows, 8-18 us at n = 14-20.  Every system _lightest_flip
-    answers, m <= n + 3, is inside the rule; on inconsistent random
-    systems of rank n - 1 with m - rank = 1 to 3 the whole oracle call took
-    0.42-0.71 of the transform's time at n = 2-12, 0.30-0.37 at n = 16
-    and 0.05-0.07 at n = 20 (83-135 us from n = 16 to 22)."""
+    102 at n = 16, 1365 at n = 20) and 0.23-0.60 at twice those m.  An
+    inconsistent system that reads every row, which only a rank r below n
+    allows, then transforms 2^r points, not 2^n: on random ones at the
+    rule's edge (n = 14-20) the whole call took 0.78-1.30 of the 2^n
+    transform's time at r = n - 1 and 0.28-0.71 at r = n / 2.  One of rank
+    n stops after about n + 1 rows, 8-18 us at n = 14-20.  Every system
+    _lightest_flip answers, m <= n + 3, is inside the rule; on inconsistent
+    random systems of rank n - 1 with m - rank = 1 to 3 the whole oracle
+    call took 0.42-0.71 of the transform's time at n = 2-12, 0.30-0.37 at
+    n = 16 and 0.05-0.07 at n = 20 (83-135 us from n = 16 to 22)."""
     return m * (n + 4) <= 1 << max(9, n - 5)
 
 
-def _nearest_solution(rows: Sequence[_Row], n: int) -> tuple[int, tuple[int, ...]] | None:
+def _nearest_solution(
+    rows: Sequence[_Row], n: int, basis: dict[int, int]
+) -> tuple[int, tuple[int, ...]] | None:
     """The lexicographically smallest maximizer, as assignment bits, and the
     indices of the rows it violates, for a consistent system (none violated)
     or one with at most _MAX_CHECKS more rows than its rank; None otherwise.
 
-    One elimination over the rows, each as lhs bits | rhs << n, decides
-    consistency: a pivot key of 1 << n is the equation 0 = 1, and the other
-    keys count the rank.  An inconsistent system goes on to _lightest_flip.
-    The basis of a consistent system, at most n rows with the same
-    solutions, is eliminated again with each lhs bit-reversed, z_1 most
-    significant.  Its keys are lowest bits, so every free variable lies
-    above its pivot rows' keys: setting the free variables to 0 and solving
-    the pivots from the highest key down gives the solution least as an
-    integer, which is the transform's tie-break among the maximizers.  Only
-    those rows are reversed.
+    ``basis`` is one elimination over the rows, each as lhs bits | rhs << n
+    (_pivot_basis over n + 1 bits), which decides consistency: a pivot key
+    of 1 << n is the equation 0 = 1, and the other keys count the rank.  An
+    inconsistent system goes on to _lightest_flip.  The basis of a
+    consistent system, at most n rows with the same solutions, is
+    eliminated again with each lhs bit-reversed, z_1 most significant.  Its
+    keys are lowest bits, so every free variable lies above its pivot rows'
+    keys: setting the free variables to 0 and solving the pivots from the
+    highest key down gives the solution least as an integer, which is the
+    transform's tie-break among the maximizers.  Only those rows are
+    reversed.
     """
-    basis = _pivot_basis((row[0] | row[1] << n for row in rows), n + 1)
     if 1 << n in basis:
         if len(rows) - (len(basis) - 1) > _MAX_CHECKS:
             return None
@@ -352,6 +363,22 @@ def _nearest_solution(rows: Sequence[_Row], n: int) -> tuple[int, tuple[int, ...
         if (row & point).bit_count() + (row >> n) & 1:
             point |= low
     return reverse_bits(point, n), ()
+
+
+def _rightmost_columns(rows: Iterable[int]) -> list[int]:
+    """The rightmost independent columns of independent rows, ascending.
+
+    An elimination keyed by each row's top bit: the keys are the top bits
+    of the nonzero vectors of the row space, and column j is one of them
+    exactly when no kernel vector has j as its lowest bit, i.e. when
+    column j is not a sum of columns to its right.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while (top := row.bit_length()) in basis:
+            row ^= basis[top]
+        basis[top] = row
+    return [top - 1 for top in sorted(basis)]
 
 
 def _lightest_flip(rows: Sequence[_Row], n: int) -> tuple[int, tuple[int, ...]]:
@@ -463,29 +490,61 @@ def brute_force_max_excess(sys: LinearSystem, *, cap: int = DEFAULT_ORACLE_CAP) 
     answer is W - 2 w(e) for the lightest set e of rows whose flipped
     right-hand sides make it consistent (_lightest_flip), again without
     numpy; otherwise it goes on to the transform (_transform_max_excess).
-    The cap and the ceiling are checked before either, and a system with no
-    rows has excess 0 at every point.
+    The cap and the ceiling are checked on the declared n before either,
+    and a system with no rows has excess 0 at every point.
+
+    The transform covers 2^rank points, not 2^n.  The excess at z depends
+    only on Az, so it is constant on each coset of ker A, and with z_1 most
+    significant the least point of a coset is 0 on every column outside the
+    rightmost independent set (_rightmost_columns): such a column j is j's
+    unit vector plus a sum of columns to its right, all less significant,
+    so a kernel vector clears it.  Those points are the points of the rows
+    projected onto that set, in the same order, so the projected maximum
+    and its least maximizer, put back at those columns, are the answer.
+    Where the elimination ran and read every row, its basis without the
+    equation 0 = 1 spans the rows' left-hand sides, and one more
+    elimination of those rank rows by their top bit finds the set.  Where
+    it did not run, no elimination is added: one OR over the rows finds the
+    unused columns, which are never in the set, and the transform covers
+    the used ones.
     """
     _check_cap(cap)
     limit = min(cap, MAX_ORACLE_N)
-    if sys.n > limit:
-        raise OracleCapError(f"{sys.n} variables exceed the oracle cap of {limit}")
+    n = sys.n
+    if n > limit:
+        raise OracleCapError(f"{n} variables exceed the oracle cap of {limit}")
     rows = sys.rows
     if not rows:
-        return ExcessWitness(Assignment(sys.n, 0), Fraction(0), "brute_force")
-    if _tries_elimination(len(rows), sys.n):
-        nearest = _nearest_solution(rows, sys.n)
+        return ExcessWitness(Assignment(n, 0), Fraction(0), "brute_force")
+    columns = None
+    if _tries_elimination(len(rows), n):
+        basis = _pivot_basis((row[0] | row[1] << n for row in rows), n + 1)
+        nearest = _nearest_solution(rows, n, basis)
         if nearest is not None:
             point, violated = nearest
             scaled, scale = _scaled(row[2] for row in rows)
             excess = sum(scaled) - 2 * sum(scaled[i] for i in violated)
-            return ExcessWitness(Assignment(sys.n, point), Fraction(excess, scale), "brute_force")
-    return _transform_max_excess(sys)
+            return ExcessWitness(Assignment(n, point), Fraction(excess, scale), "brute_force")
+        if len(basis) <= n:  # 0 = 1 and fewer than n rows: a rank below n
+            full = (1 << n) - 1
+            columns = _rightmost_columns(row & full for row in basis.values() if row & full)
+    else:
+        used = functools.reduce(or_, map(itemgetter(0), rows))
+        if used.bit_count() < n:
+            columns = _support(used)
+    if columns is None:
+        point, best = _transform_max_excess(rows, n)
+    else:
+        point, best = _transform_max_excess(_drop_columns(rows, n, columns), len(columns))
+        point = sum(1 << c for i, c in enumerate(columns) if point >> i & 1)
+    return ExcessWitness(Assignment(n, point), best, "brute_force")
 
 
-def _transform_max_excess(sys: LinearSystem) -> ExcessWitness:
-    """brute_force_max_excess over all 2^n points, for a system with at
-    least one row and n <= MAX_ORACLE_N.
+def _transform_max_excess(rows: Sequence[_Row], n: int) -> tuple[int, Fraction]:
+    """The maximum excess over all 2^n points of at least one row over n <=
+    MAX_ORACLE_N columns, and its lexicographically smallest maximizer, as
+    (assignment bits, excess).  brute_force_max_excess hands it the rows
+    projected onto fewer columns where it can (see there).
 
     Indexing assignments with z_1 most significant, the excess at z is
     sum_e s_e (-1)^<a_e, z> with s_e = +-w_e, i.e. the Walsh-Hadamard
@@ -519,14 +578,13 @@ def _transform_max_excess(sys: LinearSystem) -> ExcessWitness:
     """
     import numpy as np
 
-    rows = sys.rows
-    scaled, scale = _scaled(row[2] for row in rows)
+    scaled, scale = _scaled(map(itemgetter(2), rows))
     total = sum(scaled)
     dtype = next((t for t in (np.int16, np.int32, np.int64) if total <= np.iinfo(t).max), object)
     signed = np.array(scaled, dtype=dtype)
-    np.negative(signed, out=signed, where=np.fromiter((row[1] for row in rows), bool, len(rows)))
-    masks = _reversed_masks(np.fromiter((row[0] for row in rows), np.uint64, len(rows)), sys.n)
-    low_bits = min(sys.n, _BLOCK_BITS)
+    np.negative(signed, out=signed, where=np.fromiter(map(itemgetter(1), rows), bool, len(rows)))
+    masks = _reversed_masks(np.fromiter(map(itemgetter(0), rows), np.uint64, len(rows)), n)
+    low_bits = min(n, _BLOCK_BITS)
     direct = _direct_bits(len(rows), low_bits)
     high = low_bits - direct
     split = max(0, low_bits // 2 - direct)
@@ -545,7 +603,7 @@ def _transform_max_excess(sys: LinearSystem) -> ExcessWitness:
     # other buffer, which the transform needs only after it is placed
     work = scratch[: table.size].reshape(table.shape) if direct else None
     best_val, best_at = None, 0
-    for zh in range(1 << (sys.n - low_bits)):
+    for zh in range(1 << (n - low_bits)):
         part = table
         if zh:  # the first high pattern flips no sign
             sign = 1 - 2 * (np.bitwise_count(highs & np.uint64(zh)) & 1).astype(dtype)
@@ -558,8 +616,7 @@ def _transform_max_excess(sys: LinearSystem) -> ExcessWitness:
         pos = int(np.argmax(values))
         if best_val is None or values[pos] > best_val:
             best_val, best_at = int(values[pos]), zh << low_bits | pos
-    assignment = Assignment(sys.n, reverse_bits(best_at, sys.n))
-    return ExcessWitness(assignment, Fraction(best_val, scale), "brute_force")
+    return reverse_bits(best_at, n), Fraction(best_val, scale)
 
 
 def decide_aa(

@@ -5,15 +5,54 @@ token at a time, and ``parse_system`` hands the 0-based index lists to
 ``LinearSystem.build``, which walks them again in ``F2Vector.from_support``.
 Every weight token is parsed afresh.  Tests compare the line-at-a-time
 parsers in ``maxlin.formats`` against these: equal values on valid files,
-and equal ``ParseError`` text and line numbers on broken ones.
+and equal ``ParseError`` text and line numbers on broken ones.  The line
+splitting, comment skipping and header checks are frozen here too, so the
+comparisons cover them.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from maxlin import LinearSystem, ParseError
-from maxlin.formats import _content_lines, _parse_header, parse_rational
+from maxlin.formats import MAX_DECLARED_N, parse_rational
 from maxlin.fourier import FourierExpansion
+
+
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Every line that holds a token and does not start with the token
+    ``c``, as (1-based line number, tokens)."""
+    lines = []
+    line_no = 0
+    for line in text.splitlines():
+        line_no += 1
+        tokens = line.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        lines.append((line_no, tokens))
+    return lines
+
+
+def _parse_count(token: str, line_no: int, what: str) -> int:
+    """A header count: an optional sign and ASCII digits only."""
+    if re.fullmatch(r"[+-]?[0-9]+", token) is None:
+        raise ParseError(line_no, f"{what} must be an integer, got {token!r}")
+    return int(token)
+
+
+def _parse_header(lines, expected: str):
+    if not lines:
+        raise ParseError(1, f"missing 'p {expected}' header")
+    line_no, tokens = lines[0]
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != expected:
+        raise ParseError(line_no, f"header must be 'p {expected} <n> <count>'")
+    n = _parse_count(tokens[2], line_no, "variable count")
+    count = _parse_count(tokens[3], line_no, "entry count")
+    if n < 0 or count < 0:
+        raise ParseError(line_no, "header counts must be non-negative")
+    if n > MAX_DECLARED_N:
+        raise ParseError(line_no, f"variable count {n} exceeds the limit of {MAX_DECLARED_N}")
+    return n, count, lines[1:]
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:

@@ -24,8 +24,9 @@ from maxlin import (
     lower_bound_assignment,
     make_irreducible,
 )
-from maxlin import excess, f2core, kset
+from maxlin import cli, excess, f2core, kset
 from maxlin.excess import _direct_bits, _reversed_masks, regime_exponent
+from maxlin.formats import emit_system
 
 from helpers import (
     assert_raises,
@@ -118,9 +119,21 @@ def far_system(n: int) -> LinearSystem:
 
 
 def transform(sys: LinearSystem):
-    """The oracle's transform on a system with rows (which skips the
-    elimination that answers consistent ones), the oracle on one without."""
-    return excess._transform_max_excess(sys) if sys.rows else brute_force_max_excess(sys)
+    """The oracle's transform over all 2^n points of a system with rows
+    (which skips the elimination that answers consistent ones, and the
+    projection onto the rank's columns), the oracle on one without."""
+    if not sys.rows:
+        return brute_force_max_excess(sys)
+    point, best = excess._transform_max_excess(sys.rows, sys.n)
+    return excess.ExcessWitness(Assignment(sys.n, point), best, "brute_force")
+
+
+def nearest(sys: LinearSystem):
+    """The oracle's elimination on a system's rows, each as lhs | rhs << n:
+    its answer, or None where the transform has to run."""
+    n = sys.n
+    basis = f2core._pivot_basis((row[0] | row[1] << n for row in sys.rows), n + 1)
+    return excess._nearest_solution(sys.rows, n, basis)
 
 
 def forced_oracle(sys: LinearSystem, direct: int):
@@ -135,11 +148,11 @@ def transform_only(monkeypatch):
     that every call the test makes with rows reaches the transform."""
     solve = excess._nearest_solution
 
-    def guarded(rows, n):
-        nearest = solve(rows, n)
-        if nearest is not None:
+    def guarded(rows, n, basis):
+        answer = solve(rows, n, basis)
+        if answer is not None:
             pytest.fail("the elimination answered a call of a transform test")
-        return nearest
+        return answer
 
     monkeypatch.setattr(excess, "_nearest_solution", guarded)
 
@@ -490,8 +503,8 @@ class TestConsistentSystems:
                 assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
             assert witness == transform(sys)
             # the elimination answers exactly the systems whose maximum is W
-            nearest = excess._nearest_solution(sys.rows, sys.n)
-            assert (nearest is not None and not nearest[1]) == (witness.excess == total)
+            answer = nearest(sys)
+            assert (answer is not None and not answer[1]) == (witness.excess == total)
         assert brute_force_max_excess(planted).excess == total == evaluate(planted, Assignment(planted.n, z0))
 
     def test_decide_aa_on_a_square_system_takes_the_oracle_route(self, monkeypatch):
@@ -499,7 +512,7 @@ class TestConsistentSystems:
         # the excess reaches W; k = W and W + 1 lie above the marking regime
         rng = random.Random(53)
         monkeypatch.setattr(excess, "_transform_max_excess",
-                            lambda sys: pytest.fail("a consistent system reached the transform"))
+                            lambda rows, n: pytest.fail("a consistent system reached the transform"))
         for n in [4, 7, 10, 16, 20, 24] * 3:
             sys, z0 = square_irreducible_system(rng, n)
             assert make_irreducible(sys)[0] is sys
@@ -531,7 +544,7 @@ class TestConsistentSystems:
             (mask, (mask & z0).bit_count() & 1, Fraction(rng.randint(1, 9)), i)
             for i, mask in enumerate(masks)
         ])
-        assert excess._nearest_solution(sys.rows, n) == (z0, ())
+        assert nearest(sys) == (z0, ())
         oracle, plain = [], []
         for _ in range(5):
             for times, call in ((oracle, brute_force_max_excess), (plain, transform)):
@@ -586,11 +599,11 @@ class TestNearlyConsistentSystems:
         if sys.n <= 8:
             assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
         assert witness == transform(sys)
-        nearest = excess._nearest_solution(sys.rows, sys.n)
+        answer = nearest(sys)
         total = sum(eq.weight for eq in sys.equations)
-        assert (nearest is None) == (witness.excess < total and sys.m - lhs_rank(sys) > 3)
-        if nearest is not None:
-            point, flipped = nearest
+        assert (answer is None) == (witness.excess < total and sys.m - lhs_rank(sys) > 3)
+        if answer is not None:
+            point, flipped = answer
             assert point == witness.assignment.bits
             assert flipped == violated(sys, point)
             assert witness.excess == total - 2 * sum(sys.rows[i][2] for i in flipped)
@@ -632,7 +645,7 @@ class TestNearlyConsistentSystems:
                 assert witness == transform(sys)
                 deficit = sys.m - lhs_rank(sys)
                 consistent = witness.excess == sum(eq.weight for eq in sys.equations)
-                answered = excess._nearest_solution(sys.rows, n) is not None
+                answered = nearest(sys) is not None
                 assert answered == (consistent or deficit <= 3)
 
     def test_a_square_system_of_rank_below_n_skips_the_transform(self, monkeypatch):
@@ -644,12 +657,165 @@ class TestNearlyConsistentSystems:
             masks = [rng.getrandbits(20) or 1 for _ in range(20)]
             sys = LinearSystem.build(20, [(F2Vector(20, m), rng.randint(0, 1), rng.randint(1, 9))
                                           for m in masks])
-            if 1 <= 20 - lhs_rank(sys) <= 3 and excess._nearest_solution(sys.rows, 20)[1]:
+            if 1 <= 20 - lhs_rank(sys) <= 3 and nearest(sys)[1]:
                 cases.append((sys, transform(sys)))
         monkeypatch.setattr(excess, "_transform_max_excess",
-                            lambda sys: pytest.fail("a nearly consistent system reached the transform"))
+                            lambda rows, n: pytest.fail("a nearly consistent system reached the transform"))
         for sys, expected in cases:
             assert brute_force_max_excess(sys) == expected
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """A system with 2 <= n <= 8 and rank below n.  Its columns over m
+    drawn row slots are free (a drawn nonzero vector), unused, a sum of
+    columns to their left or a sum of columns to their right; at least one
+    is free and one is not.  Rows with an empty left-hand side are dropped,
+    and 0, 4 or 60 repeats of kept rows follow, so some systems lie outside
+    the try-rule and skip the oracle's elimination.  Right-hand sides are
+    drawn, and weights are unit (many ties) or rational."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["free", "unused", "left", "right"]),
+                          min_size=n, max_size=n))
+    free, dependent = draw(st.permutations(range(n)))[:2]
+    kinds[free] = "free"
+    if kinds[dependent] == "free":
+        kinds[dependent] = draw(st.sampled_from(["unused", "left", "right"]))
+    cols = [draw(st.integers(1, 2**m - 1)) if kind == "free" else 0 for kind in kinds]
+
+    def summed(others: list[int]) -> int:
+        total = 0
+        for j in draw(st.sets(st.sampled_from(others), min_size=1)) if others else ():
+            total ^= cols[j]
+        return total
+
+    for j in range(n):
+        if kinds[j] == "left":
+            cols[j] = summed([i for i in range(j) if kinds[i] != "right"])
+    for j in reversed(range(n)):
+        if kinds[j] == "right":
+            cols[j] = summed(list(range(j + 1, n)))
+    weights = draw(st.sampled_from([
+        st.just(Fraction(1)),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    ]))
+    masks = [sum((col >> i & 1) << j for j, col in enumerate(cols)) for i in range(m)]
+    rows = [(mask, draw(st.integers(0, 1)), draw(weights)) for mask in masks if mask]
+    repeats = draw(st.sampled_from([0, 4, 60]))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=repeats, max_size=repeats)):
+        rows.append((rows[i][0], draw(st.integers(0, 1)), draw(weights)))
+    return LinearSystem.build(n, [(F2Vector(n, mask), rhs, w) for mask, rhs, w in rows])
+
+
+def rightmost_dependent_columns(sys: LinearSystem) -> list[int]:
+    """The columns that are a sum of columns to their right, found by trying
+    every set of those columns."""
+    n = sys.n
+    cols = [sum((bits >> j & 1) << i for i, (bits, *_) in enumerate(sys.rows)) for j in range(n)]
+    out = []
+    for j in range(n):
+        sums = {0}
+        for col in cols[j + 1:]:
+            sums |= {s ^ col for s in sums}
+        if cols[j] in sums:
+            out.append(j)
+    return out
+
+
+def count_blocks(monkeypatch) -> list[int]:
+    """Record the size of each block the transform runs."""
+    sizes = []
+    original = excess._walsh_hadamard
+
+    def counting(block, scratch, direct, split):
+        sizes.append(block.size)
+        return original(block, scratch, direct, split)
+
+    monkeypatch.setattr(excess, "_walsh_hadamard", counting)
+    return sizes
+
+
+def embedded_system(rng: random.Random, n: int, small: LinearSystem) -> LinearSystem:
+    """``small``'s rows b_i mapped to rows b_i M over n columns, for a random
+    small.n x n matrix M of rank small.n: z -> Mz is onto, so the two
+    systems have the same maximum excess, and the rank is small.n."""
+    while True:
+        images = [rng.getrandbits(n) for _ in range(small.n)]
+        if len(f2core._pivot_basis(images, n)) == small.n:
+            break
+    rows = []
+    for bits, rhs, weight, _ in small.rows:
+        mask = 0
+        for i, image in enumerate(images):
+            if bits >> i & 1:
+                mask ^= image
+        rows.append((F2Vector(n, mask), rhs, weight))
+    return LinearSystem.build(n, rows)
+
+
+class TestRankDeficientSystems:
+    """The transform over 2^rank points: the rows projected onto their
+    rightmost independent columns, and the maximizer put back there."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rank_deficient_systems())
+    def test_matches_both_oracles_and_is_zero_off_the_pivots(self, sys):
+        assert lhs_rank(sys) < sys.n
+        witness = brute_force_max_excess(sys)
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+        assert (witness.excess, witness.assignment.to01()) == enumerate_max_excess(sys)
+        for j in rightmost_dependent_columns(sys):
+            assert not witness.assignment.bits >> j & 1
+
+    def test_a_rank_8_system_transforms_one_block_of_2_to_the_8(self, monkeypatch):
+        # declared n = 24, m = 200 rows of rank 8: 192 rows past the rank, so
+        # the elimination reads them all and hands the transform its basis
+        rng = random.Random(59)
+        small = random_system(rng, n_min=8, n_max=8, m_min=200, m_max=200, w_max=9)
+        assert lhs_rank(small) == 8
+        sys = embedded_system(rng, 24, small)
+        assert (sys.m, lhs_rank(sys)) == (200, 8) and nearest(sys) is None
+        sizes = count_blocks(monkeypatch)
+        witness = brute_force_max_excess(sys)
+        assert sizes == [2**8]
+        assert witness.excess == reference_max_excess(small)[0] == evaluate(sys, witness.assignment)
+
+    def test_rows_the_elimination_skips_transform_their_used_columns(self, monkeypatch):
+        # n = 12 and m = 40 lie past the elimination's rule; 6 columns are
+        # used, and the 2^6 points of the used columns are all it transforms
+        rng = random.Random(60)
+        used = sorted(rng.sample(range(12), 6))
+        rows = [(F2Vector.from_support(12, [c for c in used if rng.getrandbits(1)] or used[:1]),
+                 rng.randint(0, 1), Fraction(rng.randint(1, 9), rng.randint(1, 3))) for _ in range(40)]
+        sys = LinearSystem.build(12, rows)
+        assert not excess._tries_elimination(sys.m, sys.n)
+        sizes = count_blocks(monkeypatch)
+        witness = brute_force_max_excess(sys)
+        assert sizes == [2**6]
+        assert (witness.excess, witness.assignment) == reference_max_excess(sys)
+
+    def test_a_full_rank_system_transforms_all_its_points(self, monkeypatch):
+        sys = far_system(3)
+        sys = LinearSystem.build(3, [*((eq.lhs, eq.rhs, eq.weight) for eq in sys.equations),
+                                     ([1], 0, 1), ([0], 1, 1)])
+        assert lhs_rank(sys) == 3
+        sizes = count_blocks(monkeypatch)
+        assert brute_force_max_excess(sys) == transform(sys)
+        assert sizes == [2**3, 2**3]
+
+    def test_the_cap_is_checked_on_the_declared_n(self, tmp_path, capsys):
+        # rank 3 would fit any cap; the declared 25 variables do not
+        sys = LinearSystem.build(25, [([0, 24], j % 2, 1) for j in range(4)] + [([1], 0, 1), ([2], 1, 1)])
+        assert lhs_rank(sys) == 3
+        assert_raises(lambda: brute_force_max_excess(sys), OracleCapError,
+                      "25 variables exceed the oracle cap of 24")
+        path = tmp_path / "rank3"
+        path.write_text(emit_system(sys))
+        assert cli.main(["excess", "--oracle", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: 25 variables exceed the oracle cap of 24\n")
+        assert cli.main(["excess", "--oracle", "--oracle-cap", "25", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "2"
 
 
 class TestRegimeExponent:

@@ -303,6 +303,52 @@ def test_each_distinct_index_token_is_converted_once(monkeypatch):
             assert sorted(converted) == sorted(set(tokens))
 
 
+# (file, line ending, whether it is valid), with "{head}" for the header
+# without its count and "{rows}" for two rows or terms: comment and blank
+# lines before the header, between the rows and after them, tokens that
+# start with "c" but are not the token "c", "\r\n" and "\r" endings, and
+# broken headers
+FRAMING = [
+    pytest.param("c lead\n\n  \t\n{head} 2\n{rows}", "\n", True, id="comments-before-the-header"),
+    pytest.param("{head} 2\nc\nc a b c\n\t\n{rows}c tail\n\n", "\n", True,
+                 id="comments-between-and-after"),
+    pytest.param("{head} 2\n  c indented\n{rows}", "\n", True, id="indented-comment"),
+    pytest.param("{head} 2\ncc not a comment\n{rows}", "\n", False, id="cc-is-not-a-comment"),
+    pytest.param("{head} 2\nC upper case\n{rows}", "\n", False, id="upper-case-c-is-not-a-comment"),
+    pytest.param("c lead\n{head} 2\n\n{rows}c tail\n", "\r\n", True, id="crlf"),
+    pytest.param("c lead\n{head} 2\n\n{rows}c tail\n", "\r", True, id="cr"),
+    pytest.param("{head} 3\n{rows}\n", "\r\n", False, id="crlf-short"),
+    pytest.param("c only comments\n\n", "\n", False, id="no-header"),
+    pytest.param("", "\n", False, id="empty-file"),
+    pytest.param("c x\n{head}\n{rows}", "\n", False, id="header-without-count"),
+    pytest.param("{head} 2 9\n{rows}", "\n", False, id="header-with-five-tokens"),
+    pytest.param("q{head} 2\n{rows}", "\n", False, id="header-of-another-letter"),
+    pytest.param("{head} x\n{rows}", "\n", False, id="header-count-not-a-number"),
+    pytest.param("{head} 1_0\n{rows}", "\n", False, id="header-count-with-underscore"),
+    pytest.param("{head} -2\n{rows}", "\n", False, id="negative-header-count"),
+    pytest.param("{head} +2\n{rows}", "\n", True, id="signed-header-count"),
+    pytest.param("{wide} 2\n{rows}", "\n", False, id="too-many-variables"),
+    pytest.param("{other} 2\n{rows}", "\n", False, id="header-of-another-format"),
+]
+
+
+@pytest.mark.parametrize("text, newline, valid", FRAMING)
+@pytest.mark.parametrize("kind", ["system", "fourier"])
+def test_comments_line_endings_and_headers_match_the_reference(kind, text, newline, valid):
+    if kind == "system":
+        parse, reference, name, other = parse_system, ref.parse_system, "maxlin", "fourier"
+        rows = "1 0 2 1 3\nc mid\n3/2 1 1 2\n"
+    else:
+        parse, reference, name, other = parse_fourier, ref.parse_fourier, "fourier", "maxlin"
+        rows = "const 1/2\n1 2 1 3\nc mid\n-3/2 1 2\n"
+    text = text.format(head=f"p {name} 3", other=f"p {other} 3", rows=rows,
+                       wide=f"p {name} {MAX_DECLARED_N + 1}")
+    text = text.replace("\n", newline)
+    got = outcome(parse, text)
+    assert (got[0] == "ok") == valid
+    assert got == outcome(reference, text)
+
+
 def test_one_index_spelled_three_ways():
     # '3', '+3' and '03' are three memo entries with one value, so '+3 3'
     # is a repeated index

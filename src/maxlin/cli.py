@@ -8,7 +8,9 @@ over the original variables; rationals print in lowest terms.  With
 
 ``main(argv)`` parses with ``_build_parser``, which defines every flag and
 default once, and passes the namespace to ``run(args, out)``; each handler
-reads its own flags from it.
+reads its own flags from it.  Each handler builds its whole output before it
+writes, in one call, so a command that fails (out of memory included)
+leaves stdout empty.
 """
 from __future__ import annotations
 
@@ -55,26 +57,25 @@ def _read_input(args: argparse.Namespace) -> str:
         return handle.read()
 
 
-def _write_fields(
-    args: argparse.Namespace, out: IO[str], fields: Iterable[tuple[str, object]]
-) -> None:
-    """Write each (key, value) result field: ``key=value`` lines with
+def _fields(args: argparse.Namespace, fields: Iterable[tuple[str, object]]) -> str:
+    """The (key, value) result fields as text: ``key=value`` lines with
     ``--output machine``; otherwise an answer as its upper-case word (none
     for ``kernel``, whose system follows) and any other value bare."""
+    lines = []
     for key, value in fields:
         if args.output_mode == "machine":
-            out.write(f"{key}={value}\n")
+            lines.append(f"{key}={value}\n")
         elif key != "answer":
-            out.write(f"{value}\n")
+            lines.append(f"{value}\n")
         elif value != "kernel":
-            out.write(f"{value.upper()}\n")
+            lines.append(f"{value.upper()}\n")
+    return "".join(lines)
 
 
 def _cmd_reduce(args: argparse.Namespace, out: IO[str]) -> int:
     system = parse_system(_read_input(args))
     reduced, transcript = make_irreducible(system)
-    out.write(emit_system(reduced))
-    out.write(emit_transcript_comments(transcript))
+    out.write(emit_system(reduced) + emit_transcript_comments(transcript))
     return 0
 
 
@@ -82,24 +83,24 @@ def _cmd_solve(args: argparse.Namespace, out: IO[str]) -> int:
     system = parse_system(_read_input(args))
     instance = AaInstance(system, args.k)
     answer, witness = decide_aa(instance, oracle_cap=args.oracle_cap)
-    _write_fields(args, out, [
+    out.write(_fields(args, [
         ("answer", "yes" if answer else "no"),
         ("witness", witness.assignment.to01()),
         ("excess", witness.excess),
-    ])
+    ]))
     return 0 if answer else 1
 
 
 def _cmd_excess(args: argparse.Namespace, out: IO[str]) -> int:
     system = parse_system(_read_input(args))
     witness = brute_force_max_excess(system, cap=args.oracle_cap)
-    _write_fields(args, out, [("excess", witness.excess), ("witness", witness.assignment.to01())])
+    out.write(_fields(args, [("excess", witness.excess), ("witness", witness.assignment.to01())]))
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace, out: IO[str]) -> int:
     expansion = parse_fourier(_read_input(args))
-    _write_fields(args, out, [("bound", maxima_lower_bound(expansion))])
+    out.write(_fields(args, [("bound", maxima_lower_bound(expansion))]))
     return 0
 
 
@@ -107,14 +108,14 @@ def _cmd_kset(args: argparse.Namespace, out: IO[str]) -> int:
     members = parse_vectorset(_read_input(args))
     chosen = find_kset(members, args.k)
     vectors = [(f"vector{i}", F2Vector(members.n, b).to01()) for i, b in enumerate(chosen, 1)]
-    _write_fields(args, out, vectors)
+    out.write(_fields(args, vectors))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str]) -> int:
     system = parse_system(_read_input(args))
     accepted = verify_certificate(system, Certificate(args.cert), args.k)
-    _write_fields(args, out, [("answer", "accept" if accepted else "reject")])
+    out.write(_fields(args, [("answer", "accept" if accepted else "reject")]))
     return 0 if accepted else 1
 
 
@@ -127,17 +128,17 @@ def _cmd_from_cnf(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_from_fourier(args: argparse.Namespace, out: IO[str]) -> int:
     expansion = parse_fourier(_read_input(args))
     system, constant = fourier_to_system(expansion)
-    out.write(f"c constant {constant}\n")
-    out.write(emit_system(system))
+    out.write(f"c constant {constant}\n" + emit_system(system))
     return 0
 
 
 def _cmd_kernel(args: argparse.Namespace, out: IO[str]) -> int:
     system = parse_system(_read_input(args))
     outcome = kernelize_rlin(system, args.r, args.k)
-    _write_fields(args, out, [("answer", "yes" if outcome.is_yes else "kernel")])
+    text = _fields(args, [("answer", "yes" if outcome.is_yes else "kernel")])
     if not outcome.is_yes:
-        out.write(emit_system(outcome.reduced_system))
+        text += emit_system(outcome.reduced_system)
+    out.write(text)
     return 0
 
 
@@ -163,14 +164,17 @@ def run(args: argparse.Namespace, out: IO[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        # report after the except block, which frees the traceback and with
+        # it the frames holding what ran out, so the message has room
+        pass
     except Exception:  # a bug; exit 1 would read as "no"
         import traceback  # only here, to keep it out of every start-up
 
         traceback.print_exc()
         print("error: internal error", file=sys.stderr)
         return 2
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")

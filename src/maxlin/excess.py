@@ -341,27 +341,27 @@ def _nearest_solution(
 
     ``basis`` is one elimination over the rows, each as lhs bits | rhs << n
     (_pivot_basis over n + 1 bits), which decides consistency: a pivot key
-    of 1 << n is the equation 0 = 1, and the other keys count the rank.  An
-    inconsistent system goes on to _lightest_flip.  The basis of a
-    consistent system, at most n rows with the same solutions, is
+    of n (the rhs column) is the equation 0 = 1, and the other keys count
+    the rank.  An inconsistent system goes on to _lightest_flip.  The basis
+    of a consistent system, at most n rows with the same solutions, is
     eliminated again with each lhs bit-reversed, z_1 most significant.  Its
-    keys are lowest bits, so every free variable lies above its pivot rows'
-    keys: setting the free variables to 0 and solving the pivots from the
-    highest key down gives the solution least as an integer, which is the
-    transform's tie-break among the maximizers.  Only those rows are
-    reversed.
+    keys are the columns of lowest bits, so every free variable lies above
+    its pivot rows' keys: setting the free variables to 0 and solving the
+    pivots from the highest key down gives the solution least as an
+    integer, which is the transform's tie-break among the maximizers.  Only
+    those rows are reversed.
     """
-    if 1 << n in basis:
+    if n in basis:
         if len(rows) - (len(basis) - 1) > _MAX_CHECKS:
             return None
         return _lightest_flip(rows, n)
     basis = _pivot_basis((reverse_bits(row, n) | row >> n << n for row in basis.values()), n + 1)
     point = 0
-    for low in sorted(basis, reverse=True):
-        row = basis[low]
-        # row >> n is the rhs; point holds only variables above low
+    for col in sorted(basis, reverse=True):
+        row = basis[col]
+        # row >> n is the rhs; point holds only variables above col
         if (row & point).bit_count() + (row >> n) & 1:
-            point |= low
+            point |= 1 << col
     return reverse_bits(point, n), ()
 
 

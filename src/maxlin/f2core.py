@@ -336,24 +336,26 @@ def evaluate(sys: LinearSystem, assignment: Assignment) -> Fraction:
 
 
 def _pivot_basis(rows: Iterable[int], n: int) -> dict[int, int]:
-    """Echelon basis of the row space, keyed by each row's lowest set bit.
+    """Echelon basis of the row space, keyed by the column of each row's
+    lowest set bit.
 
     Each row is XORed with the basis row owning its lowest set bit until it
     is zero or owns a new one, so the cost is O(m * rank) big-int XORs,
-    whatever the dimension.  The keys (as 1 << column) are exactly the
-    lowest bits of the nonzero vectors of the row space, which is the pivot
-    set of the leftmost-pivot reduced row echelon form.  Rows must fit in n
-    bits; once the basis holds n rows every later row would reduce to zero,
-    so the scan stops there and a full-rank input is read only up to the
-    row that completes the basis.
+    whatever the dimension.  The keys (column indices, small ints that hash
+    at once) are exactly the columns of the lowest set bits of the nonzero
+    vectors of the row space, which is the pivot set of the leftmost-pivot
+    reduced row echelon form.  The dict holds one entry per pivot and nothing per
+    column.  Rows must fit in n bits; once the basis holds n rows every
+    later row would reduce to zero, so the scan stops there and a full-rank
+    input is read only up to the row that completes the basis.
     """
     basis: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            prow = basis.get(low)
+            col = (row & -row).bit_length() - 1
+            prow = basis.get(col)
             if prow is None:
-                basis[low] = row
+                basis[col] = row
                 if len(basis) == n:
                     return basis
                 break
@@ -371,24 +373,26 @@ def rref(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     Cost: O(m * rank) XORs for the echelon basis (see _pivot_basis, which
     stops at the row that completes a full-rank basis) plus one
     back-substitution pass of at most rank^2 / 2 XORs, skipped at full rank,
-    where the reduced rows are the unit rows.  Nothing walks the n columns.
+    where the reduced rows are the unit rows.  The pass looks each pivot's
+    reduced row up by its column index.  Nothing walks the n columns, and
+    nothing is allocated per column.
     """
     basis = _pivot_basis(rows, n)
     if len(basis) == n:
         return list(range(n)), [1 << j for j in range(n)]
-    lows = sorted(basis)
+    pivots = sorted(basis)
     pivot_mask = 0
-    for low in lows:
-        pivot_mask |= low
+    for p in pivots:
+        pivot_mask |= 1 << p
     reduced: dict[int, int] = {}
-    for low in reversed(lows):
-        row = basis[low]
-        # other pivot bits all lie above low, and their rows are reduced
-        hits = row & pivot_mask ^ low
+    for p in reversed(pivots):
+        row = basis[p]
+        # other pivot bits all lie above p, and their rows are reduced
+        hits = row & pivot_mask ^ 1 << p
         while hits:
-            q = hits & -hits
-            row ^= reduced[q]
-            hits ^= q
-        reduced[low] = row
-    return [low.bit_length() - 1 for low in lows], [reduced[low] for low in lows]
+            low = hits & -hits
+            row ^= reduced[low.bit_length() - 1]
+            hits ^= low
+        reduced[p] = row
+    return pivots, [reduced[p] for p in pivots]
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, groupby, islice
+from operator import itemgetter
 
 from .errors import ParseError
 from .f2core import LinearSystem, _support
@@ -248,14 +249,17 @@ def emit_system(sys: LinearSystem) -> str:
 
 
 def emit_transcript_comments(tr: ReductionTranscript) -> str:
-    """Transcript as 'c transcript ...' lines appended to an emitted system."""
+    """Transcript as 'c transcript ...' lines appended to an emitted system.
+    Consecutive deletions with equal dependencies share one formatting of
+    them, and a run without dependencies is written with one join."""
     lines = [("c transcript kept " + " ".join(str(i + 1) for i in tr.kept_variables)).rstrip()]
-    for j, deps in tr.deleted_variables:
+    for deps, run in groupby(tr.deleted_variables, itemgetter(1)):
         if deps:
-            dep_list = " ".join(str(i + 1) for i in sorted(deps))
-            lines.append(f"c transcript deleted {j + 1} {len(deps)} {dep_list}")
+            tail = f"{len(deps)} " + " ".join(str(i + 1) for i in sorted(deps))
+            lines.extend(f"c transcript deleted {j + 1} {tail}" for j, _ in run)
         else:
-            lines.append(f"c transcript deleted {j + 1} 0")
+            numbers = " 0\nc transcript deleted ".join([str(j + 1) for j, _ in run])
+            lines.append(f"c transcript deleted {numbers} 0")
     for event in tr.merge_log:
         survivor = "-" if event.surviving_id is None else str(event.surviving_id)
         lines.append(

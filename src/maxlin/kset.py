@@ -206,7 +206,7 @@ def verify_kset(members: VectorSet, candidate: Iterable[int]) -> bool:
         return False
     for x in members.vectors - {0, *vectors}:
         while x:
-            pivot = basis.get(x & -x)
+            pivot = basis.get((x & -x).bit_length() - 1)
             if pivot is None:
                 break
             x ^= pivot

@@ -17,16 +17,20 @@ rule 1 eliminates u-bit ints.  Rule 1 eliminates each row on its lowest set
 bit (``f2core.rref``) and then drops the dependent columns in one pass over
 the rows, by shifts or by a lookup per set bit, skipped when every used
 column is a pivot.  So a reduction costs the OR, at most two passes over the
-rows' set bits, O(m * rank) XORs of u-bit ints and O(n) transcript entries.
-Nothing walks every declared column per row: for one sparse equation over a
-million declared variables, listing the deleted columns is nearly all the
-work.
+rows' set bits and O(m * rank) XORs of u-bit ints.  Its transcript stores
+the kept columns and only the deleted columns that have dependencies; the
+full list of deleted columns, O(n) entries, is built only when a caller
+reads ``ReductionTranscript.deleted_variables``.  Nothing walks or lists
+every declared column, so the cost follows the rows and the used columns,
+not the declared n.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter, or_
 from typing import Collection, Iterable, Sequence
 
@@ -91,13 +95,23 @@ class ReductionTranscript:
     field or dependency set it cannot read, an index that is not an int (a
     bool included) or outside the original variables, a dependency that is
     no kept variable, and a merge that is not a ``MergeEvent`` (which checks
-    itself); the reductions build theirs with ``_from_parts``, unchecked.
+    itself), and keeps ``deleted_variables`` as given.
+
+    The reductions build theirs with ``_from_parts``, unchecked, storing only
+    the deleted columns that have dependencies.  Their ``deleted_variables``
+    is built on first read and cached: every column that is not kept, in
+    ascending order, each with its dependencies or ``frozenset()``.
+    Equality, hashing, ``repr``, ``dataclasses.replace`` and pickling read
+    it as they read any field, so a reduction's transcript equals the
+    constructed one with the same content.
     """
 
     original_n: int
     reduced_n: int
     kept_variables: tuple[int, ...]
-    deleted_variables: tuple[tuple[int, frozenset[int]], ...] = ()
+    # a factory leaves no class attribute, so a transcript that does not
+    # hold the field yet reaches __getattr__
+    deleted_variables: tuple[tuple[int, frozenset[int]], ...] = field(default_factory=tuple)
     merge_log: tuple[MergeEvent, ...] = ()
 
     def __post_init__(self) -> None:
@@ -139,31 +153,62 @@ class ReductionTranscript:
             if not isinstance(event, MergeEvent):
                 raise MaxlinError(f"merge {event!r} is not a MergeEvent of two ids")
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance does not hold
+        state = vars(self)
+        if name != "deleted_variables" or "_dependent" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        deleted = _deleted_columns(self.original_n, self.kept_variables, state["_dependent"])
+        del state["_dependent"]
+        state[name] = deleted
+        # the fields in declaration order, as the constructor stores them
+        state["merge_log"] = state.pop("merge_log")
+        return deleted
+
     @classmethod
     def _from_parts(
         cls,
         original_n: int,
         reduced_n: int,
         kept: Iterable[int],
-        deleted: Iterable[tuple[int, frozenset[int]]] = (),
+        dependent: dict[int, frozenset[int]],
         merge_log: Iterable[MergeEvent] = (),
     ) -> ReductionTranscript:
         """The transcript of a reduction the library ran on a checked system,
-        stored as the constructor stores it but without its checks: ``deleted``
-        already holds distinct (column, frozenset) pairs."""
+        without the constructor's checks: ``kept`` is ascending and
+        ``dependent`` maps each deleted column that has dependencies to
+        them.  The other deleted columns are not stored; ``deleted_variables``
+        lists them all when it is first read."""
         tr = cls.__new__(cls)
         vars(tr).update(
             original_n=original_n,
             reduced_n=reduced_n,
             kept_variables=tuple(kept),
-            deleted_variables=tuple(deleted),
             merge_log=tuple(merge_log),
+            _dependent=dependent,
         )
         return tr
 
 
+def _deleted_columns(
+    n: int, kept: Sequence[int], dependent: dict[int, frozenset[int]]
+) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Every column of 0..n-1 outside the ascending ``kept``, in order, with
+    its dependencies from ``dependent`` or ``frozenset()``.  Each gap between
+    kept columns is one C-level extend; each dependent column is then put in
+    place at its index among the deleted ones."""
+    deleted: list[tuple[int, frozenset[int]]] = []
+    start = 0
+    for k in [*kept, n]:
+        deleted += zip(range(start, k), repeat(_NO_DEPS))
+        start = k + 1
+    for j, deps in dependent.items():
+        deleted[j - bisect(kept, j)] = (j, deps)
+    return tuple(deleted)
+
+
 def _identity_transcript(n: int) -> ReductionTranscript:
-    return ReductionTranscript._from_parts(n, n, range(n))
+    return ReductionTranscript._from_parts(n, n, range(n), {})
 
 
 _NO_DEPS: frozenset[int] = frozenset()
@@ -284,7 +329,7 @@ def _drop_columns(rows: Sequence[_Row], u: int, pivots: list[int]) -> list[_Row]
 
 def _reduce_rows(
     rows: Sequence[_Row], n: int, record: _FreshIds | None
-) -> tuple[Sequence[_Row], list[int], list[tuple[int, frozenset[int]]]]:
+) -> tuple[Sequence[_Row], list[int], dict[int, frozenset[int]]]:
     """Rule 2 (when record is given) then rule 1 on rows over n columns.
 
     One OR over the rows finds the u used columns.  When some column is
@@ -293,8 +338,9 @@ def _reduce_rows(
     map keeps column order, so the leftmost pivots and every dependency are
     the same as on the n-bit rows, and only the transcript maps them back.
 
-    Returns the rows projected onto the pivot columns, the pivots, and each
-    deleted column with the pivot columns summing to it.  When every used
+    Returns the rows projected onto the pivot columns, the pivots, and the
+    pivot columns summing to each deleted column that has any; the unused
+    columns and the other deleted ones are not listed.  When every used
     column is a pivot, the remapped rows are already the projected rows, and
     at full rank the rows come back as they are.  Every row's lowest set bit
     is a pivot (see rref), so no projected row is zero.
@@ -308,7 +354,7 @@ def _reduce_rows(
         rows = _merge_rows(rows, record)
     pivots, reduced = rref([row[0] for row in rows], len(cols))
     if len(pivots) == n:
-        return rows, pivots, []
+        return rows, pivots, {}
     if len(pivots) < len(cols):
         rows = _drop_columns(rows, len(cols), pivots)
     uses: dict[int, list[int]] = {}
@@ -318,11 +364,7 @@ def _reduce_rows(
             low = rest & -rest
             uses.setdefault(cols[low.bit_length() - 1], []).append(cols[p])
             rest ^= low
-    deps = {j: frozenset(ps) for j, ps in uses.items()}
-    pivots = [cols[p] for p in pivots]
-    pivot_set = set(pivots)
-    deleted = [(j, deps.get(j, _NO_DEPS)) for j in range(n) if j not in pivot_set]
-    return rows, pivots, deleted
+    return rows, [cols[p] for p in pivots], {j: frozenset(ps) for j, ps in uses.items()}
 
 
 def apply_rule2(sys: LinearSystem) -> LinearSystem:
@@ -342,15 +384,16 @@ def apply_rule1(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscript]:
     of kept columns, recorded in the transcript.
     Cost: one OR over the rows, one remap pass over their set bits when
     some column is unused, O(m * rank) XORs of u-bit ints for the u used
-    columns (see rref), one pass to drop the dependent columns when some
-    used column is no pivot, and O(n) transcript entries.
+    columns (see rref) and one pass to drop the dependent columns when some
+    used column is no pivot.  The transcript holds the pivots and the
+    dependent columns; nothing is built per unused column.
     """
-    rows, pivots, deleted = _reduce_rows(sys.rows, sys.n, None)
-    if not deleted:
-        return sys, _identity_transcript(sys.n)
+    rows, pivots, dependent = _reduce_rows(sys.rows, sys.n, None)
     rank = len(pivots)
+    if rank == sys.n:
+        return sys, _identity_transcript(sys.n)
     return LinearSystem._from_rows(rank, rows, sys.next_id), ReductionTranscript._from_parts(
-        sys.n, rank, pivots, deleted
+        sys.n, rank, pivots, dependent
     )
 
 
@@ -372,17 +415,20 @@ def make_irreducible(sys: LinearSystem) -> tuple[LinearSystem, ReductionTranscri
     second rank test on it.
     Cost: one OR over the rows, one remap pass over their set bits when
     some column is unused, then the merge and O(m * rank) XORs (see rref)
-    on u-bit ints for the u used columns, one pass to drop the dependent
-    columns when some used column is no pivot, and O(n) transcript
-    entries; nothing walks every declared column per row.
+    on u-bit ints for the u used columns, and one pass to drop the
+    dependent columns when some used column is no pivot.  The transcript
+    holds the pivots, the dependent columns and the merges; nothing walks
+    or lists every declared column.
     """
     fresh = _FreshIds(sys.next_id)
-    rows, kept, deleted = _reduce_rows(sys.rows, sys.n, fresh)
-    if not fresh.events and not deleted:
+    rows, kept, dependent = _reduce_rows(sys.rows, sys.n, fresh)
+    if not fresh.events and len(kept) == sys.n:
         reduced, transcript = sys, _identity_transcript(sys.n)
     else:
         reduced = LinearSystem._from_rows(len(kept), rows, fresh.next_id)
-        transcript = ReductionTranscript._from_parts(sys.n, len(kept), kept, deleted, fresh.events)
+        transcript = ReductionTranscript._from_parts(
+            sys.n, len(kept), kept, dependent, fresh.events
+        )
     vars(reduced)["_irreducible"] = True
     return reduced, transcript
 

@@ -188,15 +188,22 @@ class TestSubcommands:
         assert capsys.readouterr().out == "25\n" + "0" * 25 + "\n"
 
     def test_running_out_of_memory_exits_2(self, tmp_path):
-        # the child alone runs under a 256 MiB address-space limit: reducing a
-        # system at the declared-n ceiling lists 2^22 deleted columns and runs
-        # out of memory, and the 40-byte file declaring 10^11 variables is
-        # refused by its header before anything of that size is built
+        # the child alone runs under a 256 MiB address-space limit: the
+        # transcript of a system at the declared-n ceiling lists 2^22 deleted
+        # columns, so reduce runs out of memory before it writes a byte, and
+        # the 40-byte file declaring 10^11 variables is refused by its header
+        # before anything of that size is built
         resource = pytest.importorskip("resource")
         limit = 1 << 28
 
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        def capped(argv, path):
+            return subprocess.run(
+                [sys.executable, "-m", "maxlin", *argv, str(path)],
+                capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+            )
 
         ceiling = tmp_path / "ceiling"
         ceiling.write_text(f"p maxlin {MAX_DECLARED_N} 1\n1 0 1 {MAX_DECLARED_N}\n")
@@ -204,12 +211,15 @@ class TestSubcommands:
         huge.write_text("p maxlin 100000000000 1\n1 0 1 100000000000\n")
         errors = []
         for path in (ceiling, huge):
-            proc = subprocess.run(
-                [sys.executable, "-m", "maxlin", "solve", "--k", "1", str(path)],
-                capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
-            )
+            proc = capped(["reduce"], path)
             assert (proc.returncode, proc.stdout) == (2, "")
             errors.append(proc.stderr)
+        # solve and kernel build nothing per unused column: only the witness
+        # string has the declared n's length
+        for argv in (["solve", "--k", "1"], ["kernel", "--r", "3", "--k", "2"]):
+            proc = capped(argv, ceiling)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout == "p maxlin 1 1\n1 0 1 1\n"
         assert errors == [
             "error: out of memory\n",
             f"error: line 1: variable count 100000000000 exceeds the limit of {MAX_DECLARED_N}\n",

@@ -166,15 +166,16 @@ class TestRankAndBasis:
 
 
 def full_pivot_basis(rows, n):
-    """The echelon basis with every row reduced, none skipped."""
+    """The echelon basis with every row reduced, none skipped, keyed by the
+    column of each row's lowest set bit, found by walking the columns."""
     basis = {}
     for row in rows:
         while row:
-            low = row & -row
-            if low not in basis:
-                basis[low] = row
+            col = next(j for j in range(n) if row >> j & 1)
+            if col not in basis:
+                basis[col] = row
                 break
-            row ^= basis[low]
+            row ^= basis[col]
     return basis
 
 

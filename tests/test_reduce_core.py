@@ -9,6 +9,8 @@ public result must match the reference exactly: pivots and reduced rows,
 equations with their ids and order, ``next_id`` and the whole transcript.
 """
 import functools
+import pickle
+import random
 from dataclasses import replace
 from fractions import Fraction
 from operator import xor
@@ -157,6 +159,41 @@ def test_rules_on_spread_used_columns_match_reference(sys):
     check_transcript(sys, got, got_tr)
 
 
+@PROPERTY
+@given(used_column_systems())
+def test_reduction_transcripts_behave_as_constructed_ones(sys):
+    # a reduction stores only the deleted columns that have dependencies and
+    # lists every deleted column on first read; want is built by the
+    # constructor from a read transcript (the reference's frozensets may
+    # print their members in another order), and each check below starts
+    # from a reduction's transcript that nobody has read yet
+    for ours, theirs in ((apply_rule1, ref.apply_rule1), (make_irreducible, ref.make_irreducible)):
+        read = ours(sys)[1]
+        want = ReductionTranscript(
+            read.original_n, read.reduced_n, read.kept_variables, read.deleted_variables,
+            read.merge_log,
+        )
+        assert want == theirs(sys)[1]
+
+        def fresh():
+            tr = ours(sys)[1]
+            assert "deleted_variables" not in vars(tr)
+            return tr
+
+        assert fresh() == want and want == fresh()
+        assert hash(fresh()) == hash(want)
+        assert repr(fresh()) == repr(want)
+        assert replace(fresh()) == want
+        assert replace(fresh(), merge_log=()) == replace(want, merge_log=())
+        unpickled = pickle.loads(pickle.dumps(fresh()))
+        assert unpickled == want and unpickled.deleted_variables == want.deleted_variables
+        tr = fresh()
+        assert tr.deleted_variables == want.deleted_variables
+        # once read, the transcript holds the fields a constructed one holds
+        assert list(vars(tr).items()) == list(vars(want).items())
+        assert pickle.loads(pickle.dumps(tr)) == want
+
+
 def test_replay_after_a_cancellation_lowers_the_rank():
     # rows 0 and 2 cancel, so column 1 goes; restricted to column 0 first,
     # as the reference replay does, all three rows would share a left-hand
@@ -254,6 +291,19 @@ def test_cost_does_not_grow_with_declared_n():
     assert len(tr.deleted_variables) == n - 1
     assert tr.deleted_variables[500_000 - 1] == (500_000, frozenset({0}))
     assert tr.deleted_variables[1] == (2, frozenset())
+    # 800 rows of 1-3 variables on the 400 lowest columns: the rules take a
+    # few ms, and listing every deleted column as well costs 0.18-0.39 s
+    rng = random.Random(7)
+    rows = [(rng.sample(range(400), rng.randint(1, 3)), rng.randint(0, 1), 1) for _ in range(800)]
+    sys = LinearSystem.build(n, rows)
+    for rule in (make_irreducible, apply_rule1):
+        best = float("inf")
+        for _ in range(3):
+            start = perf_counter()
+            out, tr = rule(sys)
+            best = min(best, perf_counter() - start)
+        assert out.n < 400 and best < 0.1, (rule.__name__, best)
+        assert len(tr.deleted_variables) == n - out.n
 
 
 def _reverse_bits_loop(x: int, n: int) -> int:

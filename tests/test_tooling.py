@@ -263,6 +263,33 @@ def test_only_fourier_reads_terms():
     assert found == []
 
 
+def test_only_the_emitter_reads_the_deleted_columns():
+    # a reduction's transcript lists every deleted column, O(n) entries for
+    # a declared n, only when deleted_variables is read; outside the
+    # transcript itself, only the reduce command's emitter may read it, so
+    # solve, kernel and bound cost what the used columns cost
+    allowed = {("formats.py", "emit_transcript_comments"), ("reduce.py", "ReductionTranscript")}
+    package = Path(maxlin.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {
+            id(inner)
+            for node in tree.body
+            if (path.name, getattr(node, "name", None)) in allowed
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in exempt and (
+                isinstance(node, ast.Attribute) and node.attr == "deleted_variables"
+                or isinstance(node, ast.Constant) and node.value == "deleted_variables"
+            )
+        ]
+    assert found == []
+
+
 def test_every_dimension_goes_through_the_one_check():
     # a class with a dimension field checks it with f2core._check_dimension
     # in one of its methods, and no other module defines that check

@@ -4,8 +4,9 @@ Core surfaces: exact F2 systems (`f2core`), excess-preserving reduction
 rules (`reduce`), the mark-and-eliminate procedure with its certificate
 verifier (`algoh`), sum-independent vector subsets (`kset`), constructive
 excess bounds and the above-average decision (`excess`), the multilinear
-expansion bridge (`fourier`), and SAT/CSP reductions plus kernelization
-(`reductions`).  Text formats live in `formats`, the CLI in `cli`.
+expansion bridge (`fourier`), and the exact-r SAT reduction plus
+kernelization (`reductions`).  Text formats live in `formats`, the CLI in
+`cli`.
 """
 from .algoh import (
     Certificate,
@@ -58,10 +59,7 @@ from .reduce import (
 )
 from .reductions import (
     CnfFormula,
-    CspConstraint,
-    CspInstance,
     KernelOutcome,
-    csp_to_fourier,
     decide_sat_aa,
     kernelize_rlin,
     sat_to_fourier,

@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxlin",
         description="Weighted F2 linear systems: reduction, above-average decisions, "
-        "excess bounds, and SAT/CSP bridges.",
+        "excess bounds, and an exact-r SAT bridge.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", nargs="?", default="-", help="input file (default: stdin)")

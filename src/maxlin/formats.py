@@ -1,4 +1,4 @@
-"""Text formats: weighted systems, expansions, vector sets, DIMACS CNF, CSP.
+"""Text formats: weighted systems, expansions, vector sets, DIMACS CNF.
 
 All variable indices are 1-based on disk and 0-based in memory.  Rationals
 are written in lowest terms as ``p`` or ``p/q``; floating-point notation is
@@ -40,7 +40,7 @@ from .f2core import LinearSystem, _support
 from .fourier import FourierExpansion
 from .kset import VectorSet
 from .reduce import ReductionTranscript
-from .reductions import CnfFormula, CspConstraint, CspInstance
+from .reductions import CnfFormula
 
 __all__ = [
     "parse_rational",
@@ -51,7 +51,6 @@ __all__ = [
     "emit_fourier",
     "parse_vectorset",
     "parse_cnf",
-    "parse_csp",
     "MAX_DECLARED_N",
 ]
 
@@ -373,56 +372,3 @@ def parse_cnf(text: str) -> CnfFormula:
                          f"header declares {m} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 
-
-def parse_csp(text: str) -> CspInstance:
-    """Parse the CSP format: 'p csp n count', then per constraint a line
-    '<arity> <i1> ... <ir> <|V|>' followed by |V| rows of +-1 tuples."""
-    lines = _content_lines(text)
-    n, count, rows = _parse_header(lines, "csp")
-    constraints = []
-    pos = 0
-    for _ in range(count):
-        if pos >= len(rows):
-            raise ParseError(rows[-1][0] if rows else 1, f"expected {count} constraints")
-        line_no, tokens = rows[pos]
-        pos += 1
-        if len(tokens) < 3:
-            raise ParseError(line_no, "constraint lines need '<arity> <indices> <|V|>'")
-        arity = _parse_int(tokens[0], line_no, "arity")
-        if arity < 1:
-            raise ParseError(line_no, "arity must be at least 1")
-        if len(tokens) != arity + 2:
-            raise ParseError(line_no, f"expected {arity} indices plus |V|")
-        variables = []
-        for tok in tokens[1 : 1 + arity]:
-            idx = _parse_int(tok, line_no, "variable index")
-            if not 1 <= idx <= n:
-                raise ParseError(line_no, f"index {idx} outside 1..{n}")
-            if idx - 1 in variables:
-                raise ParseError(line_no, f"constraint repeats variable {idx}")
-            variables.append(idx - 1)
-        v_count = _parse_int(tokens[-1], line_no, "satisfying-point count")
-        if not 1 <= v_count <= 2**arity:
-            raise ParseError(line_no, f"|V| must be between 1 and 2^{arity}")
-        points = set()
-        for _ in range(v_count):
-            if pos >= len(rows):
-                raise ParseError(line_no, f"constraint needs {v_count} satisfying rows")
-            row_no, row_tokens = rows[pos]
-            pos += 1
-            if len(row_tokens) != arity:
-                raise ParseError(row_no, f"expected {arity} entries of -1 or 1")
-            point = []
-            for tok in row_tokens:
-                value = _parse_int(tok, row_no, "entry")
-                if value not in (-1, 1):
-                    raise ParseError(row_no, f"entries must be -1 or 1, got {tok!r}")
-                point.append(value)
-            point_t = tuple(point)
-            if point_t in points:
-                raise ParseError(row_no, "duplicate satisfying point")
-            points.add(point_t)
-        constraints.append(CspConstraint(tuple(variables), frozenset(points)))
-    if pos != len(rows):
-        raise ParseError(rows[pos][0], "trailing content after the declared constraints")
-    return CspInstance(n, tuple(constraints))

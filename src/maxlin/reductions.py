@@ -1,17 +1,17 @@
-"""Bridges from exact-r SAT and bounded-arity CSP into weighted F2 systems,
-plus the exact-threshold kernelization for arity-bounded systems.
+"""The bridge from exact-r SAT into weighted F2 systems, plus the
+exact-threshold kernelization for arity-bounded systems.
 
-Truth values live in {-1,+1} with -1 meaning true.  A clause or constraint
-expands into a multilinear polynomial whose value encodes how far an
-assignment sits above the random-assignment average; maximizing it is the
-above-average question on the associated system.
+Truth values live in {-1,+1} with -1 meaning true.  A clause expands into
+a multilinear polynomial whose value encodes how far an assignment sits
+above the random-assignment average; maximizing it is the above-average
+question on the associated system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import MaxlinError, NonIntegralWeightError, PreconditionError
 from .excess import DEFAULT_ORACLE_CAP, AaInstance, _in_marking_regime, decide_aa
@@ -21,13 +21,10 @@ from .reduce import make_irreducible
 
 __all__ = [
     "CnfFormula",
-    "CspConstraint",
-    "CspInstance",
     "KernelOutcome",
     "sat_to_fourier",
     "satisfied_clause_count",
     "decide_sat_aa",
-    "csp_to_fourier",
     "kernelize_rlin",
 ]
 
@@ -43,6 +40,8 @@ class CnfFormula:
         _check_dimension(self.n, "variable count")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         for clause in self.clauses:
+            if not clause:
+                raise MaxlinError("empty clause")
             variables = set()
             for lit in clause:
                 if not _is_int(lit):
@@ -62,48 +61,6 @@ class CnfFormula:
 
 
 @dataclass(frozen=True)
-class CspConstraint:
-    """An arity-r(f) constraint: variable tuple plus its satisfying points."""
-
-    variables: tuple[int, ...]
-    satisfying: frozenset[tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "satisfying", frozenset(tuple(v) for v in self.satisfying))
-        arity = len(self.variables)
-        if any(not _is_int(v) for v in self.variables):
-            raise MaxlinError(f"constraint variables {self.variables} must be ints")
-        if arity < 1:
-            raise MaxlinError("constraints must touch at least one variable")
-        if len(set(self.variables)) != arity:
-            raise MaxlinError(f"constraint repeats a variable: {self.variables}")
-        if not self.satisfying:
-            raise MaxlinError("constraints must have at least one satisfying point")
-        for point in self.satisfying:
-            _check_ints("satisfying point entry", point)
-            if len(point) != arity or any(v not in (-1, 1) for v in point):
-                raise MaxlinError(f"satisfying point {point} must be a +-1 tuple of arity {arity}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.variables)
-
-
-@dataclass(frozen=True)
-class CspInstance:
-    n: int
-    constraints: tuple[CspConstraint, ...]
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n, "variable count")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for cons in self.constraints:
-            if any(not 0 <= v < self.n for v in cons.variables):
-                raise MaxlinError(f"constraint variables {cons.variables} outside 0..{self.n - 1}")
-
-
-@dataclass(frozen=True)
 class KernelOutcome:
     """Either an immediate yes or the kernel, which is the reduced system."""
 
@@ -111,46 +68,33 @@ class KernelOutcome:
     reduced_system: LinearSystem
 
 
-def _product_expansion(
-    n: int, products: Iterable[tuple[Sequence[int], Sequence[int], int]]
-) -> FourierExpansion:
-    """Sum of factor * (prod_j (1 + s_j x_{v_j}) - 1) over the
-    (variables, signs, factor) products, expanded term by term.
-
-    Each product's constant term is factor * (1 - 1) = 0, so the sum's
-    constant is zero; terms whose coefficients cancel are dropped.  The
-    variables come from a checked formula or instance: distinct within a
-    product and in 0..n-1, so the masks go in unchecked.
-    """
-    coefficients: dict[int, int] = {}
-    for variables, signs, factor in products:
-        arity = len(variables)
-        for size in range(1, arity + 1):
-            for positions in combinations(range(arity), size):
-                product, mask = factor, 0
-                for j in positions:
-                    product *= signs[j]
-                    mask |= 1 << variables[j]
-                coefficients[mask] = coefficients.get(mask, 0) + product
-    masks = {mask: as_weight(c) for mask, c in coefficients.items() if c != 0}
-    return FourierExpansion._from_masks(n, Fraction(0), masks)
-
-
 def sat_to_fourier(formula: CnfFormula, r: int) -> FourierExpansion:
     """Expand sum over clauses of [1 - prod (1 + eps_i x_i)] term by term.
 
     eps_i is +1 for a positive literal and -1 for a negated one; a falsified
-    clause contributes 1 - 2^r and a satisfied one contributes 1.
+    clause contributes 1 - 2^r and a satisfied one contributes 1.  Each
+    clause's constant term is 1 - 1 = 0, so the sum's constant is zero;
+    terms whose coefficients cancel are dropped.  The formula is checked:
+    a clause's variables are distinct and in 1..n, so the masks go in
+    unchecked.
     """
     if not _is_int(r) or r < 1:
         raise MaxlinError(f"clause arity r must be a positive integer, got {r!r}")
     for clause in formula.clauses:
         if len(clause) != r:
             raise MaxlinError(f"clause {clause} does not have exactly {r} literals")
-    return _product_expansion(formula.n, (
-        ([abs(lit) - 1 for lit in clause], [1 if lit > 0 else -1 for lit in clause], -1)
-        for clause in formula.clauses
-    ))
+    coefficients: dict[int, int] = {}
+    for clause in formula.clauses:
+        literals = [(1 << abs(lit) - 1, 1 if lit > 0 else -1) for lit in clause]
+        for size in range(1, r + 1):
+            for chosen in combinations(literals, size):
+                product, mask = -1, 0
+                for bit, sign in chosen:
+                    product *= sign
+                    mask |= bit
+                coefficients[mask] = coefficients.get(mask, 0) + product
+    masks = {mask: as_weight(c) for mask, c in coefficients.items() if c != 0}
+    return FourierExpansion._from_masks(formula.n, Fraction(0), masks)
 
 
 def satisfied_clause_count(formula: CnfFormula, point: Sequence[int]) -> int:
@@ -196,26 +140,6 @@ def decide_sat_aa(
     if reaches != answer:
         raise MaxlinError("internal error: witness disagrees with clause counting")
     return answer, point
-
-
-def csp_to_fourier(inst: CspInstance, r: int) -> FourierExpansion:
-    """Expand the scaled satisfying-point indicators of every constraint.
-
-    Each constraint f of arity r(f) contributes
-    2^(r - r(f)) * sum over its satisfying points of [prod (1 + v_j x_ij) - 1];
-    the result h satisfies h(x) = 2^r (s - E) with s the satisfied count and
-    E the expected satisfied count under uniform random assignment.
-    """
-    if not _is_int(r) or r < 1:
-        raise MaxlinError(f"arity bound r must be a positive integer, got {r!r}")
-    for cons in inst.constraints:
-        if cons.arity > r:
-            raise MaxlinError(f"constraint arity {cons.arity} exceeds the bound {r}")
-    return _product_expansion(inst.n, (
-        (cons.variables, point, 2 ** (r - cons.arity))
-        for cons in inst.constraints
-        for point in sorted(cons.satisfying)
-    ))
 
 
 def kernelize_rlin(sys: LinearSystem, r: int, k: int) -> KernelOutcome:

@@ -1,7 +1,7 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own solving paths: the
-expansion maximum is found by evaluating every point, and clause/constraint
+expansion maximum is found by evaluating every point, and clause
 satisfaction is counted directly from the input data.
 """
 from __future__ import annotations
@@ -15,8 +15,6 @@ import pytest
 
 from maxlin import (
     CnfFormula,
-    CspConstraint,
-    CspInstance,
     FourierExpansion,
     LinearSystem,
     VectorSet,
@@ -104,17 +102,6 @@ def random_cnf(rng: random.Random, *, n: int, m: int, r: int) -> CnfFormula:
         variables = rng.sample(range(1, n + 1), r)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
     return CnfFormula(n, tuple(clauses))
-
-
-def random_csp(rng: random.Random, *, n: int, count: int, r: int) -> CspInstance:
-    constraints = []
-    for _ in range(count):
-        arity = rng.randint(1, min(r, n))
-        variables = tuple(rng.sample(range(n), arity))
-        points = [tuple(rng.choice((-1, 1)) for _ in range(arity)) for _ in range(2**arity)]
-        chosen = set(points[: rng.randint(1, 2**arity)])
-        constraints.append(CspConstraint(variables, frozenset(chosen)))
-    return CspInstance(n, tuple(constraints))
 
 
 def random_vectorset(rng: random.Random, *, n_max: int = 16, k_max: int = 4) -> tuple[VectorSet, int]:
@@ -406,26 +393,6 @@ def cnf_satisfied_counts_vector(formula: CnfFormula) -> np.ndarray:
             (keys & np.uint64(neg_mask)) == np.uint64(neg_mask)
         )
         counts -= falsified.astype(np.int64)
-    return counts
-
-
-def csp_satisfied_counts_vector(inst: CspInstance) -> np.ndarray:
-    """Satisfied-constraint counts at all points, in the all_points order."""
-    n = inst.n
-    keys = np.arange(2**n, dtype=np.uint64)
-    counts = np.zeros(2**n, dtype=np.int64)
-    for cons in inst.constraints:
-        var_mask = 0
-        for v in cons.variables:
-            var_mask |= 1 << (n - 1 - v)
-        hit = np.zeros(2**n, dtype=bool)
-        for point in cons.satisfying:
-            pattern = 0
-            for v, value in zip(cons.variables, point):
-                if value == -1:
-                    pattern |= 1 << (n - 1 - v)
-            hit |= (keys & np.uint64(var_mask)) == np.uint64(pattern)
-        counts += hit.astype(np.int64)
     return counts
 
 

@@ -28,7 +28,6 @@ from maxlin import (
     maxima_lower_bound,
     reconstruct,
     sat_to_fourier,
-    csp_to_fourier,
     satisfied_clause_count,
     verify_certificate,
     verify_kset,
@@ -40,12 +39,10 @@ from helpers import (
     paired_vectorset,
     certificate_from_assignment,
     cnf_satisfied_counts_vector,
-    csp_satisfied_counts_vector,
     enumerate_all_runs,
     fourier_brute_max,
     fourier_values_vector,
     random_cnf,
-    random_csp,
     random_fourier,
     random_regime_system,
     random_system,
@@ -215,31 +212,6 @@ def test_criterion_07_sat_identity():
             s = satisfied_clause_count(formula, point)
             assert 2**r * s >= (2**r - 1) * m + k
     report(7, "exact-r SAT bridge identity", started)
-
-
-def test_criterion_08_csp_identity():
-    started = time.perf_counter()
-    rng = random.Random(108)
-    for _ in range(100):
-        r = 3
-        n = rng.randint(1, 8)
-        inst = random_csp(rng, n=n, count=rng.randint(1, 10), r=r)
-        expansion = csp_to_fourier(inst, r)
-        values, scale = fourier_values_vector(expansion)
-        assert scale == 1
-        counts = csp_satisfied_counts_vector(inst)
-        average = sum(
-            (Fraction(len(c.satisfying), 2**c.arity) for c in inst.constraints),
-            Fraction(0),
-        )
-        scaled_average = 2**r * average
-        assert scaled_average.denominator == 1
-        assert np.array_equal(values, 2**r * counts - int(scaled_average))
-        for _ in range(3):
-            key = rng.randrange(2**n)
-            point = tuple(-1 if key >> (n - 1 - j) & 1 else 1 for j in range(n))
-            assert eval_fourier(expansion, point) == int(values[key])
-    report(8, "bounded-arity CSP bridge identity", started)
 
 
 def test_criterion_09_bound_soundness_and_tightness():

@@ -9,7 +9,6 @@ from maxlin.formats import (
     emit_system,
     emit_transcript_comments,
     parse_cnf,
-    parse_csp,
     parse_fourier,
     parse_rational,
     parse_system,
@@ -136,48 +135,11 @@ class TestCnfFormat:
             ("p cnf 2 1\n1 -1 0\n", 2),       # repeated variable
             ("p cnf 2 1\n1 2\n", 2),          # unterminated clause
             ("p cnf 2 1\n0\n", 2),            # empty clause
+            ("p cnf 2 1\n1 +-2 0\n", 2),      # stacked signs
         ]:
             with pytest.raises(ParseError) as err:
                 parse_cnf(text)
             assert err.value.line_no == line, text
-
-
-class TestCspFormat:
-    def test_parse(self):
-        inst = parse_csp("p csp 2 1\n2 1 2 2\n-1 -1\n1 -1\n")
-        cons = inst.constraints[0]
-        assert cons.variables == (0, 1)
-        assert cons.satisfying == {(-1, -1), (1, -1)}
-
-    def test_accepts_plus_signs(self):
-        inst = parse_csp("p csp 1 1\n1 1 1\n+1\n")
-        assert inst.constraints[0].satisfying == {(1,)}
-
-    @pytest.mark.parametrize("entry", ["+-1", "++1"])
-    def test_stacked_signs_are_rejected(self, entry):
-        with pytest.raises(ParseError) as err:
-            parse_csp(f"p csp 2 1\n2 1 2 2\n-1 -1\n1 {entry}\n")
-        assert err.value.line_no == 4
-
-    def test_errors(self):
-        for text, line, message in [
-            ("p csp 2 1\n2 1 1 1\n-1 -1\n", 2, "repeats variable 1"),
-            ("p csp 2 1\n2 1 2 5\n", 2, "|V| must be between"),
-            ("p csp 2 1\n2 1 2 1\n-1 0\n", 3, "entries must be -1 or 1"),
-            ("p csp 2 1\n2 1 2 2\n-1 -1\n-1 -1\n", 4, "duplicate satisfying point"),
-            ("p csp 2 2\n1 1 1\n1\n", 3, "expected 2 constraints"),
-            ("p csp 2 1\n1 1\n", 2, "constraint lines need"),
-            ("p csp 2 1\n0 1 1\n", 2, "arity must be at least 1"),
-            ("p csp 2 1\n2 1 1\n", 2, "expected 2 indices plus |V|"),
-            ("p csp 2 1\n1 3 1\n1\n", 2, "index 3 outside 1..2"),
-            ("p csp 2 1\n1 1 2\n1\n", 2, "constraint needs 2 satisfying rows"),
-            ("p csp 2 1\n2 1 2 1\n-1\n", 3, "expected 2 entries of -1 or 1"),
-            ("p csp 2 1\n1 1 1\n1\n1 2 1\n", 4, "trailing content"),
-        ]:
-            with pytest.raises(ParseError) as err:
-                parse_csp(text)
-            assert err.value.line_no == line, text
-            assert message in str(err.value), text
 
 
 def test_emitted_fourier_is_canonical():

@@ -30,7 +30,6 @@ from maxlin.formats import (
     emit_fourier,
     emit_system,
     parse_cnf,
-    parse_csp,
     parse_fourier,
     parse_system,
     parse_vectorset,
@@ -409,8 +408,6 @@ def test_parse_fourier_checks_each_term_once(monkeypatch):
      "variable index must be an integer, got '٢'"),
     (parse_cnf, "p cnf 30 1\n-2_0 0\n", 2, "literal must be an integer, got '-2_0'"),
     (parse_cnf, "p cnf 3 1\n1 ٢ 0\n", 2, "literal must be an integer, got '٢'"),
-    (parse_csp, "p csp 2 1\n1 ١ 1\n1\n", 2, "variable index must be an integer, got '١'"),
-    (parse_csp, "p csp 2 1\n1 1 1\n-0_1\n", 3, "entry must be an integer, got '-0_1'"),
 ])
 def test_integers_are_ascii_decimal(parse, text, line, message):
     # int() reads these as numbers (the reference parser still does)
@@ -429,7 +426,6 @@ def test_signs_and_leading_zeros_stay_accepted():
     (parse_fourier, "fourier", "const 0\n1 1 {n}\n"),
     (parse_vectorset, "vecset", "1\n"),
     (parse_cnf, "cnf", "{n} 0\n"),
-    (parse_csp, "csp", "1 {n} 1\n1\n"),
 ])
 def test_a_declared_n_above_the_ceiling_is_refused_before_any_allocation(parse, kind, body):
     # 1 << n alone would take n / 8 bytes: 512 KiB just above the ceiling,

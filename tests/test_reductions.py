@@ -5,14 +5,11 @@ import pytest
 
 from maxlin import (
     CnfFormula,
-    CspConstraint,
-    CspInstance,
     LinearSystem,
     MaxlinError,
     NonIntegralWeightError,
     PreconditionError,
     brute_force_max_excess,
-    csp_to_fourier,
     decide_sat_aa,
     eval_fourier,
     kernelize_rlin,
@@ -20,7 +17,7 @@ from maxlin import (
     satisfied_clause_count,
 )
 
-from helpers import all_points, assert_raises, random_cnf, random_csp
+from helpers import all_points, assert_raises, random_cnf
 
 
 class TestSatToFourier:
@@ -80,8 +77,8 @@ class TestSatIdentity:
 
     def test_identity_at_every_point(self):
         rng = random.Random(62)
-        for _ in range(10):
-            r = rng.choice((2, 3))
+        for _ in range(16):
+            r = rng.choice((1, 2, 3, 4))
             n = rng.randint(r, 7)
             formula = random_cnf(rng, n=n, m=rng.randint(1, 12), r=r)
             g = sat_to_fourier(formula, r)
@@ -124,64 +121,6 @@ class TestDecideSatAa:
     def test_rejects_small_r(self):
         with pytest.raises(MaxlinError):
             decide_sat_aa(CnfFormula(1, ((1,),)), 1, 1)
-
-
-def csp_expected_average(inst: CspInstance) -> Fraction:
-    return sum(
-        (Fraction(len(c.satisfying), 2**c.arity) for c in inst.constraints), Fraction(0)
-    )
-
-
-def csp_satisfied_count(inst: CspInstance, point) -> int:
-    count = 0
-    for cons in inst.constraints:
-        restricted = tuple(point[v] for v in cons.variables)
-        if restricted in cons.satisfying:
-            count += 1
-    return count
-
-
-class TestCspToFourier:
-    def test_single_negative_unit(self):
-        inst = CspInstance(1, (CspConstraint((0,), frozenset({(-1,)})),))
-        h = csp_to_fourier(inst, 1)
-        assert h.constant == 0
-        assert h.terms == {frozenset([0]): Fraction(-1)}
-        assert eval_fourier(h, (-1,)) == 1
-
-    def test_vacuous_constraint_vanishes(self):
-        inst = CspInstance(1, (CspConstraint((0,), frozenset({(-1,), (1,)})),))
-        h = csp_to_fourier(inst, 1)
-        assert h.constant == 0 and not h.terms
-
-    def test_exact_clause_matches_sat_expansion(self):
-        # clause (x1 or x2) as a CSP constraint with its 3 satisfying points:
-        # both bridges measure distance above average, so h == g here
-        clause_sat = frozenset({(-1, -1), (-1, 1), (1, -1)})
-        inst = CspInstance(2, (CspConstraint((0, 1), clause_sat),))
-        h = csp_to_fourier(inst, 2)
-        g = sat_to_fourier(CnfFormula(2, ((1, 2),)), 2)
-        for point in all_points(2):
-            s = 1 if (point[0], point[1]) in clause_sat else 0
-            assert eval_fourier(h, point) == 4 * (s - Fraction(3, 4))
-            assert eval_fourier(h, point) == eval_fourier(g, point)
-
-    def test_arity_above_r_rejected(self):
-        inst = CspInstance(2, (CspConstraint((0, 1), frozenset({(1, 1)})),))
-        with pytest.raises(MaxlinError):
-            csp_to_fourier(inst, 1)
-
-    def test_identity_at_every_point(self):
-        rng = random.Random(64)
-        for _ in range(15):
-            r = 3
-            n = rng.randint(3, 6)
-            inst = random_csp(rng, n=n, count=rng.randint(1, 8), r=r)
-            h = csp_to_fourier(inst, r)
-            average = csp_expected_average(inst)
-            for point in all_points(n):
-                s = csp_satisfied_count(inst, point)
-                assert eval_fourier(h, point) == 2**r * (s - average)
 
 
 class TestKernelize:
@@ -263,61 +202,7 @@ def cnf(n, *clauses):
         pytest.param(lambda: cnf(2, (1, -1)), "clause (1, -1) repeats variable 1", id="cnf-repeat"),
         pytest.param(lambda: cnf(2, (1.0, 2)), "literal 1.0 is not an int", id="cnf-float-literal"),
         pytest.param(lambda: cnf(2, (True, 2)), "literal True is not an int", id="cnf-bool-literal"),
-        pytest.param(
-            lambda: CspConstraint((), {()}),
-            "constraints must touch at least one variable",
-            id="csp-arity-0",
-        ),
-        pytest.param(
-            lambda: CspConstraint((0, 0), {(1, 1)}),
-            "constraint repeats a variable: (0, 0)",
-            id="csp-repeat",
-        ),
-        pytest.param(
-            lambda: CspConstraint((0,), set()),
-            "constraints must have at least one satisfying point",
-            id="csp-no-point",
-        ),
-        pytest.param(
-            lambda: CspInstance(2, (CspConstraint((0.5,), {(1,)}),)),
-            "constraint variables (0.5,) must be ints",
-            id="csp-float-variable",
-        ),
-        pytest.param(
-            lambda: CspConstraint((True,), {(1,)}),
-            "constraint variables (True,) must be ints",
-            id="csp-bool-variable",
-        ),
-        pytest.param(
-            lambda: CspConstraint((0, 1), {(1, 0)}),
-            "satisfying point (1, 0) must be a +-1 tuple of arity 2",
-            id="csp-bad-point",
-        ),
-        pytest.param(
-            lambda: CspInstance(-1, ()),
-            "variable count must be non-negative",
-            id="csp-instance-n",
-        ),
-        pytest.param(
-            lambda: CspInstance(2.0, ()),
-            "variable count must be an int, got 2.0",
-            id="csp-instance-float-n",
-        ),
-        pytest.param(
-            lambda: CspInstance(True, ()),
-            "variable count must be an int, got True",
-            id="csp-instance-bool-n",
-        ),
-        pytest.param(
-            lambda: CspInstance("2", ()),
-            "variable count must be an int, got '2'",
-            id="csp-instance-str-n",
-        ),
-        pytest.param(
-            lambda: CspInstance(1, (CspConstraint((1,), {(1,)}),)),
-            "constraint variables (1,) outside 0..0",
-            id="csp-instance-range",
-        ),
+        pytest.param(lambda: cnf(2, (1,), ()), "empty clause", id="cnf-empty-clause"),
         pytest.param(
             lambda: sat_to_fourier(cnf(1), 0),
             "clause arity r must be a positive integer, got 0",
@@ -327,16 +212,6 @@ def cnf(n, *clauses):
             lambda: sat_to_fourier(cnf(1, (1,)), True),
             "clause arity r must be a positive integer, got True",
             id="sat-bool-r",
-        ),
-        pytest.param(
-            lambda: csp_to_fourier(CspInstance(1, ()), 0),
-            "arity bound r must be a positive integer, got 0",
-            id="csp-r",
-        ),
-        pytest.param(
-            lambda: csp_to_fourier(CspInstance(1, ()), True),
-            "arity bound r must be a positive integer, got True",
-            id="csp-bool-r",
         ),
         pytest.param(
             lambda: kernelize_rlin(LinearSystem(1), 0, 2),
@@ -387,16 +262,6 @@ def cnf(n, *clauses):
             lambda: satisfied_clause_count(cnf(2, (1, 2)), (1.0, -1)),
             "point entry 1.0 is not an int",
             id="count-point-float-entry",
-        ),
-        pytest.param(
-            lambda: CspConstraint((0, 1), {(True, -1)}),
-            "satisfying point entry True is not an int",
-            id="constraint-point-bool-entry",
-        ),
-        pytest.param(
-            lambda: CspConstraint((0, 1), {(1.0, -1)}),
-            "satisfying point entry 1.0 is not an int",
-            id="constraint-point-float-entry",
         ),
     ],
 )

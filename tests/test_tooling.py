@@ -13,6 +13,7 @@ import numpy as np
 
 import maxlin
 import maxlin.cli
+import maxlin.formats
 
 
 def test_library_has_no_assert_statements():
@@ -73,12 +74,10 @@ def test_every_exported_name_is_defined_in_its_module():
 
 def test_every_exported_function_has_a_src_caller():
     # an exported name that only tests call is surface to delete; these are
-    # the paper's SAT/CSP and Fourier entry points, which nothing in the
-    # package calls: the SAT decision, the CSP file and its expansion, the
-    # system-to-expansion direction of the bijection, and the value of an
-    # expansion at a point
-    entry_points = {"decide_sat_aa", "csp_to_fourier", "parse_csp", "system_to_fourier",
-                    "eval_fourier"}
+    # the paper's SAT and Fourier entry points, which nothing in the package
+    # calls: the SAT decision, the system-to-expansion direction of the
+    # bijection, and the value of an expansion at a point
+    entry_points = {"decide_sat_aa", "system_to_fourier", "eval_fourier"}
     package = Path(maxlin.__file__).parent
     exported, referenced = [], set()
     for path in sorted(package.glob("*.py")):
@@ -102,6 +101,19 @@ def test_every_exported_function_has_a_src_caller():
         if name not in referenced and name not in entry_points
     ]
     assert uncalled == []
+
+
+def test_every_file_format_has_a_command():
+    # a parser that no command calls is a file format only the library reads
+    cli = Path(maxlin.cli.__file__)
+    called = {
+        node.func.id
+        for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    parsers = [name for name in maxlin.formats.__all__
+               if name.startswith("parse_") and name != "parse_rational"]
+    assert parsers and [name for name in parsers if name not in called] == []
 
 
 # the members the README lists as only for callers
